@@ -24,11 +24,15 @@ Every recursive call strictly reduces the psi letter count, except the move
 walks themselves, which are finite precomputed paths, so the rewrite
 terminates.  Uniqueness of the resulting expansion is a theorem about the
 algebra, not the code; the test suite checks it by confluence fuzzing.
+
+The defining presentation is also written down as data, apart from the
+rewrite rules: `KLR_RELATIONS` lists the relation families once, and
+`relation_rows` evaluates them in any realisation of the generators.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 from . import perms
 from .perms import act, canonical_word, word_perm
@@ -172,7 +176,6 @@ class KLR:
         if n < 0:
             raise ShapeError("n must be nonnegative")
         self.quiver = quiver
-        self.opp = quiver.opposite()
         self.n = n
         self.dom = domain if domain is not None else Rationals()
         self.tau = tau
@@ -565,3 +568,135 @@ class KLR:
             d = self.mono_degree(m)
             table[d] = table.get(d, 0) + 1
         return monos, dict(sorted(table.items()))
+
+
+# --- the defining presentation, written once ------------------------------------
+
+# Letters of the relation words: ("y", k) and ("psi", k) sit at position r + k,
+# or at s when k is "s"; E is e(i) for the instance's sequence i, F its
+# correction idempotent and SWAP is e(s_r i).
+E, F, SWAP = ("E",), ("F",), ("SWAP",)
+Y_R, Y_R1, Y_S = ("y", 0), ("y", 1), ("y", "s")
+PSI_R, PSI_R1, PSI_S = ("psi", 0), ("psi", 1), ("psi", "s")
+
+# The relation families after the idempotent ones, in report order:
+# (family, index range, lhs word, rhs word, correction).  A word is a product
+# written left to right.  The correction is added to the rhs:
+#   "delta"   E when i_r = i_{r+1};
+#   "square"  the whole rhs Q_{i_r, i_{r+1}}(y_r, y_{r+1}) F: (y_r - y_{r+1}) F
+#             for an arrow i_r -> i_{r+1}, (y_{r+1} - y_r) F for the reverse
+#             arrow, E with no arrow and 0 when i_r = i_{r+1};
+#   "braid"   -F when i_r = i_{r+2} and i_r -> i_{r+1}, +F when i_r = i_{r+2}
+#             and i_{r+1} -> i_r.
+KLR_RELATIONS = (
+    ("y e", "r <= n", (Y_R, E), (E, Y_R), None),
+    ("psi e", "r < n", (PSI_R, E), (SWAP, PSI_R), None),
+    ("y y", "r < s <= n", (Y_R, Y_S, E), (Y_S, Y_R, E), None),
+    ("psi y", "r < n", (PSI_R, Y_R1, E), (Y_R, PSI_R, E), "delta"),
+    ("y psi", "r < n", (Y_R1, PSI_R, E), (PSI_R, Y_R, E), "delta"),
+    ("psi y far", "r < n, s far", (PSI_R, Y_S, E), (Y_S, PSI_R, E), None),
+    ("psi psi far", "r, s < n far", (PSI_R, PSI_S, E), (PSI_S, PSI_R, E), None),
+    ("psi psi", "r < n", (PSI_R, PSI_R, E), None, "square"),
+    ("braid", "r < n - 1", (PSI_R, PSI_R1, PSI_R, E), (PSI_R1, PSI_R, PSI_R1, E),
+     "braid"),
+)
+
+_RANGES = {
+    "r <= n": lambda n: [(r, None) for r in range(1, n + 1)],
+    "r < n": lambda n: [(r, None) for r in range(1, n)],
+    "r < n - 1": lambda n: [(r, None) for r in range(1, n - 1)],
+    "r < s <= n": lambda n: [(r, s) for r in range(1, n + 1)
+                             for s in range(r + 1, n + 1)],
+    "r < n, s far": lambda n: [(r, s) for r in range(1, n) for s in range(1, n + 1)
+                               if s not in (r, r + 1)],
+    "r, s < n far": lambda n: [(r, s) for r in range(1, n) for s in range(1, n)
+                               if abs(r - s) > 1],
+}
+
+
+def _correction(kind, r, i, arrow) -> list:
+    """The signed words that a row's correction adds to its rhs, with their
+    generators placed at r."""
+    if kind == "delta" and i[r - 1] == i[r]:
+        return [(1, (E,))]
+    if kind == "square" and i[r - 1] != i[r]:
+        if arrow(i[r - 1], i[r]):
+            return [(1, (("ydiff", r, r + 1), F))]
+        if arrow(i[r], i[r - 1]):
+            return [(1, (("ydiff", r + 1, r), F))]
+        return [(1, (E,))]
+    if kind == "braid" and i[r - 1] == i[r + 1]:
+        if arrow(i[r - 1], i[r]):
+            return [(-1, (F,))]
+        if arrow(i[r], i[r - 1]):
+            return [(1, (F,))]
+    return []
+
+
+class Realisation(NamedTuple):
+    """The generators of one algebra, as the relation table reads them.
+
+    `word(letters, label, idem)` evaluates a word right to left.  Its
+    letters are ("y", r), ("psi", r), ("ydiff", r, s) and the idempotent
+    letters E, F and ("swap", r); idem(g) is the idempotent letter g as
+    ("e", j, label'): sequence j under label', which is the instance's label
+    or, for F, its `flip`.  E and F only end words.  A family in `bare` is
+    checked once, with label None: E then stands for the block unit and is
+    left out of the words.
+    """
+
+    labels: Sequence
+    seq: Callable  # label -> residue sequence
+    arrow: Callable  # (label, u, v) -> is u -> v an arrow under this label
+    word: Callable  # (letters, label, idem) -> Element
+    names: dict  # family -> report name
+    flip: Callable = lambda label: label
+    bare: frozenset = frozenset()
+
+
+def relation_rows(real: Realisation, n: int):
+    """The rows of KLR_RELATIONS in a realisation, in table order: yields
+    (report name, instances); instances lazily yields (label, r, s, lhs,
+    rhs), with s None in rows of one index."""
+    for family, indices, lhs, rhs, correction in KLR_RELATIONS:
+        labels = real.labels
+        if family in real.bare:
+            labels = (None,)
+            lhs, rhs = (tuple(g for g in word if g != E) for word in (lhs, rhs))
+        words = [(r, s, _place(lhs, r, s), rhs and _place(rhs, r, s))
+                 for r, s in _RANGES[indices](n)]
+        yield real.names[family], _instances(real, labels, words, correction)
+
+
+def _place(word, r, s) -> tuple:
+    """A table word with its generators at their positions; E and F stay,
+    and SWAP becomes ("swap", r)."""
+    return tuple(g if g in (E, F) else ("swap", r) if g == SWAP
+                 else (g[0],) + tuple(s if k == "s" else r + k for k in g[1:])
+                 for g in word)
+
+
+def _instances(real, labels, words, correction):
+    word = real.word
+    for label in labels:
+        i = None if label is None else real.seq(label)
+
+        def idem(g):
+            if g is E:
+                return ("e", i, label)
+            if g is F:
+                return ("e", i, real.flip(label))
+            r = g[1]
+            return ("e", i[:r - 1] + (i[r], i[r - 1]) + i[r + 1:], label)
+
+        def arrow(u, v):
+            return real.arrow(label, u, v)
+
+        for r, s, lhs, rhs in words:
+            left = word(lhs, label, idem)
+            right = word(rhs, label, idem) if rhs else left.ctx.zero()
+            if correction:
+                for sign, extra in _correction(correction, r, i, arrow):
+                    x = word(extra, label, idem)
+                    right = right + x if sign > 0 else right - x
+            yield label, r, s, left, right

@@ -14,6 +14,12 @@ Two pictures coexist and are translated between:
   2,1,2,1,... degree pattern out of the rank-3 block sum for the 3-cycle
   at one strand.
 
+The relation families of both presentations are the rows of one table,
+`algebra.KLR_RELATIONS`, which `algebra.relation_rows` evaluates on the
+generators realised here (`_two_copy`).  The signed presentation differs
+only in its correction idempotent: `_signed_realisation` flips eps_a(i) to
+eps_{-a}(i) wherever a row places F, that is in the psi'^2 and braid rows.
+
 The braid relation of the signed presentation is checked with the
 correction sign matching the underlying deformed braid relation (minus on
 the forward edge orientation); the report names that reading explicitly.
@@ -25,8 +31,9 @@ from dataclasses import dataclass
 
 from . import linalg, perms, signop
 from .algebra import (TAG_MAIN, TAG_OPP, TAGS_BOTH, Element, KLR, Mono,
-                      NotHomogeneousError, ShapeError)
-from .perms import act, canonical_word, length, right_mul_s
+                      NotHomogeneousError, Realisation, ShapeError,
+                      relation_rows)
+from .perms import canonical_word, length
 from .quiver import Root, root_tau_classes, sequences, tau_classes
 from .signop import (CliffordChoice, NonCentralEpsilonError, ambient_unit,
                      centrality_check, e_pair, eps_pair, make_epsilon,
@@ -135,15 +142,6 @@ def express_alt(ctx: KLR, desc) -> list:
     return word
 
 
-def realize_alt_word(ctx: KLR, root: Root, word) -> Element:
-    gens = {g.kind: g.elem for g in
-            (alt_generator(ctx, k, root) for k in set(map(tuple, word)))}
-    out = ambient_unit(ctx, root)
-    for kind in word:
-        out = out * gens[tuple(kind)]
-    return out
-
-
 # --- graded dimensions in the one-quiver picture ------------------------------
 
 
@@ -222,6 +220,64 @@ def _instance(relation, cls, r=None, s=None, lhs=None, rhs=None):
     return inst
 
 
+ALT_NAMES = {
+    "y e": "Y_r e[i] = e[i] Y_r",
+    "psi e": "Psi_r e[i] = e[s_r i] Psi_r",
+    "y y": "Y_r Y_s = Y_s Y_r",
+    "psi y": "Psi_r Y_{r+1} e[i] = (Y_r Psi_r + delta) e[i]",
+    "y psi": "Y_{r+1} Psi_r e[i] = (Psi_r Y_r + delta) e[i]",
+    "psi y far": "Psi_r Y_s e[i] = Y_s Psi_r e[i]",
+    "psi psi far": "Psi_r Psi_s e[i] = Psi_s Psi_r e[i]",
+    "psi psi": "Psi_r^2 e[i]",
+    "braid": "braid Psi_r Psi_{r+1} Psi_r e[i]",
+}
+
+SIGNED_NAMES = {
+    "y e": "y'_r eps_a(i) = eps_a(i) y'_r",
+    "psi e": "psi'_r eps_a(i) = eps_a(s_r i) psi'_r",
+    "y y": "y'_r y'_s eps_a(i) commute",
+    "psi y": "psi'_r y'_{r+1} eps_a(i) dot-slide",
+    "y psi": "y'_{r+1} psi'_r eps_a(i) dot-slide",
+    "psi y far": "psi'_r y'_s eps_a(i) commute",
+    "psi psi far": "psi'_r psi'_s eps_a(i) commute",
+    "psi psi": "psi'_r^2 eps_a(i)",
+    "braid": "braid psi' eps_a(i)",
+}
+
+
+def _two_copy(ctx: KLR, Psi, Y, E, names, key=lambda j, label: j,
+              **fields) -> Realisation:
+    """The relation table on two-copy elements.  Words evaluate as
+    right-to-left products; an idempotent letter resolving to
+    ("e", j, label) is E[key(j, label)], and the labels are the keys of E."""
+    def gen(g, idem):
+        if g[0] == "psi":
+            return Psi[g[1]]
+        if g[0] == "y":
+            return Y[g[1]]
+        if g[0] == "ydiff":
+            return Y[g[1]] - Y[g[2]]
+        return E[key(*idem(g)[1:])]
+
+    def word(letters, label, idem):
+        out = gen(letters[-1], idem)
+        for g in reversed(letters[:-1]):
+            out = gen(g, idem) * out
+        return out
+
+    return Realisation(labels=list(E), word=word, names=names,
+                       arrow=lambda label, u, v: ctx.quiver.has_edge(u, v),
+                       **fields)
+
+
+def _signed_realisation(ctx: KLR, Pp, Yp, E) -> Realisation:
+    """The signed presentation in the table's terms: labels are (i, a), and
+    the correction idempotent of eps_a(i) is eps_{-a}(i)."""
+    return _two_copy(ctx, Pp, Yp, E, SIGNED_NAMES,
+                     key=lambda j, label: (j, label[1]), seq=lambda label: label[0],
+                     flip=lambda label: (label[0], MINUS if label[1] == PLUS else PLUS))
+
+
 def verify_alt_presentation(ctx: KLR, root: Root):
     """Check every defining relation of the alternating presentation on the
     realized generators of the block, by exact ambient computation.
@@ -258,80 +314,12 @@ def verify_alt_presentation(ctx: KLR, root: Root):
         total = total + E[i]
     out.append(_instance("sum e[i] = 1", None, lhs=total, rhs=one))
 
-    for i in seqs:
-        ei = E[i]
-        for r in range(1, n + 1):
-            out.append(_instance("Y_r e[i] = e[i] Y_r", (i,), r=r,
-                                 lhs=Y[r] * ei, rhs=ei * Y[r]))
-        for r in range(1, n):
-            si = act(right_mul_s(ctx._id_perm, r), i)
-            out.append(_instance("Psi_r e[i] = e[s_r i] Psi_r", (i,), r=r,
-                                 lhs=Psi[r] * ei, rhs=E[si] * Psi[r]))
-
-    for r in range(1, n + 1):
-        for s in range(r + 1, n + 1):
-            out.append(_instance("Y_r Y_s = Y_s Y_r", None, r=r, s=s,
-                                 lhs=Y[r] * Y[s], rhs=Y[s] * Y[r]))
-
-    for i in seqs:
-        ei = E[i]
-        for r in range(1, n):
-            for s in range(1, n + 1):
-                if s in (r, r + 1):
-                    continue
-                out.append(_instance("Psi_r Y_s e[i] = Y_s Psi_r e[i]", (i,),
-                                     r=r, s=s, lhs=Psi[r] * (Y[s] * ei),
-                                     rhs=Y[s] * (Psi[r] * ei)))
-            for s in range(1, n):
-                if abs(r - s) <= 1:
-                    continue
-                out.append(_instance("Psi_r Psi_s e[i] = Psi_s Psi_r e[i]", (i,),
-                                     r=r, s=s, lhs=Psi[r] * (Psi[s] * ei),
-                                     rhs=Psi[s] * (Psi[r] * ei)))
-
-    for i in seqs:
-        ei = E[i]
-        for r in range(1, n):
-            same = i[r - 1] == i[r]
-            lhs = Psi[r] * (Y[r + 1] * ei)
-            rhs = Y[r] * (Psi[r] * ei)
-            if same:
-                rhs = rhs + ei
-            out.append(_instance("Psi_r Y_{r+1} e[i] = (Y_r Psi_r + delta) e[i]",
-                                 (i,), r=r, lhs=lhs, rhs=rhs))
-            lhs = Y[r + 1] * (Psi[r] * ei)
-            rhs = Psi[r] * (Y[r] * ei)
-            if same:
-                rhs = rhs + ei
-            out.append(_instance("Y_{r+1} Psi_r e[i] = (Psi_r Y_r + delta) e[i]",
-                                 (i,), r=r, lhs=lhs, rhs=rhs))
-
-    for i in seqs:
-        ei = E[i]
-        for r in range(1, n):
-            u, v = i[r - 1], i[r]
-            lhs = Psi[r] * (Psi[r] * ei)
-            if u == v:
-                rhs = ctx.zero()
-            elif ctx.quiver.has_edge(u, v):
-                rhs = (Y[r] - Y[r + 1]) * ei
-            elif ctx.quiver.has_edge(v, u):
-                rhs = (Y[r + 1] - Y[r]) * ei
-            else:
-                rhs = ei
-            out.append(_instance("Psi_r^2 e[i]", (i,), r=r, lhs=lhs, rhs=rhs))
-
-    for i in seqs:
-        ei = E[i]
-        for r in range(1, n - 1):
-            lhs = Psi[r] * (Psi[r + 1] * (Psi[r] * ei))
-            rhs = Psi[r + 1] * (Psi[r] * (Psi[r + 1] * ei))
-            if i[r - 1] == i[r + 1]:
-                if ctx.quiver.has_edge(i[r - 1], i[r]):
-                    rhs = rhs - ei
-                elif ctx.quiver.has_edge(i[r], i[r - 1]):
-                    rhs = rhs + ei
-            out.append(_instance("braid Psi_r Psi_{r+1} Psi_r e[i]", (i,), r=r,
+    # labels are the sequences i; Y_r Y_s = Y_s Y_r is checked without e[i]
+    real = _two_copy(ctx, Psi, Y, E, ALT_NAMES, seq=lambda i: i,
+                     bare=frozenset({"y y"}))
+    for name, instances in relation_rows(real, n):
+        for i, r, s, lhs, rhs in instances:
+            out.append(_instance(name, None if i is None else (i,), r=r, s=s,
                                  lhs=lhs, rhs=rhs))
 
     # degree assertions
@@ -359,15 +347,13 @@ def express_coverage(ctx: KLR, root: Root, bound: int):
     """Reproduce every truncated parity-basis element from its generator word."""
     descs, elems, _ = alt_basis(ctx, root, bound)
     Psi, Y, E = _alt_gens(ctx, root)
-    gens = {**{("psi", r): g for r, g in Psi.items()},
-            **{("y", r): g for r, g in Y.items()},
-            **{("e", s): g for s, g in E.items()}}
+    gens = {"psi": Psi, "y": Y}
     out = []
     for desc, el in zip(descs, elems):
         word = express_alt(ctx, desc)
-        got = gens[tuple(word[-1])]
-        for kind in reversed(word[:-1]):
-            got = gens[tuple(kind)] * got
+        got = E[word[-1][1]]
+        for kind, index in reversed(word[:-1]):
+            got = gens[kind][index] * got
         out.append(_instance("express(alt basis element)",
                              (desc[0], desc[1], desc[2], desc[3]),
                              lhs=got, rhs=el))
@@ -490,88 +476,9 @@ def verify_signed_relations(ctx: KLR, root: Root, bound: int = 1):
                 out.append(_instance("eps_-(i) = 0 for tau-fixed i", (i,),
                                      lhs=theta_eps(ctx, i, a), rhs=ctx.zero()))
 
-    for i in seqs:
-        for a in (PLUS, MINUS):
-            ea = E[(i, a)]
-            for r in range(1, n + 1):
-                out.append(_instance("y'_r eps_a(i) = eps_a(i) y'_r", (i, a), r=r,
-                                     lhs=Yp[r] * ea, rhs=ea * Yp[r]))
-            for r in range(1, n):
-                si = act(right_mul_s(ctx._id_perm, r), i)
-                out.append(_instance("psi'_r eps_a(i) = eps_a(s_r i) psi'_r",
-                                     (i, a), r=r, lhs=Pp[r] * ea,
-                                     rhs=E[(si, a)] * Pp[r]))
-
-    for i in seqs:
-        for a in (PLUS, MINUS):
-            ea = E[(i, a)]
-            for r in range(1, n + 1):
-                for s in range(r + 1, n + 1):
-                    out.append(_instance("y'_r y'_s eps_a(i) commute", (i, a),
-                                         r=r, s=s, lhs=Yp[r] * (Yp[s] * ea),
-                                         rhs=Yp[s] * (Yp[r] * ea)))
-            for r in range(1, n):
-                for s in range(1, n + 1):
-                    if s in (r, r + 1):
-                        continue
-                    out.append(_instance("psi'_r y'_s eps_a(i) commute", (i, a),
-                                         r=r, s=s, lhs=Pp[r] * (Yp[s] * ea),
-                                         rhs=Yp[s] * (Pp[r] * ea)))
-                for s in range(1, n):
-                    if abs(r - s) <= 1:
-                        continue
-                    out.append(_instance("psi'_r psi'_s eps_a(i) commute", (i, a),
-                                         r=r, s=s, lhs=Pp[r] * (Pp[s] * ea),
-                                         rhs=Pp[s] * (Pp[r] * ea)))
-
-    for i in seqs:
-        same_pairs = [(r, i[r - 1] == i[r]) for r in range(1, n)]
-        for a in (PLUS, MINUS):
-            ea = E[(i, a)]
-            for r, same in same_pairs:
-                lhs = Pp[r] * (Yp[r + 1] * ea)
-                rhs = Yp[r] * (Pp[r] * ea)
-                if same:
-                    rhs = rhs + ea
-                out.append(_instance("psi'_r y'_{r+1} eps_a(i) dot-slide", (i, a),
-                                     r=r, lhs=lhs, rhs=rhs))
-                lhs = Yp[r + 1] * (Pp[r] * ea)
-                rhs = Pp[r] * (Yp[r] * ea)
-                if same:
-                    rhs = rhs + ea
-                out.append(_instance("y'_{r+1} psi'_r eps_a(i) dot-slide", (i, a),
-                                     r=r, lhs=lhs, rhs=rhs))
-
-    for i in seqs:
-        for r in range(1, n):
-            u, v = i[r - 1], i[r]
-            for a in (PLUS, MINUS):
-                flip = MINUS if a == PLUS else PLUS
-                lhs = Pp[r] * (Pp[r] * E[(i, a)])
-                if u == v:
-                    rhs = ctx.zero()
-                elif ctx.quiver.has_edge(u, v):
-                    rhs = (Yp[r] - Yp[r + 1]) * E[(i, flip)]
-                elif ctx.quiver.has_edge(v, u):
-                    rhs = (Yp[r + 1] - Yp[r]) * E[(i, flip)]
-                else:
-                    rhs = E[(i, a)]
-                out.append(_instance("psi'_r^2 eps_a(i)", (i, a), r=r,
-                                     lhs=lhs, rhs=rhs))
-
-    for i in seqs:
-        for r in range(1, n - 1):
-            for a in (PLUS, MINUS):
-                flip = MINUS if a == PLUS else PLUS
-                lhs = Pp[r] * (Pp[r + 1] * (Pp[r] * E[(i, a)]))
-                rhs = Pp[r + 1] * (Pp[r] * (Pp[r + 1] * E[(i, a)]))
-                if i[r - 1] == i[r + 1]:
-                    if ctx.quiver.has_edge(i[r - 1], i[r]):
-                        rhs = rhs - E[(i, flip)]
-                    elif ctx.quiver.has_edge(i[r], i[r - 1]):
-                        rhs = rhs + E[(i, flip)]
-                out.append(_instance("braid psi' eps_a(i)", (i, a), r=r,
-                                     lhs=lhs, rhs=rhs))
+    for name, instances in relation_rows(_signed_realisation(ctx, Pp, Yp, E), n):
+        for label, r, s, lhs, rhs in instances:
+            out.append(_instance(name, label, r=r, s=s, lhs=lhs, rhs=rhs))
 
     # Z x C2 degrees of the realized generators
     def deg2_inst(name, cls, x, want):

@@ -161,6 +161,8 @@ def _dispatch(args) -> int:
 
     # verify
     name = args.suite
+    if args.block is not None and name != "clifford":
+        raise ValueError(f"the {name} suite takes no --block")
     kwargs = {"seed": args.seed, "tau_mapping": tau_mapping}
     if name == "klr-relations":
         kwargs["bound"] = args.bound if args.bound is not None else 2

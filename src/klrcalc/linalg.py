@@ -9,53 +9,61 @@ rank results are certificates, not estimates.
 from __future__ import annotations
 
 
-def _reduce_row(row: dict, pivots: dict, dom) -> dict:
-    """Eliminate `row` against the current pivot rows (pivot col -> row).
+class Echelon:
+    """An incremental echelon basis: normalized pivot rows keyed by their
+    pivot column.
 
-    Pivot rows are normalized and never contain columns of earlier pivots,
-    so each elimination replaces a pivot column by strictly later ones and
-    the loop terminates.
+    A row is reduced against the pivots present when it is added, so it
+    never contains the columns of earlier pivots; eliminating one pivot
+    column therefore brings in only columns of later pivots, and reduction
+    terminates.
     """
-    row = dict(row)
-    while True:
-        hit = next((col for col in row if col in pivots), None)
-        if hit is None:
-            return row
-        factor = row[hit]
-        for k, v in pivots[hit].items():
-            cur = row.get(k)
-            val = dom.sub(cur, dom.mul(factor, v)) if cur is not None \
-                else dom.neg(dom.mul(factor, v))
-            if dom.is_zero(val):
-                row.pop(k, None)
-            else:
-                row[k] = val
+
+    def __init__(self, dom, rows=()):
+        self.dom = dom
+        self.pivots: dict = {}
+        for row in rows:
+            self.add(row)
+
+    def reduce(self, row: dict) -> dict:
+        """The remainder of `row` after eliminating every pivot column; it
+        is empty exactly when `row` lies in the span."""
+        dom = self.dom
+        pivots = self.pivots
+        row = dict(row)
+        while True:
+            hit = next((col for col in row if col in pivots), None)
+            if hit is None:
+                return row
+            factor = row[hit]
+            for k, v in pivots[hit].items():
+                cur = row.get(k)
+                val = dom.sub(cur, dom.mul(factor, v)) if cur is not None \
+                    else dom.neg(dom.mul(factor, v))
+                if dom.is_zero(val):
+                    row.pop(k, None)
+                else:
+                    row[k] = val
+
+    def add(self, row: dict) -> None:
+        """Extend the basis by `row` when it is not in the span already."""
+        red = self.reduce(row)
+        if red:
+            col = next(iter(red))
+            inv = self.dom.inv(red[col])
+            self.pivots[col] = {k: self.dom.mul(inv, v) for k, v in red.items()}
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
 
 
 def rank(rows, dom) -> int:
-    """Rank of the span of `rows` (dicts key -> scalar) over the field."""
-    pivots: dict = {}
-    r = 0
-    for row in rows:
-        red = _reduce_row(row, pivots, dom)
-        if not red:
-            continue
-        col = min(red, key=repr)  # any deterministic pivot choice works
-        inv = dom.inv(red[col])
-        norm = {k: dom.mul(inv, v) for k, v in red.items()}
-        pivots[col] = norm
-        r += 1
-    return r
-
-
-def in_span(row, rows, dom) -> bool:
-    base = rank(rows, dom)
-    return rank(list(rows) + [row], dom) == base
+    """Rank of the span of `rows` (a list of dicts key -> scalar)."""
+    return Echelon(dom, rows).rank
 
 
 def spans_equal(rows_a, rows_b, dom) -> bool:
-    ra = rank(rows_a, dom)
-    rb = rank(rows_b, dom)
-    if ra != rb:
-        return False
-    return rank(list(rows_a) + list(rows_b), dom) == ra
+    ech = Echelon(dom, rows_a)
+    return (all(not ech.reduce(row) for row in rows_b)
+            and rank(rows_b, dom) == ech.rank)

@@ -16,7 +16,6 @@ difference of idempotents would degenerate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 from . import linalg
 from .algebra import (TAG_MAIN, TAG_OPP, TAGS_BOTH, Element, KLR, Mono,
@@ -55,11 +54,6 @@ def ambient_unit(ctx: KLR, root: Root) -> Element:
     return ctx.unit(ctx.block_seqs(root), TAGS_BOTH)
 
 
-def class_idempotent(ctx: KLR, root: Root) -> Element:
-    """e over the block class: the two-copy block identity, sign-fixed."""
-    return ambient_unit(ctx, root)
-
-
 def e_pair(ctx: KLR, seq) -> Element:
     """e[i] = e_G(i) + e_G'(i)."""
     return ctx.e(seq, TAG_MAIN) + ctx.e(seq, TAG_OPP)
@@ -77,23 +71,9 @@ class CliffordChoice:
 
     signs: tuple  # ((seq, +-1), ...) in sequence order
 
-    def sign(self, seq) -> int:
-        for s, v in self.signs:
-            if s == seq:
-                return v
-        raise KeyError(seq)
-
     @staticmethod
     def all_plus(ctx: KLR, root: Root) -> "CliffordChoice":
         return CliffordChoice(tuple((s, 1) for s in ctx.block_seqs(root)))
-
-    @staticmethod
-    def from_mapping(ctx: KLR, root: Root, mapping: Mapping) -> "CliffordChoice":
-        seqs = ctx.block_seqs(root)
-        missing = [s for s in seqs if s not in mapping]
-        if missing:
-            raise ShapeError(f"sign choice not total: missing {missing[0]!r}")
-        return CliffordChoice(tuple((s, 1 if mapping[s] >= 0 else -1) for s in seqs))
 
 
 def make_epsilon(ctx: KLR, root: Root, choice: CliffordChoice | None = None) -> Element:

@@ -13,7 +13,8 @@ import random
 from dataclasses import dataclass, field
 
 from . import alternating, signop
-from .algebra import TAG_MAIN, Element, KLR, Mono
+from .algebra import (TAG_MAIN, E, F, Element, KLR, Mono, Realisation,
+                      relation_rows)
 from .quiver import (Quiver, Root, all_roots, all_seqs, default_reversal,
                      root_of_seq, root_tau_classes, validate_reversal)
 from .scalars import Rationals
@@ -84,23 +85,34 @@ def random_element(ctx: KLR, rng: random.Random, seqs=None, tags=(TAG_MAIN,),
 # --- the relation sweep for the defining presentation ---------------------------
 
 
+_GENERATOR_KINDS = frozenset({"y", "psi"})
+
+SWEEP_NAMES = {
+    "y e": "y_r e(i) = e(i) y_r",
+    "psi e": "psi_r e(i) = e(s_r i) psi_r",
+    "y y": "y_r y_s = y_s y_r",
+    "psi y": "psi_r y_{r+1} = (y_r psi_r + delta)",
+    "y psi": "y_{r+1} psi_r = (psi_r y_r + delta)",
+    "psi y far": "psi_r y_s = y_s psi_r (s far)",
+    "psi psi far": "psi_r psi_s = psi_s psi_r (far)",
+    "psi psi": "psi_r^2 cases",
+    "braid": "deformed braid cases",
+}
+
+
 def _sweep_block(ctx: KLR, root: Root, bound: int):
     """Apply both sides of every defining relation to every truncated basis
     monomial of the block; returns aggregated rows."""
     rows = []
     seqs = ctx.block_seqs(root)
-    n = ctx.n
     monos, _ = ctx.enumerate_basis(root, bound)
     elems = [Element(ctx, {m: ctx.dom.one}) for m in monos]
     unit = ctx.block_idempotent(root)
 
-    def gen(kind, r, x):
-        return ctx.gen_left((kind, r), x)
-
     def row(relation, pairs):
         checked = 0
         diff = None
-        for lhs, rhs in pairs:
+        for *_, lhs, rhs in pairs:
             checked += 1
             if lhs != rhs and diff is None:
                 from .exprs import element_to_json_obj
@@ -116,89 +128,42 @@ def _sweep_block(ctx: KLR, root: Root, bound: int):
          for i in seqs for j in seqs))
     row("sum_i e(i) acts as identity", ((unit * x, x) for x in elems))
 
-    def face_of(m):
-        return ctx.mono_face(m)
+    # labels are indices k into monos; the basis element elems[k] is its own
+    # e(i) elems[k], so a word's trailing idempotent is left out
+    faces = [ctx.mono_face(m) for m in monos]
+    gen_left = ctx.gen_left
 
-    # y_r e(i) = e(i) y_r   and   psi_r e(i) = e(s_r i) psi_r
-    def pairs_ye():
-        for m, x in zip(monos, elems):
-            i = face_of(m)
-            for r in range(1, n + 1):
-                yx = gen("y", r, x)
-                yield yx, ctx.gen_left(("e", i), yx)
-    row("y_r e(i) = e(i) y_r", pairs_ye())
+    def act(g, x, idem):
+        if g[0] == "ydiff":
+            return gen_left(("y", g[1]), x) - gen_left(("y", g[2]), x)
+        return gen_left(g if g[0] in _GENERATOR_KINDS else idem(g)[:2], x)
 
-    def pairs_pe():
-        for m, x in zip(monos, elems):
-            i = face_of(m)
-            for r in range(1, n):
-                px = gen("psi", r, x)
-                si = list(i)
-                si[r - 1], si[r] = si[r], si[r - 1]
-                yield px, ctx.gen_left(("e", tuple(si)), px)
-    row("psi_r e(i) = e(s_r i) psi_r", pairs_pe())
+    # single generators applied to the basis element of label first_k: the
+    # words of a label share them, as y_r x in y_r e(i) x = e(i) y_r x
+    first, first_k = {}, None
 
-    row("y_r y_s = y_s y_r",
-        ((gen("y", r, gen("y", s, x)), gen("y", s, gen("y", r, x)))
-         for x in elems for r in range(1, n + 1) for s in range(r + 1, n + 1)))
+    def word(letters, k, idem):
+        nonlocal first_k
+        if first_k != k:
+            first.clear()
+            first_k = k
+        if letters[-1] is E or letters[-1] is F:
+            letters = letters[:-1]
+            if not letters:
+                return elems[k]
+        g = letters[-1]
+        x = first.get(g)
+        if x is None:
+            x = first[g] = act(g, elems[k], idem)
+        for g in letters[-2::-1]:
+            x = gen_left(g, x) if g[0] in _GENERATOR_KINDS else act(g, x, idem)
+        return x
 
-    def pairs_slide(first):
-        for m, x in zip(monos, elems):
-            i = face_of(m)
-            for r in range(1, n):
-                delta = i[r - 1] == i[r]
-                if first:
-                    lhs = gen("psi", r, gen("y", r + 1, x))
-                    rhs = gen("y", r, gen("psi", r, x))
-                else:
-                    lhs = gen("y", r + 1, gen("psi", r, x))
-                    rhs = gen("psi", r, gen("y", r, x))
-                if delta:
-                    rhs = rhs + x
-                yield lhs, rhs
-    row("psi_r y_{r+1} = (y_r psi_r + delta)", pairs_slide(True))
-    row("y_{r+1} psi_r = (psi_r y_r + delta)", pairs_slide(False))
-
-    row("psi_r y_s = y_s psi_r (s far)",
-        ((gen("psi", r, gen("y", s, x)), gen("y", s, gen("psi", r, x)))
-         for x in elems for r in range(1, n) for s in range(1, n + 1)
-         if s not in (r, r + 1)))
-
-    row("psi_r psi_s = psi_s psi_r (far)",
-        ((gen("psi", r, gen("psi", s, x)), gen("psi", s, gen("psi", r, x)))
-         for x in elems for r in range(1, n) for s in range(1, n)
-         if abs(r - s) > 1))
-
-    def pairs_sq():
-        for m, x in zip(monos, elems):
-            i = face_of(m)
-            for r in range(1, n):
-                u, v = i[r - 1], i[r]
-                lhs = gen("psi", r, gen("psi", r, x))
-                if u == v:
-                    rhs = ctx.zero()
-                elif ctx.arrow(m.tag, u, v):
-                    rhs = gen("y", r, x) - gen("y", r + 1, x)
-                elif ctx.arrow(m.tag, v, u):
-                    rhs = gen("y", r + 1, x) - gen("y", r, x)
-                else:
-                    rhs = x
-                yield lhs, rhs
-    row("psi_r^2 cases", pairs_sq())
-
-    def pairs_braid():
-        for m, x in zip(monos, elems):
-            i = face_of(m)
-            for r in range(1, n - 1):
-                lhs = gen("psi", r, gen("psi", r + 1, gen("psi", r, x)))
-                rhs = gen("psi", r + 1, gen("psi", r, gen("psi", r + 1, x)))
-                if i[r - 1] == i[r + 1]:
-                    if ctx.arrow(m.tag, i[r - 1], i[r]):
-                        rhs = rhs - x
-                    elif ctx.arrow(m.tag, i[r], i[r - 1]):
-                        rhs = rhs + x
-                yield lhs, rhs
-    row("deformed braid cases", pairs_braid())
+    real = Realisation(labels=range(len(monos)), seq=faces.__getitem__,
+                       arrow=lambda k, u, v: ctx.arrow(monos[k].tag, u, v),
+                       word=word, names=SWEEP_NAMES)
+    for name, instances in relation_rows(real, ctx.n):
+        row(name, instances)
     return rows
 
 
@@ -325,62 +290,50 @@ def _class_reps(ctx: KLR, n: int):
     return root_tau_classes(ctx.quiver, ctx.tau, n).reps
 
 
-def run_alt_presentation(quiver: Quiver, n: int, domain=None, bound: int = 1,
-                         seed: int = 0, tau_mapping=None,
-                         with_express: bool = True) -> Report:
+def _run_presentation(suite: str, theorem: str, check, quiver: Quiver, n: int,
+                      domain, bound: int, seed: int, tau_mapping) -> Report:
+    """Run check(ctx, root) -> (instances, notes) on one block per class."""
     ctx = make_context(quiver, n, domain, tau_mapping)
     if ctx.tau is None:
         raise ValueError("this suite needs a reversal map")
     instances = []
     notes = []
     for root in _class_reps(ctx, n):
-        rows, block_notes = alternating.verify_alt_presentation(ctx, root)
+        rows, block_notes = check(ctx, root)
         for r in rows:
             r["block"] = str(root)
         instances.extend(rows)
         for note in block_notes:
             if note not in notes:
                 notes.append(note)
-        if with_express:
-            rows = alternating.express_coverage(ctx, root, bound)
-            for r in rows:
-                r["block"] = str(root)
-            instances.extend(rows)
     ok = all(r["status"] == "pass" for r in instances)
     params = {"quiver": quiver.name, "n": n, "bound": bound, "field": ctx.dom.name}
-    payload = {"suite": "alt-presentation",
-               "theorem": "alternating presentation", "params": params,
+    payload = {"suite": suite, "theorem": theorem, "params": params,
                "seed": seed, "notes": notes, "instances": instances}
-    lines = _text_header("alt-presentation", params, seed, notes)
+    lines = _text_header(suite, params, seed, notes)
     lines += _instance_lines(instances)
     lines.append(_verdict(ok))
-    return Report("alt-presentation", params, seed, ok, payload, lines)
+    return Report(suite, params, seed, ok, payload, lines)
+
+
+def run_alt_presentation(quiver: Quiver, n: int, domain=None, bound: int = 1,
+                         seed: int = 0, tau_mapping=None,
+                         with_express: bool = True) -> Report:
+    def check(ctx, root):
+        rows, notes = alternating.verify_alt_presentation(ctx, root)
+        if with_express:
+            rows += alternating.express_coverage(ctx, root, bound)
+        return rows, notes
+    return _run_presentation("alt-presentation", "alternating presentation",
+                             check, quiver, n, domain, bound, seed, tau_mapping)
 
 
 def run_signed_relations(quiver: Quiver, n: int, domain=None, bound: int = 1,
                          seed: int = 0, tau_mapping=None) -> Report:
-    ctx = make_context(quiver, n, domain, tau_mapping)
-    if ctx.tau is None:
-        raise ValueError("this suite needs a reversal map")
-    instances = []
-    notes = []
-    for root in _class_reps(ctx, n):
-        rows, block_notes = alternating.verify_signed_relations(ctx, root, bound)
-        for r in rows:
-            r["block"] = str(root)
-        instances.extend(rows)
-        for note in block_notes:
-            if note not in notes:
-                notes.append(note)
-    ok = all(r["status"] == "pass" for r in instances)
-    params = {"quiver": quiver.name, "n": n, "bound": bound, "field": ctx.dom.name}
-    payload = {"suite": "signed-relations", "theorem": "signed presentation",
-               "params": params, "seed": seed, "notes": notes,
-               "instances": instances}
-    lines = _text_header("signed-relations", params, seed, notes)
-    lines += _instance_lines(instances)
-    lines.append(_verdict(ok))
-    return Report("signed-relations", params, seed, ok, payload, lines)
+    def check(ctx, root):
+        return alternating.verify_signed_relations(ctx, root, bound)
+    return _run_presentation("signed-relations", "signed presentation",
+                             check, quiver, n, domain, bound, seed, tau_mapping)
 
 
 def run_clifford(quiver: Quiver, n: int, domain=None, bound: int = 1,

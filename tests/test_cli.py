@@ -82,6 +82,12 @@ def test_usage_errors_exit2(capsys):
     assert code == 2 and "characteristic 2" in err
 
 
+def test_block_refused_where_unused(capsys):
+    for suite in ("klr-relations", "alt-presentation", "signed-relations", "dims"):
+        code, out, err = run(capsys, "verify", suite, "--n", "1", "--block", "0")
+        assert code == 2 and "--block" in err and out == ""
+
+
 def test_tau_override(capsys):
     # the identity is not a reversal of cycle(3): edge condition fails
     code, _, err = run(capsys, "verify", "dims", "--n", "1",

@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 
-from klrcalc.linalg import in_span, rank, spans_equal
+from klrcalc.linalg import Echelon, rank, spans_equal
 from klrcalc.scalars import PrimeField, Rationals
 
 
@@ -27,6 +27,9 @@ def test_span_utilities():
     a = [{"x": 1}, {"y": 1}]
     b = [{"x": 1, "y": 1}, {"x": 1, "y": -1}]
     assert spans_equal(a, b, dom)
-    assert in_span({"x": 3, "y": 4}, a, dom)
-    assert not in_span({"z": 1}, a, dom)
+    ech = Echelon(dom, a)
+    assert ech.rank == 2
+    assert not ech.reduce({"x": 3, "y": 4})
+    assert ech.reduce({"z": 1}) == {"z": 1}
     assert not spans_equal(a, [{"x": 1}], dom)
+    assert not spans_equal([{"x": 1}], a, dom)

@@ -5,6 +5,7 @@ import pytest
 import klrcalc as K
 from klrcalc import alternating as alt
 from klrcalc import linalg, signop
+from klrcalc.algebra import relation_rows
 
 TAGS = ("G", "G'")
 
@@ -72,6 +73,27 @@ def test_braid_correction_sign():
     braided = P2 * (P1 * (P2 * ep))
     assert lhs == braided - em
     assert lhs != braided + em
+
+
+def test_relation_table_needs_the_sign_flip():
+    # the shared relation table driven by the signed realisation: with the
+    # correction idempotent left at eps_a(i) instead of eps_{-a}(i), the
+    # psi'^2 and braid rows must fail
+    ctx = K.make_context(K.cycle(3), 3)
+    root = K.make_root(ctx.quiver, {0: 2, 1: 1})
+    seqs = ctx.block_seqs(root)
+    E = {(s, a): alt.signed_eps(ctx, s, a) for s in seqs for a in ("+", "-")}
+    Y = {r: ctx.y_element(r, seqs, TAGS) for r in range(1, 4)}
+    P = {r: ctx.psi_element(r, seqs, TAGS) for r in range(1, 3)}
+    real = alt._signed_realisation(ctx, P, Y, E)
+
+    def failing(real):
+        return {name for name, instances in relation_rows(real, 3)
+                if any(lhs != rhs for *_, lhs, rhs in instances)}
+
+    assert failing(real) == set()
+    assert failing(real._replace(flip=lambda label: label)) == \
+        {"psi'_r^2 eps_a(i)", "braid psi' eps_a(i)"}
 
 
 def test_tau_twist_via_translation(ctx2, root01):

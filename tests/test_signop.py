@@ -112,7 +112,7 @@ def test_odd_part_is_epsilon_times_fixed(ctx, root):
 
 
 def test_class_idempotent_sign_fixed(ctx, root):
-    e_cls = signop.class_idempotent(ctx, root)
+    e_cls = signop.ambient_unit(ctx, root)
     assert K.sgn(e_cls) == e_cls
     rng = random.Random(12)
     for _ in range(20):
