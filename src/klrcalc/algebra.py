@@ -27,7 +27,7 @@ algebra, not the code; the test suite checks it by confluence fuzzing.
 
 The defining presentation is also written down as data, apart from the
 rewrite rules: `KLR_RELATIONS` lists the relation families once, and
-`relation_rows` evaluates them in any realisation of the generators.
+`relation_instances` evaluates them in any realisation of the generators.
 """
 
 from __future__ import annotations
@@ -649,23 +649,26 @@ class Realisation(NamedTuple):
     seq: Callable  # label -> residue sequence
     arrow: Callable  # (label, u, v) -> is u -> v an arrow under this label
     word: Callable  # (letters, label, idem) -> Element
-    names: dict  # family -> report name
     flip: Callable = lambda label: label
     bare: frozenset = frozenset()
 
 
-def relation_rows(real: Realisation, n: int):
-    """The rows of KLR_RELATIONS in a realisation, in table order: yields
-    (report name, instances); instances lazily yields (label, r, s, lhs,
-    rhs), with s None in rows of one index."""
+def relation_instances(real: Realisation, n: int):
+    """Every instance of KLR_RELATIONS in a realisation: yields (family,
+    label, r, s, lhs, rhs), with s None in rows of one index.  The instances
+    come label by label (the bare families last) and, within a label, in
+    table order, so each family's instances are in label-major order."""
+    labelled, bare = [], []
     for family, indices, lhs, rhs, correction in KLR_RELATIONS:
-        labels = real.labels
         if family in real.bare:
-            labels = (None,)
             lhs, rhs = (tuple(g for g in word if g != E) for word in (lhs, rhs))
         words = [(r, s, _place(lhs, r, s), rhs and _place(rhs, r, s))
                  for r, s in _RANGES[indices](n)]
-        yield real.names[family], _instances(real, labels, words, correction)
+        (bare if family in real.bare else labelled).append(
+            (family, words, correction))
+    for label in real.labels:
+        yield from _instances(real, label, labelled)
+    yield from _instances(real, None, bare)
 
 
 def _place(word, r, s) -> tuple:
@@ -676,22 +679,22 @@ def _place(word, r, s) -> tuple:
                  for g in word)
 
 
-def _instances(real, labels, words, correction):
+def _instances(real, label, rows):
     word = real.word
-    for label in labels:
-        i = None if label is None else real.seq(label)
+    i = None if label is None else real.seq(label)
 
-        def idem(g):
-            if g is E:
-                return ("e", i, label)
-            if g is F:
-                return ("e", i, real.flip(label))
-            r = g[1]
-            return ("e", i[:r - 1] + (i[r], i[r - 1]) + i[r + 1:], label)
+    def idem(g):
+        if g is E:
+            return ("e", i, label)
+        if g is F:
+            return ("e", i, real.flip(label))
+        r = g[1]
+        return ("e", i[:r - 1] + (i[r], i[r - 1]) + i[r + 1:], label)
 
-        def arrow(u, v):
-            return real.arrow(label, u, v)
+    def arrow(u, v):
+        return real.arrow(label, u, v)
 
+    for family, words, correction in rows:
         for r, s, lhs, rhs in words:
             left = word(lhs, label, idem)
             right = word(rhs, label, idem) if rhs else left.ctx.zero()
@@ -699,4 +702,4 @@ def _instances(real, labels, words, correction):
                 for sign, extra in _correction(correction, r, i, arrow):
                     x = word(extra, label, idem)
                     right = right + x if sign > 0 else right - x
-            yield label, r, s, left, right
+            yield family, label, r, s, left, right

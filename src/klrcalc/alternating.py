@@ -15,7 +15,7 @@ Two pictures coexist and are translated between:
   at one strand.
 
 The relation families of both presentations are the rows of one table,
-`algebra.KLR_RELATIONS`, which `algebra.relation_rows` evaluates on the
+`algebra.KLR_RELATIONS`, which `algebra.relation_instances` evaluates on the
 generators realised here (`_two_copy`).  The signed presentation differs
 only in its correction idempotent: `_signed_realisation` flips eps_a(i) to
 eps_{-a}(i) wherever a row places F, that is in the psi'^2 and braid rows.
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from . import linalg, perms, signop
 from .algebra import (TAG_MAIN, TAG_OPP, TAGS_BOTH, Element, KLR, Mono,
                       NotHomogeneousError, Realisation, ShapeError,
-                      relation_rows)
+                      relation_instances)
 from .perms import canonical_word, length
 from .quiver import Root, root_tau_classes, sequences, tau_classes
 from .signop import (CliffordChoice, NonCentralEpsilonError, ambient_unit,
@@ -245,7 +245,7 @@ SIGNED_NAMES = {
 }
 
 
-def _two_copy(ctx: KLR, Psi, Y, E, names, key=lambda j, label: j,
+def _two_copy(ctx: KLR, Psi, Y, E, key=lambda j, label: j,
               **fields) -> Realisation:
     """The relation table on two-copy elements.  Words evaluate as
     right-to-left products; an idempotent letter resolving to
@@ -265,7 +265,7 @@ def _two_copy(ctx: KLR, Psi, Y, E, names, key=lambda j, label: j,
             out = gen(g, idem) * out
         return out
 
-    return Realisation(labels=list(E), word=word, names=names,
+    return Realisation(labels=list(E), word=word,
                        arrow=lambda label, u, v: ctx.quiver.has_edge(u, v),
                        **fields)
 
@@ -273,9 +273,19 @@ def _two_copy(ctx: KLR, Psi, Y, E, names, key=lambda j, label: j,
 def _signed_realisation(ctx: KLR, Pp, Yp, E) -> Realisation:
     """The signed presentation in the table's terms: labels are (i, a), and
     the correction idempotent of eps_a(i) is eps_{-a}(i)."""
-    return _two_copy(ctx, Pp, Yp, E, SIGNED_NAMES,
-                     key=lambda j, label: (j, label[1]), seq=lambda label: label[0],
+    return _two_copy(ctx, Pp, Yp, E, key=lambda j, label: (j, label[1]),
+                     seq=lambda label: label[0],
                      flip=lambda label: (label[0], MINUS if label[1] == PLUS else PLUS))
+
+
+def _table_instances(real: Realisation, n: int, names: dict, cls) -> list:
+    """The instances of the relation table as report rows, family by family
+    in table order; cls(label) is the row's "class"."""
+    found = {family: [] for family in names}
+    for family, label, r, s, lhs, rhs in relation_instances(real, n):
+        found[family].append(_instance(names[family], cls(label), r=r, s=s,
+                                       lhs=lhs, rhs=rhs))
+    return [inst for instances in found.values() for inst in instances]
 
 
 def verify_alt_presentation(ctx: KLR, root: Root):
@@ -315,12 +325,9 @@ def verify_alt_presentation(ctx: KLR, root: Root):
     out.append(_instance("sum e[i] = 1", None, lhs=total, rhs=one))
 
     # labels are the sequences i; Y_r Y_s = Y_s Y_r is checked without e[i]
-    real = _two_copy(ctx, Psi, Y, E, ALT_NAMES, seq=lambda i: i,
-                     bare=frozenset({"y y"}))
-    for name, instances in relation_rows(real, n):
-        for i, r, s, lhs, rhs in instances:
-            out.append(_instance(name, None if i is None else (i,), r=r, s=s,
-                                 lhs=lhs, rhs=rhs))
+    real = _two_copy(ctx, Psi, Y, E, seq=lambda i: i, bare=frozenset({"y y"}))
+    out += _table_instances(real, n, ALT_NAMES,
+                            lambda i: None if i is None else (i,))
 
     # degree assertions
     for i in seqs:
@@ -476,9 +483,8 @@ def verify_signed_relations(ctx: KLR, root: Root, bound: int = 1):
                 out.append(_instance("eps_-(i) = 0 for tau-fixed i", (i,),
                                      lhs=theta_eps(ctx, i, a), rhs=ctx.zero()))
 
-    for name, instances in relation_rows(_signed_realisation(ctx, Pp, Yp, E), n):
-        for label, r, s, lhs, rhs in instances:
-            out.append(_instance(name, label, r=r, s=s, lhs=lhs, rhs=rhs))
+    out += _table_instances(_signed_realisation(ctx, Pp, Yp, E), n,
+                            SIGNED_NAMES, lambda label: label)
 
     # Z x C2 degrees of the realized generators
     def deg2_inst(name, cls, x, want):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from . import alternating, signop
 from .algebra import (TAG_MAIN, E, F, Element, KLR, Mono, Realisation,
-                      relation_rows)
+                      relation_instances)
 from .quiver import (Quiver, Root, all_roots, all_seqs, default_reversal,
                      root_of_seq, root_tau_classes, validate_reversal)
 from .scalars import Rationals
@@ -103,44 +103,45 @@ SWEEP_NAMES = {
 def _sweep_block(ctx: KLR, root: Root, bound: int):
     """Apply both sides of every defining relation to every truncated basis
     monomial of the block; returns aggregated rows."""
-    rows = []
     seqs = ctx.block_seqs(root)
     monos, _ = ctx.enumerate_basis(root, bound)
     elems = [Element(ctx, {m: ctx.dom.one}) for m in monos]
     unit = ctx.block_idempotent(root)
+    checked: dict = {}
+    diffs: dict = {}
 
-    def row(relation, pairs):
-        checked = 0
-        diff = None
-        for *_, lhs, rhs in pairs:
-            checked += 1
-            if lhs != rhs and diff is None:
-                from .exprs import element_to_json_obj
-                diff = element_to_json_obj(lhs - rhs)
-        rows.append({"relation": relation, "block": str(root),
-                     "checked": checked,
-                     "status": "pass" if diff is None else "fail",
-                     "diff": diff})
+    def check(relation, lhs, rhs):
+        checked[relation] = checked.get(relation, 0) + 1
+        if lhs != rhs and relation not in diffs:
+            from .exprs import element_to_json_obj
+            diffs[relation] = element_to_json_obj(lhs - rhs)
 
     # idempotent relations on the block
-    row("e(i)e(j) = delta e(i)",
-        ((ctx.e(i) * ctx.e(j), ctx.e(i) if i == j else ctx.zero())
-         for i in seqs for j in seqs))
-    row("sum_i e(i) acts as identity", ((unit * x, x) for x in elems))
+    for i in seqs:
+        for j in seqs:
+            check("e(i)e(j) = delta e(i)", ctx.e(i) * ctx.e(j),
+                  ctx.e(i) if i == j else ctx.zero())
+    for x in elems:
+        check("sum_i e(i) acts as identity", unit * x, x)
 
     # labels are indices k into monos; the basis element elems[k] is its own
     # e(i) elems[k], so a word's trailing idempotent is left out
     faces = [ctx.mono_face(m) for m in monos]
     gen_left = ctx.gen_left
-
-    def act(g, x, idem):
-        if g[0] == "ydiff":
-            return gen_left(("y", g[1]), x) - gen_left(("y", g[2]), x)
-        return gen_left(g if g[0] in _GENERATOR_KINDS else idem(g)[:2], x)
-
-    # single generators applied to the basis element of label first_k: the
-    # words of a label share them, as y_r x in y_r e(i) x = e(i) y_r x
+    # the innermost letter of a word (a generator or a ydiff) applied to the
+    # basis element of label first_k, shared by all words of the label, as
+    # y_r x in y_r e(i) x = e(i) y_r x
     first, first_k = {}, None
+
+    def on_first(g, k):
+        x = first.get(g)
+        if x is None:
+            if g[0] == "ydiff":
+                x = on_first(("y", g[1]), k) - on_first(("y", g[2]), k)
+            else:
+                x = gen_left(g, elems[k])
+            first[g] = x
+        return x
 
     def word(letters, k, idem):
         nonlocal first_k
@@ -151,20 +152,22 @@ def _sweep_block(ctx: KLR, root: Root, bound: int):
             letters = letters[:-1]
             if not letters:
                 return elems[k]
-        g = letters[-1]
-        x = first.get(g)
-        if x is None:
-            x = first[g] = act(g, elems[k], idem)
+        x = on_first(letters[-1], k)
         for g in letters[-2::-1]:
-            x = gen_left(g, x) if g[0] in _GENERATOR_KINDS else act(g, x, idem)
+            x = gen_left(g if g[0] in _GENERATOR_KINDS else idem(g)[:2], x)
         return x
 
     real = Realisation(labels=range(len(monos)), seq=faces.__getitem__,
                        arrow=lambda k, u, v: ctx.arrow(monos[k].tag, u, v),
-                       word=word, names=SWEEP_NAMES)
-    for name, instances in relation_rows(real, ctx.n):
-        row(name, instances)
-    return rows
+                       word=word)
+    for family, *_, lhs, rhs in relation_instances(real, ctx.n):
+        check(SWEEP_NAMES[family], lhs, rhs)
+    names = ["e(i)e(j) = delta e(i)", "sum_i e(i) acts as identity",
+             *SWEEP_NAMES.values()]
+    return [{"relation": name, "block": str(root),
+             "checked": checked.get(name, 0),
+             "status": "fail" if name in diffs else "pass",
+             "diff": diffs.get(name)} for name in names]
 
 
 def run_klr_relations(quiver: Quiver, n: int, domain=None, bound: int = 2,
