@@ -640,9 +640,9 @@ class Realisation(NamedTuple):
     letters are ("y", r), ("psi", r), ("ydiff", r, s) and the idempotent
     letters E, F and ("swap", r); idem(g) is the idempotent letter g as
     ("e", j, label'): sequence j under label', which is the instance's label
-    or, for F, its `flip`.  E and F only end words.  A family in `bare` is
-    checked once, with label None: E then stands for the block unit and is
-    left out of the words.
+    or, for F, its `flip`.  A word whose last letter is an idempotent ends
+    in E or F.  A family in `bare` is checked once, with label None: E then
+    stands for the block unit and is left out of the words.
     """
 
     labels: Sequence
