@@ -1,10 +1,10 @@
 """Golden reports: the sha256 of stdout for fixed suite runs.
 
-The digests were recorded before the relation sweeps were rewritten as one
-table, so any change to report bytes shows here.  The JSON `instances` list
-of alt-presentation and signed-relations is compared as a sorted list (by
-its canonical JSON text); the rest of those payloads, and every other
-output, is compared byte for byte.
+Any change to report bytes shows here.  The JSON `instances` list of
+alt-presentation and signed-relations is compared as a sorted list (by its
+canonical JSON text), since its order follows the checker's evaluation
+order; the rest of those payloads, and every other output, is compared
+byte for byte.
 """
 
 import hashlib
