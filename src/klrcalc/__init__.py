@@ -15,8 +15,7 @@ from .quiver import (InvalidQuiverError, Quiver, ReversalMap,
                      root_tau_classes, sequences, tau_classes,
                      validate_reversal)
 from .scalars import DomainError, PrimeField, Rationals, domain_from_flag
-from .signop import (CliffordChoice, NonCentralEpsilonError,
-                     NotInvertibleError, centrality_check,
+from .signop import (CliffordChoice, NotInvertibleError, centrality_check,
                      clifford_axioms_check, e_pair, eps_pair, make_epsilon,
                      parity_project, sgn, translate_to_ambient,
                      translate_to_single)

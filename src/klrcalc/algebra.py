@@ -113,10 +113,6 @@ class Element:
             return NotImplemented
         return self.ctx.key == other.ctx.key and self.terms == other.terms
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     def is_zero(self) -> bool:
         return not self.terms
 

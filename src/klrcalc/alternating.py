@@ -27,17 +27,14 @@ the forward edge orientation); the report names that reading explicitly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from . import linalg, perms, signop
+from . import linalg, perms
 from .algebra import (TAG_MAIN, TAG_OPP, TAGS_BOTH, Element, KLR, Mono,
                       NotHomogeneousError, Realisation, ShapeError,
                       relation_instances)
 from .perms import canonical_word, length
-from .quiver import Root, root_tau_classes, sequences, tau_classes
-from .signop import (CliffordChoice, NonCentralEpsilonError, ambient_unit,
-                     centrality_check, e_pair, eps_pair, make_epsilon,
-                     parity_project, sgn, sgn_eigenvalue, translate_to_single)
+from .quiver import Root, all_seqs, root_tau_classes, sequences, tau_classes
+from .signop import (ambient_unit, e_pair, eps_pair, make_epsilon, sgn,
+                     sgn_eigenvalue, translate_to_single)
 
 PLUS = "+"
 MINUS = "-"
@@ -46,49 +43,9 @@ MINUS = "-"
 # --- generators --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AltGenerator:
-    """A generator of the alternating subalgebra with its ambient realization."""
-
-    kind: tuple
-    elem: Element
-
-
-def _default_epsilon(ctx: KLR, root: Root, choice: CliffordChoice | None) -> Element:
-    eps = make_epsilon(ctx, root, choice)
-    if choice is not None:
-        ok, witness = centrality_check(ctx, eps, root)
-        if not ok:
-            raise NonCentralEpsilonError(
-                "the chosen Clifford element is not central", witness)
-    return eps
-
-
-def alt_generator(ctx: KLR, kind: tuple, root: Root,
-                  choice: CliffordChoice | None = None) -> AltGenerator:
-    """Realize Psi_r = psi_r*eps, Y_r = y_r*eps, or the paired idempotent e[i].
-
-    The realization is checked to be sign-fixed; a non-central Clifford
-    choice is refused since the presentation presumes eps commutes with the
-    diagonal generators.
-    """
-    seqs = ctx.block_seqs(root)
-    if kind[0] == "e":
-        elem = e_pair(ctx, kind[1])
-    elif kind[0] == "psi":
-        eps = _default_epsilon(ctx, root, choice)
-        elem = ctx.psi_element(kind[1], seqs, TAGS_BOTH) * eps
-    elif kind[0] == "y":
-        eps = _default_epsilon(ctx, root, choice)
-        elem = ctx.y_element(kind[1], seqs, TAGS_BOTH) * eps
-    else:
-        raise ShapeError(f"unknown alternating generator kind {kind!r}")
-    if sgn(elem) != elem:
-        raise NonCentralEpsilonError("realization is not sign-fixed", kind)
-    return AltGenerator(kind, elem)
-
-
 def _alt_gens(ctx: KLR, root: Root):
+    """The generators of the block as dicts: Psi_r = psi_r eps,
+    Y_r = y_r eps and e[i], each realised on the two-copy block."""
     seqs = ctx.block_seqs(root)
     eps = make_epsilon(ctx, root)
     Psi = {r: ctx.psi_element(r, seqs, TAGS_BOTH) * eps for r in range(1, ctx.n)}
@@ -148,7 +105,6 @@ def express_alt(ctx: KLR, desc) -> list:
 def full_dims_single(ctx: KLR, bound: int) -> dict:
     """Graded dimension table of the whole rank-n algebra (single copy),
     truncated at |a| <= bound."""
-    from .quiver import all_seqs
     table: dict = {}
     for w in perms.all_perms(ctx.n):
         for a in ctx.exponents_upto(bound):
@@ -379,29 +335,6 @@ def signed_eps(ctx: KLR, seq, a: str) -> Element:
     raise ShapeError(f"sign must be '+' or '-', not {a!r}")
 
 
-@dataclass(frozen=True)
-class SignedGenerator:
-    """A generator of the signed companion algebra with its realization."""
-
-    kind: tuple
-    elem: Element
-
-
-def signed_generator(ctx: KLR, kind: tuple, root: Root) -> SignedGenerator:
-    """Realize y'_r, psi'_r (diagonally) or eps_a(i) (as the paired sum or
-    difference of tagged idempotents) on the two-copy block."""
-    seqs = ctx.block_seqs(root)
-    if kind[0] == "y":
-        elem = ctx.y_element(kind[1], seqs, TAGS_BOTH)
-    elif kind[0] == "psi":
-        elem = ctx.psi_element(kind[1], seqs, TAGS_BOTH)
-    elif kind[0] == "eps":
-        elem = signed_eps(ctx, kind[2], kind[1])
-    else:
-        raise ShapeError(f"unknown signed generator kind {kind!r}")
-    return SignedGenerator(kind, elem)
-
-
 def theta_eps(ctx: KLR, seq, a: str) -> Element:
     """One-quiver realization e(i) +- e(tau i) of the signed idempotent."""
     if ctx.tau is None:
@@ -443,8 +376,6 @@ def verify_signed_relations(ctx: KLR, root: Root, bound: int = 1):
     Yp = {r: ctx.y_element(r, seqs, TAGS_BOTH) for r in range(1, n + 1)}
     Pp = {r: ctx.psi_element(r, seqs, TAGS_BOTH) for r in range(1, n)}
     one = ambient_unit(ctx, root)
-    mul_sign = {(PLUS, PLUS): PLUS, (MINUS, MINUS): PLUS,
-                (PLUS, MINUS): MINUS, (MINUS, PLUS): MINUS}
 
     out = []
     notes = [
@@ -460,7 +391,8 @@ def verify_signed_relations(ctx: KLR, root: Root, bound: int = 1):
         for j in seqs:
             for a in (PLUS, MINUS):
                 for b in (PLUS, MINUS):
-                    want = E[(i, mul_sign[(a, b)])] if i == j else ctx.zero()
+                    prod = PLUS if a == b else MINUS
+                    want = E[(i, prod)] if i == j else ctx.zero()
                     out.append(_instance(f"eps_{a}(i) eps_{b}(j)", (i, j),
                                          lhs=E[(i, a)] * E[(j, b)], rhs=want))
     total = ctx.zero()
@@ -537,13 +469,13 @@ def verify_signed_relations(ctx: KLR, root: Root, bound: int = 1):
             out.append(_instance("theta(sigma(e(j))) = e(j)", (j,),
                                  lhs=got, rhs=ctx.e(j, TAG_MAIN)))
 
-    # even part of the signed algebra = the alternating subalgebra (spans)
-    monos = signop.truncated_ambient_monos(ctx, root, bound)
+    # even part of the signed algebra = the alternating subalgebra (spans);
+    # b + sgn(b) is twice the even part of b, which spans the same
+    monos, _ = ctx.enumerate_basis(root, bound, TAGS_BOTH)
     even_rows = []
     for m in monos:
-        p = parity_project(ctx, Element(ctx, {m: dom.one}), "even")
-        if not p.is_zero():
-            even_rows.append(p.terms)
+        b = Element(ctx, {m: dom.one})
+        even_rows.append((b + sgn(b)).terms)
     _, alt_elems, _ = alt_basis(ctx, root, bound)
     alt_rows = [e.terms for e in alt_elems]
     ok_span = linalg.spans_equal(even_rows, alt_rows, dom)

@@ -13,10 +13,10 @@ import json
 import sys
 
 from . import suites
-from .exprs import ExprError, element_to_json_obj, element_to_text, normal_form
-from .quiver import (InvalidQuiverError, Root, UnsupportedParameterError,
-                     make_root, parse_quiver_arg)
-from .scalars import DomainError, domain_from_flag
+from .algebra import Element
+from .exprs import element_to_json_obj, element_to_text, normal_form
+from .quiver import Root, parse_quiver_arg, root_of_seq, tau_from_json
+from .scalars import domain_from_flag
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -39,18 +39,15 @@ def _parse_block(quiver, text: str) -> Root:
             labels.append(int(part))
         except ValueError:
             labels.append(part)
-    content: dict = {}
-    for v in labels:
-        content[v] = content.get(v, 0) + 1
-    return make_root(quiver, content)
+    return root_of_seq(quiver, labels)
 
 
-def _tau_mapping(quiver, arg):
-    if arg is None:
-        return None
-    raw = json.loads(arg)
-    by_str = {str(v): v for v in quiver.vertices}
-    return {by_str[k]: v for k, v in raw.items()}
+def _count(text: str) -> int:
+    """A non-negative integer argument."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -73,21 +70,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("basis", help="truncated basis of a block")
     _add_common(p)
     p.add_argument("--block", required=True, help="content as comma list, e.g. 0,1")
-    p.add_argument("--bound", type=int, default=2)
+    p.add_argument("--bound", type=_count, default=2)
     p.add_argument("--tags", default="G", choices=("G", "both"))
 
     p = sub.add_parser("dims", help="graded dimension tables and halving")
     _add_common(p)
-    p.add_argument("--bound", type=int, default=3)
+    p.add_argument("--bound", type=_count, default=3)
 
     p = sub.add_parser("verify", help="run a verification suite")
     _add_common(p)
     p.add_argument("suite", choices=sorted(suites.SUITES))
-    p.add_argument("--bound", type=int, default=None)
+    p.add_argument("--bound", type=_count, default=None)
     p.add_argument("--block", default=None)
-    p.add_argument("--fuzz", type=int, default=100,
+    p.add_argument("--fuzz", type=_count, default=100,
                    help="fuzz count for the klr-relations suite")
-    p.add_argument("--max-pairs", type=int, default=400,
+    p.add_argument("--max-pairs", type=_count, default=400,
                    help="product pairs sampled per parity combination (clifford)")
     return ap
 
@@ -97,8 +94,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return _dispatch(args)
-    except (InvalidQuiverError, UnsupportedParameterError, DomainError,
-            ExprError, ValueError) as exc:
+    except ValueError as exc:  # klrcalc raises every usage error as one
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -106,7 +102,8 @@ def main(argv=None) -> int:
 def _dispatch(args) -> int:
     quiver = parse_quiver_arg(args.quiver)
     dom = domain_from_flag(args.field)
-    tau_mapping = _tau_mapping(quiver, args.tau)
+    tau_mapping = None if args.tau is None else \
+        tau_from_json(quiver.vertices, json.loads(args.tau))
 
     if args.command == "quiver":
         obj = quiver.to_json_obj()
@@ -135,7 +132,6 @@ def _dispatch(args) -> int:
         tags = ("G",) if args.tags == "G" else ("G", "G'")
         monos, table = ctx.enumerate_basis(root, args.bound, tags)
         if args.format == "json":
-            from .algebra import Element
             obj = {
                 "block": str(root),
                 "count": len(monos),
@@ -146,7 +142,6 @@ def _dispatch(args) -> int:
             print(json.dumps(obj, sort_keys=True, indent=2))
         else:
             for m in monos:
-                from .algebra import Element
                 print(element_to_text(Element(ctx, {m: ctx.dom.one})))
             print(f"count: {len(monos)}")
             for d, c in table.items():
@@ -164,19 +159,15 @@ def _dispatch(args) -> int:
     if args.block is not None and name != "clifford":
         raise ValueError(f"the {name} suite takes no --block")
     kwargs = {"seed": args.seed, "tau_mapping": tau_mapping}
+    if args.bound is not None:
+        kwargs["bound"] = args.bound
     if name == "klr-relations":
-        kwargs["bound"] = args.bound if args.bound is not None else 2
         kwargs["fuzz_triples"] = args.fuzz
         kwargs["fuzz_words"] = args.fuzz
     elif name == "clifford":
-        kwargs["bound"] = args.bound if args.bound is not None else 1
         kwargs["max_pairs"] = args.max_pairs
         if args.block:
             kwargs["block"] = _parse_block(quiver, args.block)
-    elif name == "dims":
-        kwargs["bound"] = args.bound if args.bound is not None else 3
-    else:
-        kwargs["bound"] = args.bound if args.bound is not None else 1
     report = suites.SUITES[name](quiver, args.n, dom, **kwargs)
     print(suites.emit_report(report, args.format))
     return report.exit_code

@@ -155,47 +155,77 @@ def path(k: int) -> Quiver:
     return make_quiver(f"path({k})", range(k), [(i, i + 1) for i in range(k - 1)], tau)
 
 
+def _spec_field(spec: dict, key: str, kind: type, default=None):
+    """spec[key], which must be a `kind` (JSON true/false are no ints)."""
+    value = spec.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise InvalidQuiverError(f"quiver spec: {key!r} must be of type {kind.__name__}")
+    return value
+
+
+def tau_from_json(vertices, raw) -> dict:
+    """A reversal map given as a JSON object.  JSON object keys are strings,
+    so they are matched back to the vertex labels by their text."""
+    if not isinstance(raw, dict):
+        raise InvalidQuiverError("a reversal map must be a JSON object")
+    by_str = {str(v): v for v in vertices}
+    for k in raw:
+        if k not in by_str:
+            raise InvalidQuiverError(f"reversal map names unknown vertex {k!r}")
+    return {by_str[k]: v for k, v in raw.items()}
+
+
 def build_quiver(spec) -> Quiver:
     """Build a quiver from a family spec or an explicit description.
 
     Accepts {"family": "cycle", "e": 3[, "window": N]}, {"family": "path", "k": 2},
     or {"name": ..., "vertices": [...], "edges": [[u, v], ...][, "tau": {...}]}.
+    Vertex labels are all integers or all strings.
     """
     if isinstance(spec, Quiver):
         return spec
     if isinstance(spec, str):
         spec = json.loads(spec)
+    if not isinstance(spec, dict):
+        raise InvalidQuiverError("a quiver spec must be a JSON object")
     if "family" in spec:
         fam = spec["family"]
         if fam == "cycle":
-            return cycle(spec["e"], window=spec.get("window", 3))
+            return cycle(_spec_field(spec, "e", int),
+                         window=_spec_field(spec, "window", int, 3))
         if fam == "path":
-            return path(spec["k"])
+            return path(_spec_field(spec, "k", int))
         raise UnsupportedParameterError(f"unknown quiver family {fam!r}")
-    vertices = spec["vertices"]
-    edges = [tuple(e) for e in spec["edges"]]
-    tau = None
-    if "tau" in spec:
-        # JSON object keys are strings; match them back to the labels
-        by_str = {str(v): v for v in vertices}
-        tau = {by_str[k]: v for k, v in spec["tau"].items()}
-    return make_quiver(spec.get("name", "quiver"), vertices, edges, tau)
+    vertices = _spec_field(spec, "vertices", list)
+    if not (all(type(v) is int for v in vertices)
+            or all(type(v) is str for v in vertices)):
+        raise InvalidQuiverError("vertex labels must be all integers or all strings")
+    edges = []
+    for e in _spec_field(spec, "edges", list):
+        if not (isinstance(e, list) and len(e) == 2 and all(v in vertices for v in e)):
+            raise InvalidQuiverError(f"edge {e!r} is not a pair of vertices")
+        edges.append(tuple(e))
+    tau = tau_from_json(vertices, spec["tau"]) if "tau" in spec else None
+    return make_quiver(_spec_field(spec, "name", str, "quiver"), vertices, edges, tau)
 
 
 def parse_quiver_arg(text: str) -> Quiver:
     """CLI form: 'cycle(3)', 'path(2)', '@file.json', or inline JSON."""
     text = text.strip()
     if text.startswith("@"):
-        with open(text[1:]) as fh:
-            return build_quiver(json.load(fh))
+        try:
+            with open(text[1:]) as fh:
+                spec = json.load(fh)
+        except OSError as exc:
+            raise InvalidQuiverError(f"cannot read {text[1:]!r}: {exc.strerror}") from None
+        return build_quiver(spec)
     if text.startswith("{"):
-        return build_quiver(json.loads(text))
-    for fam in ("cycle", "path"):
+        return build_quiver(text)
+    for fam, make, max_args in (("cycle", cycle, 2), ("path", path, 1)):
         if text.startswith(fam + "(") and text.endswith(")"):
             args = [int(a) for a in text[len(fam) + 1:-1].split(",") if a.strip()]
-            if fam == "cycle":
-                return cycle(*args)
-            return path(*args)
+            if 1 <= len(args) <= max_args:
+                return make(*args)
     raise UnsupportedParameterError(f"cannot parse quiver spec {text!r}")
 
 
@@ -222,9 +252,6 @@ class ReversalMap:
     def root(self, root: "Root") -> "Root":
         return make_root(self.quiver, {self._map[v]: m for v, m in root.items})
 
-    def is_identity(self) -> bool:
-        return all(a == b for a, b in self.pairs)
-
 
 def validate_reversal(quiver: Quiver, mapping: Mapping) -> ReversalMap:
     """Check that `mapping` is a total involution with i -> j an edge iff
@@ -234,7 +261,7 @@ def validate_reversal(quiver: Quiver, mapping: Mapping) -> ReversalMap:
         raise ReversalNotInvolutiveError(f"map not total: missing {missing!r}")
     for v in quiver.vertices:
         img = mapping[v]
-        if img not in quiver._index:
+        if img not in quiver.vertices:  # by ==: an unhashable image fails here
             raise ReversalMismatchError(f"tau({v!r}) = {img!r} is not a vertex", (v, img))
     # edge condition first: it carries the more informative witness
     for (u, v) in quiver.edges:
@@ -275,9 +302,6 @@ class Root:
             if u == v:
                 return m
         return 0
-
-    def as_dict(self) -> dict:
-        return dict(self.items)
 
     def __str__(self):
         if not self.items:
@@ -340,15 +364,8 @@ class TauClassTable:
                 return rep
         raise KeyError(item)
 
-    def class_of(self, item):
-        for cls in self.classes:
-            if item in cls:
-                return cls
-        raise KeyError(item)
 
-
-def _orbit_table(items, image: Callable, sort_key: Callable,
-                 rep_choice: Callable | None) -> TauClassTable:
+def _orbit_table(items, image: Callable, sort_key: Callable) -> TauClassTable:
     items = sorted(set(items), key=sort_key)
     seen = set()
     classes = []
@@ -359,29 +376,24 @@ def _orbit_table(items, image: Callable, sort_key: Callable,
         orbit = (x,) if y == x else tuple(sorted({x, y}, key=sort_key))
         seen.update(orbit)
         classes.append(orbit)
-    reps = tuple((rep_choice(c) if rep_choice else c[0]) for c in classes)
-    for c, r in zip(classes, reps):
-        if r not in c:
-            raise ValueError(f"representative {r!r} not a member of its class")
-    return TauClassTable(tuple(classes), reps)
+    return TauClassTable(tuple(classes), tuple(c[0] for c in classes))
 
 
-def tau_classes(quiver: Quiver, seqs: Iterable, tau: ReversalMap,
-                rep_choice: Callable | None = None) -> TauClassTable:
+def tau_classes(quiver: Quiver, seqs: Iterable, tau: ReversalMap) -> TauClassTable:
     """Partition a tau-closed sequence set into orbits {i, tau(i)}.
 
-    Default representative: lexicographically smaller member (overridable).
+    The representative of an orbit is its lexicographically smaller member.
     """
     seqset = set(seqs)
     for s in sorted(seqset, key=quiver.seq_key):
         if tau.seq(s) not in seqset:
             raise TauClosureError(f"set not tau-closed: tau of {s!r} missing", s)
-    return _orbit_table(seqset, tau.seq, quiver.seq_key, rep_choice)
+    return _orbit_table(seqset, tau.seq, quiver.seq_key)
 
 
-def root_tau_classes(quiver: Quiver, tau: ReversalMap, n: int,
-                     rep_choice: Callable | None = None) -> TauClassTable:
-    """Tau-orbits of all height-n roots."""
+def root_tau_classes(quiver: Quiver, tau: ReversalMap, n: int) -> TauClassTable:
+    """Tau-orbits of all height-n roots, each represented by its first member
+    in content order."""
     roots = all_roots(quiver, n)
     key = lambda r: tuple(-r.mult(v) for v in quiver.vertices)
-    return _orbit_table(roots, tau.root, key, rep_choice)
+    return _orbit_table(roots, tau.root, key)

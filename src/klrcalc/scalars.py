@@ -52,7 +52,10 @@ class Rationals:
 
     def parse(self, text: str):
         if "/" in text:
-            return Fraction(text)
+            try:
+                return Fraction(text)
+            except ZeroDivisionError:
+                raise DomainError(f"zero denominator in {text!r}") from None
         return int(text)
 
     def __repr__(self):

@@ -28,12 +28,6 @@ class NotInvertibleError(ValueError):
     pass
 
 
-class NonCentralEpsilonError(ValueError):
-    def __init__(self, message, witness):
-        super().__init__(message)
-        self.witness = witness
-
-
 def sgn(x: Element) -> Element:
     """The graded sign map: swap tags, negate y's and psi's.
 
@@ -71,17 +65,13 @@ class CliffordChoice:
 
     signs: tuple  # ((seq, +-1), ...) in sequence order
 
-    @staticmethod
-    def all_plus(ctx: KLR, root: Root) -> "CliffordChoice":
-        return CliffordChoice(tuple((s, 1) for s in ctx.block_seqs(root)))
-
 
 def make_epsilon(ctx: KLR, root: Root, choice: CliffordChoice | None = None) -> Element:
     """The Clifford element of the block for the given sign choice:
     sum of sign(i) * (e_G(i) - e_G'(i)).  Always squares to the block
     identity and is negated by the sign map."""
     if choice is None:
-        choice = CliffordChoice.all_plus(ctx, root)
+        choice = CliffordChoice(tuple((s, 1) for s in ctx.block_seqs(root)))
     out = ctx.zero()
     for seq, sig in choice.signs:
         out = out + eps_pair(ctx, seq).scale(sig)
@@ -179,9 +169,15 @@ def translate_to_ambient(ctx: KLR, x: Element, root: Root) -> Element:
 # --- Clifford axiom checking ------------------------------------------------
 
 
-def truncated_ambient_monos(ctx: KLR, root: Root, bound: int):
-    monos, _ = ctx.enumerate_basis(root, bound, tags=TAGS_BOTH)
-    return monos
+def _sample_pairs(rng, nx: int, ny: int, max_pairs: int) -> list:
+    """Index pairs (i, j) with i < nx and j < ny in sorted order: all of them,
+    or max_pairs drawn by rng when there are more.  Draws the pairs (and
+    leaves rng in the state) that sampling the full pair list would."""
+    total = nx * ny
+    if total <= max_pairs:
+        return [divmod(k, ny) for k in range(total)]
+    return sorted(divmod(k, ny) for k in rng.sample(range(total), max_pairs))
+
 
 def clifford_axioms_check(ctx: KLR, root: Root, choice: CliffordChoice | None = None,
                           bound: int = 1, seed: int = 0, max_pairs: int = 400):
@@ -215,28 +211,22 @@ def clifford_axioms_check(ctx: KLR, root: Root, choice: CliffordChoice | None = 
     axioms["sgn_negates_epsilon"] = {
         "status": "pass" if sgn(eps) == -eps else "fail", "witness": None}
 
-    monos = truncated_ambient_monos(ctx, root, bound)
+    # b + sgn(b) and b - sgn(b) are twice the parts of b: ranks, spans and
+    # sign eigenvalues do not see the factor
+    monos, _ = ctx.enumerate_basis(root, bound, TAGS_BOTH)
     basis_elems = [Element(ctx, {m: dom.one}) for m in monos]
-    even = [parity_project(ctx, b, "even") for b in basis_elems]
-    odd = [parity_project(ctx, b, "odd") for b in basis_elems]
-    even = [e for e in even if not e.is_zero()]
-    odd = [o for o in odd if not o.is_zero()]
+    even = [b + sgn(b) for b in basis_elems]
+    odd = [b - sgn(b) for b in basis_elems]
 
     rng = random.Random(seed)
-    def sample_pairs(xs, ys):
-        allp = [(i, j) for i in range(len(xs)) for j in range(len(ys))]
-        if len(allp) > max_pairs:
-            allp = rng.sample(allp, max_pairs)
-        return [(xs[i], ys[j]) for i, j in sorted(allp)]
-
     bad = None
     checked = 0
     for pa, pb, want in (("even", "even", 1), ("even", "odd", -1),
                          ("odd", "odd", 1)):
         xs = even if pa == "even" else odd
         ys = even if pb == "even" else odd
-        for u, v in sample_pairs(xs, ys):
-            z = u * v
+        for i, j in _sample_pairs(rng, len(xs), len(ys), max_pairs):
+            z = xs[i] * ys[j]
             checked += 1
             if sgn_eigenvalue(z) not in (0, want):
                 bad = f"{pa}*{pb} product is not a {want:+d} eigenvector"
@@ -246,16 +236,21 @@ def clifford_axioms_check(ctx: KLR, root: Root, choice: CliffordChoice | None = 
     meta["pairs_checked"] = checked
     axioms["product_parity"] = {"status": "fail" if bad else "pass", "witness": bad}
 
-    eps_even = [eps * b for b in even]
     rows_odd = [o.terms for o in odd]
-    rows_eps_even = [z.terms for z in eps_even]
-    ok_span = linalg.spans_equal(rows_odd, rows_eps_even, dom)
+    rows_eps_even = [(eps * b).terms for b in even]
+    odd_span = linalg.Echelon(dom, rows_odd)
+    r_odd = odd_span.rank
+    ok_span = (all(not odd_span.reduce(row) for row in rows_eps_even)
+               and linalg.rank(rows_eps_even, dom) == r_odd)
     axioms["odd_is_eps_even"] = {"status": "pass" if ok_span else "fail", "witness": None}
 
-    r_even = linalg.rank([e.terms for e in even], dom)
-    r_odd = linalg.rank(rows_odd, dom)
-    r_all = linalg.rank([e.terms for e in even] + rows_odd, dom)
-    ambient_rank = linalg.rank([{m: dom.one} for m in monos], dom)
+    # the basis monomials are distinct unit rows
+    ambient_rank = len(monos)
+    span = linalg.Echelon(dom, [e.terms for e in even])
+    r_even = span.rank
+    for row in rows_odd:
+        span.add(row)
+    r_all = span.rank
     ok_sum = (r_even + r_odd == r_all == ambient_rank)
     axioms["direct_sum"] = {
         "status": "pass" if ok_sum else "fail",

@@ -34,14 +34,8 @@ class Report:
         return 0 if self.ok else 1
 
 
-def emit_report(report, fmt: str = "text") -> str:
-    """Render a Report (or a bare dict) deterministically."""
-    if isinstance(report, dict):
-        if not report:
-            return "{}" if fmt == "json" else "all checks passed"
-        if fmt == "json":
-            return json.dumps(report, sort_keys=True, indent=2)
-        return "\n".join(f"{k}: {v}" for k, v in sorted(report.items()))
+def emit_report(report: Report, fmt: str = "text") -> str:
+    """Render a Report deterministically."""
     if fmt == "json":
         return json.dumps(report.payload, sort_keys=True, indent=2)
     return "\n".join(report.text_lines)
@@ -289,10 +283,6 @@ def homogeneity_fuzz(ctx: KLR, count: int, seed: int, tags=(TAG_MAIN,)):
 # --- the remaining suites ---------------------------------------------------------
 
 
-def _class_reps(ctx: KLR, n: int):
-    return root_tau_classes(ctx.quiver, ctx.tau, n).reps
-
-
 def _run_presentation(suite: str, theorem: str, check, quiver: Quiver, n: int,
                       domain, bound: int, seed: int, tau_mapping) -> Report:
     """Run check(ctx, root) -> (instances, notes) on one block per class."""
@@ -301,7 +291,7 @@ def _run_presentation(suite: str, theorem: str, check, quiver: Quiver, n: int,
         raise ValueError("this suite needs a reversal map")
     instances = []
     notes = []
-    for root in _class_reps(ctx, n):
+    for root in root_tau_classes(quiver, ctx.tau, n).reps:
         rows, block_notes = check(ctx, root)
         for r in rows:
             r["block"] = str(root)
@@ -320,13 +310,10 @@ def _run_presentation(suite: str, theorem: str, check, quiver: Quiver, n: int,
 
 
 def run_alt_presentation(quiver: Quiver, n: int, domain=None, bound: int = 1,
-                         seed: int = 0, tau_mapping=None,
-                         with_express: bool = True) -> Report:
+                         seed: int = 0, tau_mapping=None) -> Report:
     def check(ctx, root):
         rows, notes = alternating.verify_alt_presentation(ctx, root)
-        if with_express:
-            rows += alternating.express_coverage(ctx, root, bound)
-        return rows, notes
+        return rows + alternating.express_coverage(ctx, root, bound), notes
     return _run_presentation("alt-presentation", "alternating presentation",
                              check, quiver, n, domain, bound, seed, tau_mapping)
 
@@ -345,7 +332,8 @@ def run_clifford(quiver: Quiver, n: int, domain=None, bound: int = 1,
     ctx = make_context(quiver, n, domain, tau_mapping)
     if ctx.tau is None:
         raise ValueError("this suite needs a reversal map")
-    roots = [block] if block is not None else list(_class_reps(ctx, n))
+    roots = ([block] if block is not None
+             else root_tau_classes(quiver, ctx.tau, n).reps)
     all_ok = True
     blocks = {}
     lines_body = []

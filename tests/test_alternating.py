@@ -24,23 +24,18 @@ def root01(ctx2):
 def test_alt_generator_examples():
     ctx1 = K.make_context(K.cycle(3), 1)
     root = K.make_root(ctx1.quiver, {0: 1})
-    g = alt.alt_generator(ctx1, ("y", 1), root)
+    _, Y, _ = alt._alt_gens(ctx1, root)
     want = Element(ctx1, {Mono("G", (0,), (1,), (0,)): 1,
                           Mono("G'", (0,), (1,), (0,)): -1})
-    assert g.elem == want
+    assert Y[1] == want
 
 
 def test_alt_generators_sign_fixed(ctx2, root01):
-    for kind in (("psi", 1), ("y", 1), ("y", 2), ("e", (0, 1))):
-        g = alt.alt_generator(ctx2, kind, root01)
-        assert K.sgn(g.elem) == g.elem
-
-
-def test_alt_generator_refuses_non_central_choice(ctx2, root01):
-    seqs = ctx2.block_seqs(root01)
-    choice = K.CliffordChoice(((seqs[0], 1), (seqs[1], -1)))
-    with pytest.raises(K.NonCentralEpsilonError):
-        alt.alt_generator(ctx2, ("psi", 1), root01, choice)
+    Psi, Y, E = alt._alt_gens(ctx2, root01)
+    assert (len(Psi), len(Y), len(E)) == (1, 2, 2)
+    for gens in (Psi, Y, E):
+        for g in gens.values():
+            assert K.sgn(g) == g
 
 
 def test_class_idempotents_sum_to_identity(ctx2, root01):

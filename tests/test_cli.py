@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from klrcalc.cli import main
 
 
@@ -106,7 +108,26 @@ def test_field_flag(capsys):
     assert out.strip() == "e(1,0)@G"
 
 
-def test_emit_report_empty():
-    from klrcalc.suites import emit_report
-    assert emit_report({}, "json") == "{}"
-    assert emit_report({}, "text") == "all checks passed"
+@pytest.mark.parametrize("argv", [
+    ["quiver", "--tau", '{"9":0}'],
+    ["quiver", "--tau", "[1,2]"],
+    ["quiver", "--quiver", "@/nonexistent/quiver.json"],
+    ["quiver", "--quiver", '{"family":"cycle"}'],
+    ["quiver", "--quiver", '{"vertices":[0,1]}'],
+    ["quiver", "--quiver", '{"vertices":[[0],[1]],"edges":[]}'],
+    ["quiver", "--quiver", '{"family":"path","k":"3"}'],
+    ["nf", "--n", "1", "1/0"],
+    ["verify", "klr-relations", "--n", "1", "--fuzz", "-5"],
+    ["verify", "dims", "--n", "1", "--bound", "-1"],
+    ["verify", "clifford", "--n", "1", "--max-pairs", "-1"],
+])
+def test_malformed_input_exits2(capsys, argv):
+    # argparse refuses a bad flag value by raising SystemExit(2)
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    assert code == 2
+    assert "error:" in out.err and "Traceback" not in out.err
+    assert out.out == ""

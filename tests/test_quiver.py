@@ -147,13 +147,6 @@ def test_tau_extends_to_roots_compatibly():
         assert K.root_of_seq(q, tau.seq(s)) == tau.root(K.root_of_seq(q, s))
 
 
-def test_custom_representative_choice():
-    q = K.cycle(3)
-    tau = K.default_reversal(q)
-    table = K.tau_classes(q, [(1,), (2,)], tau, rep_choice=max)
-    assert table.reps == ((2,),)
-
-
 def test_quiver_json_roundtrip_and_determinism():
     q = K.cycle(3)
     text = q.to_json()

@@ -32,12 +32,14 @@ def test_eps_product_rule(ctx2, root01):
 
 
 def test_signed_generator_wrapper(ctx2, root01):
-    g = alt.signed_generator(ctx2, ("eps", "-", (0, 1)), root01)
-    assert g.elem == ctx2.e((0, 1)) - ctx2.e((0, 1), "G'")
-    y = alt.signed_generator(ctx2, ("y", 1), root01)
-    assert alt.deg2_of(ctx2, y.elem) == (2, "-")
+    seqs = ctx2.block_seqs(root01)
+    assert alt.signed_eps(ctx2, (0, 1), "-") == ctx2.e((0, 1)) - ctx2.e((0, 1), "G'")
+    y = ctx2.y_element(1, seqs, TAGS)
+    assert alt.deg2_of(ctx2, y) == (2, "-")
+    psi = ctx2.psi_element(1, seqs, TAGS)
+    assert alt.deg2_of(ctx2, psi * alt.signed_eps(ctx2, (0, 1), "+")) == (1, "-")
     with pytest.raises(K.ShapeError):
-        alt.signed_generator(ctx2, ("nope", 1), root01)
+        alt.signed_eps(ctx2, (0, 1), "*")
 
 
 def test_eps_plus_sum_is_identity(ctx2, root01):
@@ -158,7 +160,7 @@ def test_even_part_matches_alternating_span():
     for quiver in (K.cycle(3), K.path(3)):
         ctx = K.make_context(quiver, 2)
         for root in K.root_tau_classes(quiver, ctx.tau, 2).reps:
-            monos = signop.truncated_ambient_monos(ctx, root, 2)
+            monos, _ = ctx.enumerate_basis(root, 2, TAGS)
             even_rows = []
             for m in monos:
                 from klrcalc.algebra import Element

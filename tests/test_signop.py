@@ -139,6 +139,30 @@ def test_clifford_refuses_non_central(ctx, root):
     assert list(axioms) == ["centrality"]  # refused before the other axioms
 
 
+def _sample_pairs_reference(rng, nx, ny, max_pairs):
+    # reference: sample the full list of index pairs
+    pairs = [(i, j) for i in range(nx) for j in range(ny)]
+    if len(pairs) > max_pairs:
+        pairs = rng.sample(pairs, max_pairs)
+    return sorted(pairs)
+
+
+@pytest.mark.parametrize("nx, ny, max_pairs", [
+    (3, 4, 20),    # fewer pairs than max_pairs
+    (4, 5, 20),    # exactly max_pairs
+    (3, 7, 20),    # one more than max_pairs
+    (0, 5, 3), (5, 0, 3), (0, 0, 0),
+    (12, 13, 40),
+])
+def test_sample_pairs_matches_full_list(nx, ny, max_pairs):
+    for seed in range(5):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            assert (signop._sample_pairs(rng, nx, ny, max_pairs)
+                    == _sample_pairs_reference(ref, nx, ny, max_pairs))
+        assert rng.random() == ref.random()
+
+
 def test_translate_examples(ctx):
     # e_G'(0,1) with tau = -i mod 3 lands on e_G(0,2)
     x = K.translate_to_single(ctx, ctx.e((0, 1), "G'"))
