@@ -23,6 +23,9 @@ RUNS = {
                            "--bound", "1"],
     "alt-presentation-F5": ["verify", "alt-presentation", "--n", "3",
                             "--bound", "1", "--field", "Fp:5"],
+    # bound 2: its basis words share deeper y-suffixes than the bound-1 runs
+    "alt-presentation-bound2": ["verify", "alt-presentation", "--n", "3",
+                                "--bound", "2"],
     "signed-relations-cycle3": ["verify", "signed-relations", "--quiver",
                                 "cycle(3)", "--n", "3", "--bound", "1"],
     "signed-relations-path3": ["verify", "signed-relations", "--quiver",
@@ -51,6 +54,10 @@ GOLDEN = {
         "9b1b0e4693db7f1982184c2ccc4408af315bd0fe484be3fef0ebf2d61740c40c",
     ("alt-presentation-F5", "json"):
         "c1c1479a1b862421c8ae00e3e72316c30d0c02c49c8b6c51366524193b559d06",
+    ("alt-presentation-bound2", "text"):
+        "bc7946c8af925d9df5dcfa51d6ec0781ffb7f4ef193362a2961755baf533eaa2",
+    ("alt-presentation-bound2", "json"):
+        "a207cec4b73b7a4d8f15d4004e7a66a31a916cab924286f2e699413c7f11d399",
     ("signed-relations-cycle3", "text"):
         "a56867d6b9db7998efd17933cf0545de57c001e11fafdf5acdea5d661fb04b74",
     ("signed-relations-cycle3", "json"):
