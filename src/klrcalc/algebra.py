@@ -27,7 +27,8 @@ algebra, not the code; the test suite checks it by confluence fuzzing.
 
 The defining presentation is also written down as data, apart from the
 rewrite rules: `KLR_RELATIONS` lists the relation families once, and
-`relation_instances` evaluates them in any realisation of the generators.
+`relation_instances` evaluates them in any realisation of the generators,
+each word through `evaluate`, a right-to-left product memoised by suffix.
 """
 
 from __future__ import annotations
@@ -178,7 +179,6 @@ class KLR:
         self.key = (quiver, n, self.dom)
         self._zero_a = (0,) * n
         self._id_perm = perms.identity(n)
-        self._psi_cache: dict = {}
         self._y_cache: dict = {}
         self._word_cache: dict = {}
         self._pair_cache: dict = {}
@@ -331,7 +331,8 @@ class KLR:
         dom = self.dom
         out: dict = {}
         for m, c in terms.items():
-            _acc(out, self._psi_mono(r, m), c, dom)
+            _acc(out, self._word_nf((r,) + canonical_word(m.w), m.a, m.seq, m.tag),
+                 c, dom)
         return out
 
     # --- the rewrite core ----------------------------------------------------
@@ -341,14 +342,7 @@ class KLR:
         cached = self._y_cache.get(key)
         if cached is not None:
             return cached
-        dom = self.dom
-        word = canonical_word(m.w)
-        final_s, corrections = self._y_through(s, word, m.seq)
-        a = list(m.a)
-        a[final_s - 1] += 1
-        out = {Mono(m.tag, m.w, tuple(a), m.seq): dom.one}
-        for word2, sign in corrections:
-            _acc(out, self._word_nf(word2, m.a, m.seq, m.tag), dom.from_int(sign), dom)
+        out = self._insert_y((), s, canonical_word(m.w), m.a, m.seq, m.tag)
         if len(self._y_cache) < self.cache_limit:
             self._y_cache[key] = out
         return out
@@ -376,17 +370,6 @@ class KLR:
                         corrections.append((word[:t] + word[t + 1:], +1))
                     cur = c
         return cur, corrections
-
-    def _psi_mono(self, c: int, m: Mono) -> dict:
-        key = (c, m)
-        cached = self._psi_cache.get(key)
-        if cached is not None:
-            return cached
-        word = (c,) + canonical_word(m.w)
-        out = self._word_nf(word, m.a, m.seq, m.tag)
-        if len(self._psi_cache) < self.cache_limit:
-            self._psi_cache[key] = out
-        return out
 
     def _word_nf(self, word: tuple, a: tuple, seq: tuple, tag: str) -> dict:
         """Normal form of psi_word y^a e(seq) for an arbitrary psi word."""
@@ -632,21 +615,50 @@ def _correction(kind, r, i, arrow) -> list:
 class Realisation(NamedTuple):
     """The generators of one algebra, as the relation table reads them.
 
-    `word(letters, label, idem)` evaluates a word right to left.  Its
-    letters are ("y", r), ("psi", r), ("ydiff", r, s) and the idempotent
-    letters E, F and ("swap", r); idem(g) is the idempotent letter g as
-    ("e", j, label'): sequence j under label', which is the instance's label
-    or, for F, its `flip`.  A word whose last letter is an idempotent ends
-    in E or F.  A family in `bare` is checked once, with label None: E then
-    stands for the block unit and is left out of the words.
+    `act(g, x)` is the product g x of a letter and an element: g is ("y", r),
+    ("psi", r) or an idempotent letter resolved to ("e", j, label') -
+    sequence j under label', which is the instance's label or, for F, its
+    `flip`.  With no `base`, x is None for the innermost letter and act
+    returns the generator itself.  With a `base`, every word of a label acts
+    on base(label), an element fixed by its own E; a base realisation keeps
+    the identity `flip`.  A family in `bare` is checked once, with label
+    None: E then stands for the block unit and is left out of the words.
     """
 
     labels: Sequence
     seq: Callable  # label -> residue sequence
     arrow: Callable  # (label, u, v) -> is u -> v an arrow under this label
-    word: Callable  # (letters, label, idem) -> Element
+    act: Callable  # (letter, Element or None) -> Element
+    base: Callable | None = None  # label -> Element
     flip: Callable = lambda label: label
     bare: frozenset = frozenset()
+
+
+def evaluate(real: Realisation, word: tuple, memo: dict, letters: dict):
+    """The right-to-left product of a word, memoised by word suffix.
+
+    `memo` maps each suffix already evaluated to its product, so words
+    sharing a suffix share its products; it is kept per label, and a base
+    realisation seeds memo[()] with base(label), which makes a trailing E
+    or F act as the identity and drops it.  `letters` resolves the label's
+    idempotent letters E, F and ("swap", r) when a suffix is computed;
+    other letters pass as they are.  A ("ydiff", r, s) letter is the
+    difference of the two y-suffixes it expands to.
+    """
+    if word[-1] in (E, F) and () in memo:
+        word = word[:-1]
+    x = memo.get(word)
+    if x is not None:
+        return x
+    g, rest = word[0], word[1:]
+    if g[0] == "ydiff":
+        x = (evaluate(real, (("y", g[1]),) + rest, memo, letters)
+             - evaluate(real, (("y", g[2]),) + rest, memo, letters))
+    else:
+        inner = evaluate(real, rest, memo, letters) if rest else memo.get(())
+        x = real.act(letters.get(g, g), inner)
+    memo[word] = x
+    return x
 
 
 def relation_instances(real: Realisation, n: int):
@@ -664,7 +676,8 @@ def relation_instances(real: Realisation, n: int):
             (family, words, correction))
     for label in real.labels:
         yield from _instances(real, label, labelled)
-    yield from _instances(real, None, bare)
+    if bare:
+        yield from _instances(real, None, bare)
 
 
 def _place(word, r, s) -> tuple:
@@ -676,26 +689,25 @@ def _place(word, r, s) -> tuple:
 
 
 def _instances(real, label, rows):
-    word = real.word
-    i = None if label is None else real.seq(label)
-
-    def idem(g):
-        if g is E:
-            return ("e", i, label)
-        if g is F:
-            return ("e", i, real.flip(label))
-        r = g[1]
-        return ("e", i[:r - 1] + (i[r], i[r - 1]) + i[r + 1:], label)
+    letters, memo = {}, {}
+    i = None
+    if label is not None:
+        i = real.seq(label)
+        letters = {E: ("e", i, label), F: ("e", i, real.flip(label))}
+        for r in range(1, len(i)):
+            letters["swap", r] = ("e", i[:r - 1] + (i[r], i[r - 1]) + i[r + 1:], label)
+        if real.base is not None:
+            memo[()] = real.base(label)
 
     def arrow(u, v):
         return real.arrow(label, u, v)
 
     for family, words, correction in rows:
         for r, s, lhs, rhs in words:
-            left = word(lhs, label, idem)
-            right = word(rhs, label, idem) if rhs else left.ctx.zero()
+            left = evaluate(real, lhs, memo, letters)
+            right = evaluate(real, rhs, memo, letters) if rhs else left.ctx.zero()
             if correction:
                 for sign, extra in _correction(correction, r, i, arrow):
-                    x = word(extra, label, idem)
+                    x = evaluate(real, extra, memo, letters)
                     right = right + x if sign > 0 else right - x
             yield family, label, r, s, left, right

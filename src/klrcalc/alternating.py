@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from . import linalg, perms
 from .algebra import (TAG_MAIN, TAG_OPP, TAGS_BOTH, Element, KLR, Mono,
-                      NotHomogeneousError, Realisation, ShapeError,
+                      NotHomogeneousError, Realisation, ShapeError, evaluate,
                       relation_instances)
 from .perms import canonical_word, length
 from .quiver import Root, all_seqs, root_tau_classes, sequences, tau_classes
@@ -201,27 +201,17 @@ SIGNED_NAMES = {
 }
 
 
-def _two_copy(ctx: KLR, Psi, Y, E, key=lambda j, label: j,
-              **fields) -> Realisation:
-    """The relation table on two-copy elements.  Words evaluate as
-    right-to-left products; an idempotent letter resolving to
-    ("e", j, label) is E[key(j, label)], and the labels are the keys of E."""
-    def gen(g, idem):
-        if g[0] == "psi":
-            return Psi[g[1]]
-        if g[0] == "y":
-            return Y[g[1]]
-        if g[0] == "ydiff":
-            return Y[g[1]] - Y[g[2]]
-        return E[key(*idem(g)[1:])]
+def _two_copy(ctx: KLR, Psi, Y, E, key=lambda g: g[1], **fields) -> Realisation:
+    """The relation table on two-copy elements: a letter acts by left
+    multiplication with its generator, an idempotent letter ("e", j, ...)
+    being E[key(letter)], and the labels are the keys of E."""
+    gens = {"psi": Psi, "y": Y}
 
-    def word(letters, label, idem):
-        out = gen(letters[-1], idem)
-        for g in reversed(letters[:-1]):
-            out = gen(g, idem) * out
-        return out
+    def act(g, x):
+        a = E[key(g)] if g[0] == "e" else gens[g[0]][g[1]]
+        return a if x is None else a * x
 
-    return Realisation(labels=list(E), word=word,
+    return Realisation(labels=list(E), act=act,
                        arrow=lambda label, u, v: ctx.quiver.has_edge(u, v),
                        **fields)
 
@@ -229,7 +219,7 @@ def _two_copy(ctx: KLR, Psi, Y, E, key=lambda j, label: j,
 def _signed_realisation(ctx: KLR, Pp, Yp, E) -> Realisation:
     """The signed presentation in the table's terms: labels are (i, a), and
     the correction idempotent of eps_a(i) is eps_{-a}(i)."""
-    return _two_copy(ctx, Pp, Yp, E, key=lambda j, label: (j, label[1]),
+    return _two_copy(ctx, Pp, Yp, E, key=lambda g: (g[1], g[2][1]),
                      seq=lambda label: label[0],
                      flip=lambda label: (label[0], MINUS if label[1] == PLUS else PLUS))
 
@@ -307,16 +297,14 @@ def verify_alt_presentation(ctx: KLR, root: Root):
 
 
 def express_coverage(ctx: KLR, root: Root, bound: int):
-    """Reproduce every truncated parity-basis element from its generator word."""
+    """Reproduce every truncated parity-basis element from its generator
+    word; the words of the block share their suffixes' products."""
     descs, elems, _ = alt_basis(ctx, root, bound)
-    Psi, Y, E = _alt_gens(ctx, root)
-    gens = {"psi": Psi, "y": Y}
+    real = _two_copy(ctx, *_alt_gens(ctx, root), seq=lambda i: i)
+    memo: dict = {}
     out = []
     for desc, el in zip(descs, elems):
-        word = express_alt(ctx, desc)
-        got = E[word[-1][1]]
-        for kind, index in reversed(word[:-1]):
-            got = gens[kind][index] * got
+        got = evaluate(real, tuple(express_alt(ctx, desc)), memo, {})
         out.append(_instance("express(alt basis element)",
                              (desc[0], desc[1], desc[2], desc[3]),
                              lhs=got, rhs=el))

@@ -22,7 +22,7 @@ from .scalars import domain_from_flag
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--quiver", default="cycle(3)",
                    help="family like cycle(3)/path(2), inline JSON, or @file.json")
-    p.add_argument("--n", type=int, default=2, help="number of strands")
+    p.add_argument("--n", type=_positive, default=2, help="number of strands")
     p.add_argument("--field", default="Q", help="Q or Fp:p (odd prime)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("text", "json"), default="text")
@@ -47,6 +47,14 @@ def _count(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _positive(text: str) -> int:
+    """A positive integer argument."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
 
 

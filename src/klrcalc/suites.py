@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, field
 
 from . import alternating, signop
-from .algebra import (TAG_MAIN, E, F, Element, KLR, Mono, Realisation,
+from .algebra import (TAG_MAIN, Element, KLR, Mono, Realisation,
                       relation_instances)
 from .quiver import (Quiver, Root, all_roots, all_seqs, default_reversal,
                      root_of_seq, root_tau_classes, validate_reversal)
@@ -79,8 +79,6 @@ def random_element(ctx: KLR, rng: random.Random, seqs=None, tags=(TAG_MAIN,),
 # --- the relation sweep for the defining presentation ---------------------------
 
 
-_GENERATOR_KINDS = frozenset({"y", "psi"})
-
 SWEEP_NAMES = {
     "y e": "y_r e(i) = e(i) y_r",
     "psi e": "psi_r e(i) = e(s_r i) psi_r",
@@ -118,42 +116,13 @@ def _sweep_block(ctx: KLR, root: Root, bound: int):
     for x in elems:
         check("sum_i e(i) acts as identity", unit * x, x)
 
-    # labels are indices k into monos; the basis element elems[k] is its own
-    # e(i) elems[k], so a word's trailing idempotent is left out
-    faces = [ctx.mono_face(m) for m in monos]
-    gen_left = ctx.gen_left
-    # the innermost letter of a word (a generator or a ydiff) applied to the
-    # basis element of label first_k, shared by all words of the label, as
-    # y_r x in y_r e(i) x = e(i) y_r x
-    first, first_k = {}, None
-
-    def on_first(g, k):
-        x = first.get(g)
-        if x is None:
-            if g[0] == "ydiff":
-                x = on_first(("y", g[1]), k) - on_first(("y", g[2]), k)
-            else:
-                x = gen_left(g, elems[k])
-            first[g] = x
-        return x
-
-    def word(letters, k, idem):
-        nonlocal first_k
-        if first_k != k:
-            first.clear()
-            first_k = k
-        if letters[-1] is E or letters[-1] is F:
-            letters = letters[:-1]
-            if not letters:
-                return elems[k]
-        x = on_first(letters[-1], k)
-        for g in letters[-2::-1]:
-            x = gen_left(g if g[0] in _GENERATOR_KINDS else idem(g)[:2], x)
-        return x
-
-    real = Realisation(labels=range(len(monos)), seq=faces.__getitem__,
+    # labels are indices k into monos; every word of label k acts on the
+    # basis element elems[k], which is its own e(i)
+    real = Realisation(labels=range(len(monos)),
+                       seq=[ctx.mono_face(m) for m in monos].__getitem__,
                        arrow=lambda k, u, v: ctx.arrow(monos[k].tag, u, v),
-                       word=word)
+                       act=lambda g, x: ctx.gen_left(g[:2], x),
+                       base=elems.__getitem__)
     for family, *_, lhs, rhs in relation_instances(real, ctx.n):
         check(SWEEP_NAMES[family], lhs, rhs)
     names = ["e(i)e(j) = delta e(i)", "sum_i e(i) acts as identity",
@@ -358,9 +327,12 @@ def run_dims(quiver: Quiver, n: int, domain=None, bound: int = 3,
     ctx = make_context(quiver, n, domain, tau_mapping)
     if ctx.tau is None:
         raise ValueError("this suite needs a reversal map")
+    window = alternating.dims_complete_window(ctx, bound)
+    if window < 4:  # the first halving row compares degrees 2 and 4
+        raise ValueError(f"bound {bound} leaves no halving row at n = {n}; "
+                         f"use a bound of at least {2 + n * (n - 1) // 2}")
     full = alternating.full_dims_single(ctx, bound)
     alt = alternating.alternating_dims_single(ctx, bound)
-    window = alternating.dims_complete_window(ctx, bound)
     halving = []
     k = 1
     while 2 * k + 2 <= window:

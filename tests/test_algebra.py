@@ -6,7 +6,7 @@ import pytest
 
 import klrcalc as K
 from klrcalc import suites
-from klrcalc.algebra import Element, Mono
+from klrcalc.algebra import E, Element, Mono, Realisation, evaluate
 from klrcalc.perms import all_perms, canonical_word, length
 from klrcalc.scalars import PrimeField
 from klrcalc.suites import random_element
@@ -209,3 +209,37 @@ def test_normal_monomial_invariants(c3):
     for w in all_perms(2):
         word = canonical_word(w)
         assert len(word) == length(w)
+
+
+def test_evaluate_computes_each_suffix_once(c3):
+    i = (0, 1)
+    calls = []
+
+    def act(g, x):
+        calls.append(g)
+        return c3.gen_left(g[:2], c3.e(i) if x is None else x)
+
+    real = Realisation(labels=[i], seq=lambda label: label, arrow=None, act=act)
+    memo, letters = {}, {E: ("e", i, i)}
+    words = [(("y", 1), ("psi", 1)), (("psi", 1), ("y", 1), ("psi", 1)),
+             (("y", 2), ("psi", 1)), (E, ("y", 1), ("psi", 1))]
+    got = [evaluate(real, w, memo, letters) for w in words]
+    suffixes = {w[t:] for w in words for t in range(len(w))}
+    assert len(calls) == len(suffixes) and set(memo) == suffixes
+    assert ("e", i, i) in calls
+    for w, x in zip(words, got):
+        tokens = [("e", i) if g == E else g for g in w]
+        assert x == c3.word_element(tokens, i)
+
+    # a ydiff letter is the difference of the two y-suffixes, already known
+    ydiff = evaluate(real, (("ydiff", 1, 2), ("psi", 1)), memo, letters)
+    assert len(calls) == len(suffixes)
+    assert ydiff == got[0] - got[2]
+
+    # with a base in memo[()], a trailing E acts as the identity
+    base = c3.e(i)
+    memo = {(): base}
+    assert evaluate(real, (E,), memo, letters) is base
+    assert evaluate(real, (("y", 1), E), memo, letters) == c3.word_element(
+        [("y", 1)], i)
+    assert set(memo) == {(), (("y", 1),)}

@@ -134,6 +134,22 @@ def test_express_coverage_small(ctx2, root01):
     assert rows and all(r["status"] == "pass" for r in rows)
 
 
+def test_express_coverage_shares_suffixes(ctx2, root01, monkeypatch):
+    # one product per distinct word suffix of two or more letters
+    gens = alt._alt_gens(ctx2, root01)
+    monkeypatch.setattr(alt, "_alt_gens", lambda ctx, root: gens)
+    calls = []
+    multiply = ctx2.multiply
+    monkeypatch.setattr(ctx2, "multiply",
+                        lambda x, y: calls.append(1) or multiply(x, y))
+    rows = alt.express_coverage(ctx2, root01, 1)
+    words = [tuple(alt.express_alt(ctx2, desc))
+             for desc in alt.alt_basis(ctx2, root01, 1)[0]]
+    suffixes = {w[t:] for w in words for t in range(len(w) - 1)}
+    assert all(r["status"] == "pass" for r in rows)
+    assert len(calls) <= len(suffixes) < sum(len(w) - 1 for w in words)
+
+
 def test_presentation_paper_instances(ctx2, root01):
     Psi, Y, E = alt._alt_gens(ctx2, root01)
     e01 = E[(0, 1)]

@@ -120,6 +120,14 @@ def test_field_flag(capsys):
     ["verify", "klr-relations", "--n", "1", "--fuzz", "-5"],
     ["verify", "dims", "--n", "1", "--bound", "-1"],
     ["verify", "clifford", "--n", "1", "--max-pairs", "-1"],
+    # degree windows that hold no halving row
+    ["verify", "dims", "--n", "1", "--bound", "1"],
+    ["verify", "dims", "--n", "2", "--bound", "2"],
+    ["dims", "--n", "2", "--bound", "2"],
+    ["verify", "klr-relations", "--n", "0"],
+    ["verify", "clifford", "--n", "0"],
+    ["verify", "alt-presentation", "--n", "0"],
+    ["verify", "dims", "--n", "0"],
 ])
 def test_malformed_input_exits2(capsys, argv):
     # argparse refuses a bad flag value by raising SystemExit(2)
