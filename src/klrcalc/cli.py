@@ -90,9 +90,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite", choices=sorted(suites.SUITES))
     p.add_argument("--bound", type=_count, default=None)
     p.add_argument("--block", default=None)
-    p.add_argument("--fuzz", type=_count, default=100,
+    p.add_argument("--fuzz", type=_positive, default=100,
                    help="fuzz count for the klr-relations suite")
-    p.add_argument("--max-pairs", type=_count, default=400,
+    p.add_argument("--max-pairs", type=_positive, default=400,
                    help="product pairs sampled per parity combination (clifford)")
     return ap
 

@@ -9,6 +9,7 @@ byte-identically for identical inputs, so text output is golden-file safe.
 from __future__ import annotations
 
 import json
+import os
 import random
 from dataclasses import dataclass, field
 
@@ -49,6 +50,34 @@ def make_context(quiver: Quiver, n: int, domain=None, tau_mapping=None) -> KLR:
     else:
         tau = default_reversal(quiver)
     return KLR(quiver, n, domain, tau)
+
+
+def _map_blocks(fn, args) -> list:
+    """[fn(*a) for a in args], in input order.
+
+    Blocks are independent (their idempotents are central), so with two or
+    more usable CPUs the calls run in a pool of spawned worker processes, one
+    per CPU; otherwise they run here and no process is started.  An exception
+    raised by a call is raised again in the caller; a worker that dies
+    raises BrokenProcessPool instead of hanging the pool.
+    """
+    args = list(args)
+    workers = min(len(args), len(os.sched_getaffinity(0)))
+    if workers < 2:
+        return [fn(*a) for a in args]
+    # imported only here: importing them slows every start-up
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(workers, multiprocessing.get_context("spawn")) as pool:
+        futures = [pool.submit(fn, *a) for a in args]
+        return [f.result() for f in futures]
+
+
+def _on_own_context(check, quiver: Quiver, n: int, domain, tau_mapping,
+                    root: Root, *args):
+    """check(ctx, root, *args) on a context built for this block alone, so
+    that its memo tables are freed once the block's rows exist."""
+    return check(make_context(quiver, n, domain, tau_mapping), root, *args)
 
 
 # --- seeded random elements ----------------------------------------------------
@@ -138,8 +167,10 @@ def run_klr_relations(quiver: Quiver, n: int, domain=None, bound: int = 2,
                       fuzz_words: int = 100, tau_mapping=None) -> Report:
     ctx = make_context(quiver, n, domain, tau_mapping)
     rows = []
-    for root in all_roots(quiver, n):
-        rows.extend(_sweep_block(ctx, root, bound))
+    for block_rows in _map_blocks(_on_own_context, [
+            (_sweep_block, quiver, n, domain, tau_mapping, root, bound)
+            for root in all_roots(quiver, n)]):
+        rows.extend(block_rows)
 
     fuzz = {}
     checked, failure = associativity_fuzz(ctx, fuzz_triples, seed)
@@ -254,14 +285,17 @@ def homogeneity_fuzz(ctx: KLR, count: int, seed: int, tags=(TAG_MAIN,)):
 
 def _run_presentation(suite: str, theorem: str, check, quiver: Quiver, n: int,
                       domain, bound: int, seed: int, tau_mapping) -> Report:
-    """Run check(ctx, root) -> (instances, notes) on one block per class."""
+    """Run check(ctx, root, bound) -> (instances, notes) on one block per
+    class, each block on its own context."""
     ctx = make_context(quiver, n, domain, tau_mapping)
     if ctx.tau is None:
         raise ValueError("this suite needs a reversal map")
+    roots = root_tau_classes(quiver, ctx.tau, n).reps
     instances = []
     notes = []
-    for root in root_tau_classes(quiver, ctx.tau, n).reps:
-        rows, block_notes = check(ctx, root)
+    for root, (rows, block_notes) in zip(roots, _map_blocks(_on_own_context, [
+            (check, quiver, n, domain, tau_mapping, root, bound)
+            for root in roots])):
         for r in rows:
             r["block"] = str(root)
         instances.extend(rows)
@@ -278,21 +312,23 @@ def _run_presentation(suite: str, theorem: str, check, quiver: Quiver, n: int,
     return Report(suite, params, seed, ok, payload, lines)
 
 
+def _alt_block(ctx: KLR, root: Root, bound: int):
+    rows, notes = alternating.verify_alt_presentation(ctx, root)
+    return rows + alternating.express_coverage(ctx, root, bound), notes
+
+
 def run_alt_presentation(quiver: Quiver, n: int, domain=None, bound: int = 1,
                          seed: int = 0, tau_mapping=None) -> Report:
-    def check(ctx, root):
-        rows, notes = alternating.verify_alt_presentation(ctx, root)
-        return rows + alternating.express_coverage(ctx, root, bound), notes
     return _run_presentation("alt-presentation", "alternating presentation",
-                             check, quiver, n, domain, bound, seed, tau_mapping)
+                             _alt_block, quiver, n, domain, bound, seed,
+                             tau_mapping)
 
 
 def run_signed_relations(quiver: Quiver, n: int, domain=None, bound: int = 1,
                          seed: int = 0, tau_mapping=None) -> Report:
-    def check(ctx, root):
-        return alternating.verify_signed_relations(ctx, root, bound)
     return _run_presentation("signed-relations", "signed presentation",
-                             check, quiver, n, domain, bound, seed, tau_mapping)
+                             alternating.verify_signed_relations, quiver, n,
+                             domain, bound, seed, tau_mapping)
 
 
 def run_clifford(quiver: Quiver, n: int, domain=None, bound: int = 1,
@@ -306,9 +342,9 @@ def run_clifford(quiver: Quiver, n: int, domain=None, bound: int = 1,
     all_ok = True
     blocks = {}
     lines_body = []
-    for root in roots:
-        ok, axioms, meta = signop.clifford_axioms_check(
-            ctx, root, None, bound=bound, seed=seed, max_pairs=max_pairs)
+    for root, (ok, axioms, _) in zip(roots, _map_blocks(_on_own_context, [
+            (signop.clifford_axioms_check, quiver, n, domain, tau_mapping,
+             root, None, bound, seed, max_pairs) for root in roots])):
         all_ok = all_ok and ok
         blocks[str(root)] = axioms
         for name, res in sorted(axioms.items()):

@@ -128,6 +128,9 @@ def test_field_flag(capsys):
     ["verify", "clifford", "--n", "0"],
     ["verify", "alt-presentation", "--n", "0"],
     ["verify", "dims", "--n", "0"],
+    # zero checks would pass vacuously
+    ["verify", "klr-relations", "--n", "1", "--fuzz", "0"],
+    ["verify", "clifford", "--n", "1", "--max-pairs", "0"],
 ])
 def test_malformed_input_exits2(capsys, argv):
     # argparse refuses a bad flag value by raising SystemExit(2)
