@@ -481,30 +481,42 @@ class KLR:
     # --- products ------------------------------------------------------------
 
     def _mono_pair(self, m1: Mono, m2: Mono) -> dict:
+        """The product m1 m2; zero, and not memoised, unless e(m1.seq) on
+        the right of m1 meets the face of m2 on the same tag."""
+        if m1.tag != m2.tag or m1.seq != self.mono_face(m2):
+            return {}
         key = (m1, m2)
         cached = self._pair_cache.get(key)
         if cached is not None:
             return cached
-        if m1.tag != m2.tag or m1.seq != self.mono_face(m2):
-            out: dict = {}
-        else:
-            out = {m2: self.dom.one}
-            for pos in range(self.n):
-                for _ in range(m1.a[pos]):
-                    out = self._apply_y(pos + 1, out)
-            for c in reversed(canonical_word(m1.w)):
-                out = self._apply_psi(c, out)
+        out = {m2: self.dom.one}
+        for pos in range(self.n):
+            for _ in range(m1.a[pos]):
+                out = self._apply_y(pos + 1, out)
+        for c in reversed(canonical_word(m1.w)):
+            out = self._apply_psi(c, out)
         if len(self._pair_cache) < self.cache_limit:
             self._pair_cache[key] = out
         return out
 
     def multiply(self, x: Element, y: Element) -> Element:
+        """x y, visiting only the term pairs whose idempotents meet.
+
+        The algebra is the sum of its pieces e(i) R e(j), so m1 m2 is zero
+        unless m2's face carries m1's tag and sequence.  y's terms are
+        grouped by (tag, face) in their order, so the non-zero products
+        accumulate in the order of the all-pairs loop, and so does the
+        result's term order.
+        """
         self._check_same(x.ctx)
         self._check_same(y.ctx)
         dom = self.dom
+        by_face: dict = {}
+        for m2, c2 in y.terms.items():
+            by_face.setdefault((m2.tag, self.mono_face(m2)), []).append((m2, c2))
         out: dict = {}
         for m1, c1 in x.terms.items():
-            for m2, c2 in y.terms.items():
+            for m2, c2 in by_face.get((m1.tag, m1.seq), ()):
                 _acc(out, self._mono_pair(m1, m2), dom.mul(c1, c2), dom)
         return Element(self, out)
 
@@ -536,11 +548,12 @@ class KLR:
             raise ShapeError("bound must be >= 0")
         if root.height != self.n:
             raise ShapeError(f"root height {root.height} != n = {self.n}")
+        seqs = self.block_seqs(root)
         monos = [Mono(tag, w, a, s)
                  for tag in tags
                  for w in perms.all_perms(self.n)
                  for a in self.exponents_upto(bound)
-                 for s in self.block_seqs(root)]
+                 for s in seqs]
         monos.sort(key=self.mono_sort_key)
         table: dict = {}
         for m in monos:

@@ -65,6 +65,7 @@ def alt_basis(ctx: KLR, root: Root, bound: int):
     the count is exactly half the truncated ambient monomial count.
     """
     dom = ctx.dom
+    seqs = ctx.block_seqs(root)
     descs = []
     elems = []
     table: dict = {}
@@ -72,7 +73,7 @@ def alt_basis(ctx: KLR, root: Root, bound: int):
         lw = length(w)
         for a in ctx.exponents_upto(bound):
             b = (lw + sum(a)) % 2
-            for s in ctx.block_seqs(root):
+            for s in seqs:
                 m_g = Mono(TAG_MAIN, w, a, s)
                 m_o = Mono(TAG_OPP, w, a, s)
                 coeff = dom.one if b == 0 else dom.from_int(-1)
@@ -105,10 +106,11 @@ def express_alt(ctx: KLR, desc) -> list:
 def full_dims_single(ctx: KLR, bound: int) -> dict:
     """Graded dimension table of the whole rank-n algebra (single copy),
     truncated at |a| <= bound."""
+    seqs = all_seqs(ctx.quiver, ctx.n)
     table: dict = {}
     for w in perms.all_perms(ctx.n):
         for a in ctx.exponents_upto(bound):
-            for s in all_seqs(ctx.quiver, ctx.n):
+            for s in seqs:
                 d = ctx.mono_degree(Mono(TAG_MAIN, w, a, s))
                 table[d] = table.get(d, 0) + 1
     return dict(sorted(table.items()))

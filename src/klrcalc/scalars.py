@@ -39,7 +39,8 @@ class Rationals:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        return Fraction(1, 1) / a
+        q = Fraction(1) / a
+        return q.numerator if q.denominator == 1 else q
 
     def from_int(self, k: int):
         return k

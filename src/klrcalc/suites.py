@@ -9,6 +9,7 @@ byte-identically for identical inputs, so text output is golden-file safe.
 from __future__ import annotations
 
 import json
+import math
 import os
 import random
 from dataclasses import dataclass, field
@@ -52,18 +53,35 @@ def make_context(quiver: Quiver, n: int, domain=None, tau_mapping=None) -> KLR:
     return KLR(quiver, n, domain, tau)
 
 
-def _map_blocks(fn, args) -> list:
+# Block work (see `_block_work`) below which the blocks are checked in the
+# calling process.  Starting spawned workers costs about 0.3 s; on a 2-CPU
+# host the pool broke even at about 1,600 (klr-relations --n 3) and won
+# from about 1,900 (klr-relations --n 4 --bound 0).
+POOL_MIN_WORK = 1_800
+
+
+def _block_work(n: int, bound: int, roots) -> int:
+    """Sum over the blocks of n! C(bound + n, n) |I^beta|, the size of their
+    bases truncated at |a| <= bound, counted without listing them."""
+    per_seq = math.factorial(n) * math.comb(bound + n, n)
+    return sum(per_seq * math.factorial(n)
+               // math.prod(math.factorial(m) for _, m in root.items)
+               for root in roots)
+
+
+def _map_blocks(fn, args, work: int = POOL_MIN_WORK) -> list:
     """[fn(*a) for a in args], in input order.
 
     Blocks are independent (their idempotents are central), so with two or
-    more usable CPUs the calls run in a pool of spawned worker processes, one
-    per CPU; otherwise they run here and no process is started.  An exception
-    raised by a call is raised again in the caller; a worker that dies
-    raises BrokenProcessPool instead of hanging the pool.
+    more usable CPUs and an estimated `work` (see `_block_work`) of at least
+    POOL_MIN_WORK, the default, the calls run in a pool of spawned worker
+    processes, one per CPU; otherwise they run here and no process is
+    started.  An exception raised by a call is raised again in the caller;
+    a worker that dies raises BrokenProcessPool instead of hanging the pool.
     """
     args = list(args)
     workers = min(len(args), len(os.sched_getaffinity(0)))
-    if workers < 2:
+    if workers < 2 or work < POOL_MIN_WORK:
         return [fn(*a) for a in args]
     # imported only here: importing them slows every start-up
     import multiprocessing
@@ -166,10 +184,11 @@ def run_klr_relations(quiver: Quiver, n: int, domain=None, bound: int = 2,
                       seed: int = 0, fuzz_triples: int = 100,
                       fuzz_words: int = 100, tau_mapping=None) -> Report:
     ctx = make_context(quiver, n, domain, tau_mapping)
+    roots = all_roots(quiver, n)
     rows = []
     for block_rows in _map_blocks(_on_own_context, [
             (_sweep_block, quiver, n, domain, tau_mapping, root, bound)
-            for root in all_roots(quiver, n)]):
+            for root in roots], _block_work(n, bound, roots)):
         rows.extend(block_rows)
 
     fuzz = {}
@@ -295,7 +314,7 @@ def _run_presentation(suite: str, theorem: str, check, quiver: Quiver, n: int,
     notes = []
     for root, (rows, block_notes) in zip(roots, _map_blocks(_on_own_context, [
             (check, quiver, n, domain, tau_mapping, root, bound)
-            for root in roots])):
+            for root in roots], _block_work(n, bound, roots))):
         for r in rows:
             r["block"] = str(root)
         instances.extend(rows)
@@ -344,7 +363,8 @@ def run_clifford(quiver: Quiver, n: int, domain=None, bound: int = 1,
     lines_body = []
     for root, (ok, axioms, _) in zip(roots, _map_blocks(_on_own_context, [
             (signop.clifford_axioms_check, quiver, n, domain, tau_mapping,
-             root, None, bound, seed, max_pairs) for root in roots])):
+             root, None, bound, seed, max_pairs) for root in roots],
+            _block_work(n, bound, roots))):
         all_ok = all_ok and ok
         blocks[str(root)] = axioms
         for name, res in sorted(axioms.items()):

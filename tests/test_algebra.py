@@ -127,6 +127,64 @@ def test_degree_additive_on_products(c3n3):
             assert z.degree() == x.degree() + y.degree()
 
 
+def all_pairs_product(ctx, x, y) -> dict:
+    """x y by its definition: every term pair, in order, through _mono_pair."""
+    dom = ctx.dom
+    out = {}
+    for m1, c1 in x.terms.items():
+        for m2, c2 in y.terms.items():
+            for m, c in ctx._mono_pair(m1, m2).items():
+                s = dom.add(out.get(m, dom.from_int(0)), dom.mul(dom.mul(c1, c2), c))
+                if dom.is_zero(s):
+                    out.pop(m, None)
+                else:
+                    out[m] = s
+    return out
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp:5"])
+def test_multiply_matches_all_pairs_definition(field):
+    dom = K.domain_from_flag(field)
+    q = K.cycle(3)
+    seqs = [s for content in ({0: 1, 1: 1, 2: 1}, {0: 2, 1: 1})
+            for s in K.sequences(q, K.make_root(q, content))]
+    ctx = K.make_context(q, 3, dom)
+    rng = random.Random(17)
+    meeting = missing = 0
+    for _ in range(300):
+        x = random_element(ctx, rng, seqs, (K.TAG_MAIN, K.TAG_OPP), max_terms=6)
+        y = random_element(ctx, rng, seqs, (K.TAG_MAIN, K.TAG_OPP), max_terms=6)
+        for m1 in x.terms:
+            for m2 in y.terms:
+                if (m1.tag, m1.seq) == (m2.tag, ctx.mono_face(m2)):
+                    meeting += 1
+                else:
+                    missing += 1
+        want = all_pairs_product(K.make_context(q, 3, dom), x, y)
+        # term for term and in the same order
+        assert list((x * y).terms.items()) == list(want.items())
+    assert meeting > 100 and missing > 1000
+    # the product visits, and so memoises, only pairs whose faces meet
+    assert ctx._pair_cache
+    for m1, m2 in ctx._pair_cache:
+        assert (m1.tag, m1.seq) == (m2.tag, ctx.mono_face(m2))
+
+    # cancelling terms: psi_1^2 e(0,1,2) is y_1 - y_2 up to sign, and a
+    # y_1 term of x on the same idempotent cancels its y_1 part
+    i = (0, 1, 2)
+    psi = Mono("G", (1, 0, 2), (0, 0, 0), (1, 0, 2))
+    y1 = Mono("G", (0, 1, 2), (1, 0, 0), i)
+    m2 = Mono("G", (1, 0, 2), (0, 0, 0), i)
+    square = ctx.multiply(Element(ctx, {psi: 1}), Element(ctx, {m2: 1}))
+    assert set(square.terms) == {y1, Mono("G", (0, 1, 2), (0, 1, 0), i)}
+    x = ctx.elem({psi: dom.one, y1: dom.neg(square.terms[y1])})
+    y = ctx.elem({m2: dom.one, Mono("G", (0, 1, 2), (0, 0, 0), i): dom.one})
+    got = x * y
+    assert list(got.terms) == [Mono("G", (0, 1, 2), (0, 1, 0), i)]
+    assert list(got.terms.items()) == list(
+        all_pairs_product(ctx, x, y).items())
+
+
 def test_enumerate_basis_counts():
     q = K.cycle(3)
     ctx1 = K.KLR(q, 1)

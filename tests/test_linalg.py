@@ -33,3 +33,25 @@ def test_span_utilities():
     assert ech.reduce({"z": 1}) == {"z": 1}
     assert not spans_equal(a, [{"x": 1}], dom)
     assert not spans_equal([{"x": 1}], a, dom)
+
+
+def test_integral_rational_inverse_stays_int():
+    dom = Rationals()
+    assert type(dom.inv(1)) is int and dom.inv(1) == 1
+    assert type(dom.inv(-1)) is int and dom.inv(-1) == -1
+    assert type(dom.inv(Fraction(-1, 3))) is int and dom.inv(Fraction(-1, 3)) == -3
+    assert type(dom.inv(2)) is Fraction and dom.inv(2) == Fraction(1, 2)
+    fp = PrimeField(5)
+    assert [fp.inv(a) for a in (1, 2, 3, 4, -1)] == [1, 3, 2, 4, 4]
+
+
+def test_echelon_with_unit_pivots_stays_in_ints():
+    dom = Rationals()
+    rows = [{"a": 1, "b": -1, "c": 1}, {"b": -1, "c": 1, "d": 1}, {"c": 1, "d": -1},
+            {"a": -1, "d": 1, "e": 1}, {"a": 1, "e": -1}]
+    ech = Echelon(dom, rows)
+    assert ech.rank == 5
+    entries = [v for row in ech.pivots.values() for v in row.values()]
+    assert entries and all(type(v) is int for v in entries)
+    # a genuine fraction still appears where a pivot is not a unit
+    assert Echelon(dom, [{"a": 2, "b": 1}]).pivots["a"] == {"a": 1, "b": Fraction(1, 2)}
