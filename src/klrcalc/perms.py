@@ -24,6 +24,7 @@ import itertools
 Perm = tuple
 
 _CANWORD_CACHE: dict = {}
+_LENGTH_CACHE: dict = {}
 _MOVE_PATH_CACHE: dict = {}
 
 
@@ -45,8 +46,13 @@ def inverse(p: Perm) -> Perm:
 
 def length(p: Perm) -> int:
     """Number of inversions = Coxeter length."""
+    cached = _LENGTH_CACHE.get(p)
+    if cached is not None:
+        return cached
     n = len(p)
-    return sum(1 for i in range(n) for j in range(i + 1, n) if p[i] > p[j])
+    out = sum(1 for i in range(n) for j in range(i + 1, n) if p[i] > p[j])
+    _LENGTH_CACHE[p] = out
+    return out
 
 
 def left_mul_s(r: int, p: Perm) -> Perm:

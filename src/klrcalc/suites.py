@@ -54,10 +54,11 @@ def make_context(quiver: Quiver, n: int, domain=None, tau_mapping=None) -> KLR:
 
 
 # Block work (see `_block_work`) below which the blocks are checked in the
-# calling process.  Starting spawned workers costs about 0.3 s; on a 2-CPU
-# host the pool broke even at about 1,600 (klr-relations --n 3) and won
-# from about 1,900 (klr-relations --n 4 --bound 0).
-POOL_MIN_WORK = 1_800
+# calling process.  The forked pool starts in about 15 ms but still costs
+# more than it saves on small runs: on a 2-CPU host it lost at 648
+# (klr-relations --n 3 --bound 1), tied at 1,200 (alt-presentation --n 4
+# --bound 0) and won from 1,620 (klr-relations --n 3).
+POOL_MIN_WORK = 1_500
 
 
 def _block_work(n: int, bound: int, roots) -> int:
@@ -74,10 +75,24 @@ def _map_blocks(fn, args, work: int = POOL_MIN_WORK) -> list:
 
     Blocks are independent (their idempotents are central), so with two or
     more usable CPUs and an estimated `work` (see `_block_work`) of at least
-    POOL_MIN_WORK, the default, the calls run in a pool of spawned worker
-    processes, one per CPU; otherwise they run here and no process is
-    started.  An exception raised by a call is raised again in the caller;
-    a worker that dies raises BrokenProcessPool instead of hanging the pool.
+    POOL_MIN_WORK, the default, the calls run in a pool of worker processes,
+    one per CPU; otherwise they run here and no process is started.  An
+    exception raised by a call is raised again in the caller once the calls
+    not yet started are cancelled; a worker that dies raises
+    BrokenProcessPool instead of hanging the pool.
+
+    The workers are forked: they start as copies of this process, with
+    klrcalc imported and its pages shared copy-on-write, so they import
+    nothing and replay no `__main__`.  That is safe here because
+    - no thread exists at fork time: with a fork context the executor
+      starts all its workers before its manager thread, and klrcalc starts
+      no thread of its own;
+    - no report line is printed twice: stdio is flushed before each fork;
+    - no clean-up of this process runs in a worker: workers leave through
+      `os._exit`, so no `finally` block or atexit handler runs there;
+    - no engine memo is shared: every block builds its own context (see
+      `_on_own_context`); the one memo inherited is `perms`' module-level
+      caches of pure functions, shared copy-on-write.
     """
     args = list(args)
     workers = min(len(args), len(os.sched_getaffinity(0)))
@@ -86,9 +101,12 @@ def _map_blocks(fn, args, work: int = POOL_MIN_WORK) -> list:
     # imported only here: importing them slows every start-up
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(workers, multiprocessing.get_context("spawn")) as pool:
+    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"))
+    try:
         futures = [pool.submit(fn, *a) for a in args]
         return [f.result() for f in futures]
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _on_own_context(check, quiver: Quiver, n: int, domain, tau_mapping,

@@ -4,6 +4,9 @@ in-process path give the same results and the same report bytes."""
 import hashlib
 import multiprocessing
 import os
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -32,6 +35,48 @@ def test_map_blocks_raises_worker_errors(monkeypatch):
     # a usage error raised in a worker reaches the CLI, which exits 2
     with pytest.raises(ValueError):
         suites._map_blocks(int, [("1",), ("x",)])
+
+
+def mark_then_sleep(path, k):
+    """Leave a marker for call k, then fail at once (k = 0) or take 0.2 s."""
+    open(os.path.join(path, str(k)), "w").close()
+    if k == 0:
+        raise ValueError("first call fails")
+    time.sleep(0.2)
+
+
+def test_map_blocks_cancels_pending_calls_on_error(monkeypatch, tmp_path):
+    usable_cpus(monkeypatch, 2)
+    calls = [(str(tmp_path), k) for k in range(20)]
+    with pytest.raises(ValueError):
+        suites._map_blocks(mark_then_sleep, calls)
+    # the calls still queued when the error arrived never started
+    assert "0" in os.listdir(tmp_path)
+    assert len(os.listdir(tmp_path)) < len(calls)
+
+
+def test_map_blocks_runs_from_a_script_without_main_guard():
+    script = (
+        "import os\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "from klrcalc import suites\n"
+        "suites.POOL_MIN_WORK = 0\n"
+        "print(suites._map_blocks(pow, [(2, k) for k in range(5)]))\n")
+    src = os.path.dirname(os.path.dirname(suites.__file__))
+    done = subprocess.run([sys.executable, "-"], input=script, text=True,
+                          capture_output=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert (done.returncode, done.stdout) == (0, "[1, 2, 4, 8, 16]\n"), done.stderr
+
+
+def pool_min_work():
+    return suites.POOL_MIN_WORK
+
+
+def test_map_blocks_workers_are_forked(monkeypatch):
+    usable_cpus(monkeypatch, 2)
+    # a spawned worker would import suites afresh and read the module's value
+    assert suites._map_blocks(pool_min_work, [(), ()]) == [0, 0]
 
 
 def test_map_blocks_one_cpu_starts_no_process(monkeypatch):

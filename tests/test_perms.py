@@ -30,6 +30,24 @@ def test_word_perm_and_length():
     assert word_perm((1, 2, 1), 3) == w0 == word_perm((2, 1, 2), 3)
 
 
+def bubble_swaps(p):
+    """Oracle: the adjacent swaps bubble sort makes, one per inversion."""
+    q, swaps = list(p), 0
+    for end in range(len(q) - 1, 0, -1):
+        for k in range(end):
+            if q[k] > q[k + 1]:
+                q[k], q[k + 1] = q[k + 1], q[k]
+                swaps += 1
+    return swaps
+
+
+def test_length_counts_inversions():
+    # twice over S_5: the second pass reads the memo the first one filled
+    for _ in range(2):
+        for p in all_perms(5):
+            assert length(p) == bubble_swaps(p)
+
+
 def test_inverse_and_act_is_group_action():
     for p in all_perms(4):
         assert compose(p, inverse(p)) == identity(4)
