@@ -30,6 +30,12 @@ RUNS = {
                                 "cycle(3)", "--n", "3", "--bound", "1"],
     "signed-relations-path3": ["verify", "signed-relations", "--quiver",
                                "path(3)", "--n", "3", "--bound", "1"],
+    # bounds 3 and 2: most rewrite products carry a non-zero y-exponent
+    "klr-relations-exponents": ["verify", "klr-relations", "--quiver",
+                                "cycle(3)", "--n", "3", "--bound", "3",
+                                "--fuzz", "20"],
+    "signed-relations-exponents": ["verify", "signed-relations", "--quiver",
+                                   "cycle(3)", "--n", "3", "--bound", "2"],
     "clifford": ["verify", "clifford", "--n", "2"],
     "dims": ["verify", "dims", "--n", "1", "--bound", "6"],
 }
@@ -66,6 +72,14 @@ GOLDEN = {
         "85d552258d612535039ece2d5f30c1d4adc926cb5354ee051a323223de712fd8",
     ("signed-relations-path3", "json"):
         "71ba73bd1d6b6fc2d05477be2635bdaa82d269844eb553232c901dcd769aed58",
+    ("klr-relations-exponents", "text"):
+        "37db99488fb1a87c2d55a96ffcec425d69a852b0e8fee2fae1ded2c854667a8f",
+    ("klr-relations-exponents", "json"):
+        "dd04cc0de57109a574a32dcf7d9a54845808ca432e9e4941ad89454c1cf6f366",
+    ("signed-relations-exponents", "text"):
+        "cdb208ceb84765e2beac6eb1353b56e8c4923414380d0b584b6d7c6e8e379245",
+    ("signed-relations-exponents", "json"):
+        "479deabe34e08cfa3aa233063aadb99ee23d0b41b242cd5bc1c0c04bf1d33e7e",
     ("clifford", "text"):
         "ba4491b2447202d434b68e5b2727879863632be59fece390e6ddd6fb67afa616",
     ("clifford", "json"):
