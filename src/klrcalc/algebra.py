@@ -25,6 +25,12 @@ walks themselves, which are finite precomputed paths, so the rewrite
 terminates.  Uniqueness of the resulting expansion is a theorem about the
 algebra, not the code; the test suite checks it by confluence fuzzing.
 
+The rewriting never reads an exponent.  y^a sits right of every psi letter,
+and the y's commute with each other and with e(seq), so psi_word y^a e(seq)
+= (psi_word e(seq)) y^a, and right multiplication by y^a adds a to each
+term's exponent.  The memo tables therefore hold exponent-free products,
+and a caller's exponent is added to each term as the terms are accumulated.
+
 The defining presentation is also written down as data, apart from the
 rewrite rules: `KLR_RELATIONS` lists the relation families once, and
 `relation_instances` evaluates them in any realisation of the generators,
@@ -33,6 +39,7 @@ each word through `evaluate`, a right-to-left product memoised by suffix.
 
 from __future__ import annotations
 
+from operator import add
 from typing import Callable, NamedTuple, Sequence
 
 from . import perms
@@ -154,10 +161,15 @@ def _acc1(out: dict, m: Mono, c, dom) -> None:
         out[m] = s
 
 
-def _acc(out: dict, src: dict, scale, dom) -> None:
+def _acc(out: dict, src: dict, scale, dom, a=None) -> None:
+    """out += scale src y^a: y^a, right of every psi letter, adds a to the
+    exponent of each term of src (no `a`: src as it is)."""
     if dom.is_zero(scale):
         return
+    shift = a is not None and any(a)
     for m, c in src.items():
+        if shift:
+            m = Mono(m.tag, m.w, tuple(map(add, m.a, a)), m.seq)
         _acc1(out, m, dom.mul(scale, c), dom)
 
 
@@ -167,6 +179,12 @@ class KLR:
     Holds the quiver, the strand count n, the coefficient domain, an optional
     validated reversal map, and all rewrite memo tables.  Elements are tied
     to their context; contexts with equal (quiver, n, domain) are compatible.
+
+    The memo tables hold exponent-free products: psi_word e(seq) by
+    (word, seq, tag), y_s psi_w e(seq) by (s, w, seq, tag), and m1 psi_w
+    e(seq) by (m1, w, seq).  A term's y^a is right of every psi letter and
+    commutes with e(seq) and the other y's, so its product is the memoised
+    one times y^a, and the rewriting never reads a.
     """
 
     def __init__(self, quiver: Quiver, n: int, domain=None, tau=None):
@@ -178,6 +196,7 @@ class KLR:
         self.tau = tau
         self.key = (quiver, n, self.dom)
         self._zero_a = (0,) * n
+        self._unit_a = tuple(tuple(int(k == r) for k in range(n)) for r in range(n))
         self._id_perm = perms.identity(n)
         self._y_cache: dict = {}
         self._word_cache: dict = {}
@@ -235,8 +254,7 @@ class KLR:
         self._check_y_index(r)
         if seqs is None:
             seqs = all_seqs(self.quiver, self.n)
-        a = tuple(1 if k == r - 1 else 0 for k in range(self.n))
-        terms = {Mono(tag, self._id_perm, a, tuple(s)): self.dom.one
+        terms = {Mono(tag, self._id_perm, self._unit_a[r - 1], tuple(s)): self.dom.one
                  for tag in tags for s in seqs}
         return Element(self, terms)
 
@@ -324,25 +342,26 @@ class KLR:
         dom = self.dom
         out: dict = {}
         for m, c in terms.items():
-            _acc(out, self._y_mono(s, m), c, dom)
+            _acc(out, self._y_mono(s, m.w, m.seq, m.tag), c, dom, m.a)
         return out
 
     def _apply_psi(self, r: int, terms: dict) -> dict:
         dom = self.dom
         out: dict = {}
         for m, c in terms.items():
-            _acc(out, self._word_nf((r,) + canonical_word(m.w), m.a, m.seq, m.tag),
-                 c, dom)
+            _acc(out, self._word_nf((r,) + canonical_word(m.w), m.seq, m.tag),
+                 c, dom, m.a)
         return out
 
     # --- the rewrite core ----------------------------------------------------
 
-    def _y_mono(self, s: int, m: Mono) -> dict:
-        key = (s, m)
+    def _y_mono(self, s: int, w: tuple, seq: tuple, tag: str) -> dict:
+        """Normal form of y_s psi_w e(seq)."""
+        key = (s, w, seq, tag)
         cached = self._y_cache.get(key)
         if cached is not None:
             return cached
-        out = self._insert_y((), s, canonical_word(m.w), m.a, m.seq, m.tag)
+        out = self._insert_y((), s, canonical_word(w), seq, tag)
         if len(self._y_cache) < self.cache_limit:
             self._y_cache[key] = out
         return out
@@ -371,20 +390,21 @@ class KLR:
                     cur = c
         return cur, corrections
 
-    def _word_nf(self, word: tuple, a: tuple, seq: tuple, tag: str) -> dict:
-        """Normal form of psi_word y^a e(seq) for an arbitrary psi word."""
-        key = (word, a, seq, tag)
+    def _word_nf(self, word: tuple, seq: tuple, tag: str) -> dict:
+        """Normal form of psi_word e(seq) for an arbitrary psi word."""
+        key = (word, seq, tag)
         cached = self._word_cache.get(key)
         if cached is not None:
             return cached
-        out = self._word_nf_uncached(word, a, seq, tag)
+        out = self._word_nf_uncached(word, seq, tag)
         if len(self._word_cache) < self.cache_limit:
             self._word_cache[key] = out
         return out
 
-    def _word_nf_uncached(self, word: tuple, a: tuple, seq: tuple, tag: str) -> dict:
+    def _word_nf_uncached(self, word: tuple, seq: tuple, tag: str) -> dict:
         dom = self.dom
         n = self.n
+        a = self._zero_a
         if not word:
             return {Mono(tag, self._id_perm, a, seq): dom.one}
         v = word_perm(word, n)
@@ -393,7 +413,7 @@ class KLR:
             if word == cw:
                 return {Mono(tag, v, a, seq): dom.one}
             out: dict = {}
-            self._walk_moves(list(word), perms.move_path(word, cw, n), a, seq, tag, out)
+            self._walk_moves(list(word), perms.move_path(word, cw, n), seq, tag, out)
             _acc1(out, Mono(tag, v, a, seq), dom.one, dom)
             return out
         # shortest non-reduced prefix: word[:k] drops length at letter k-1
@@ -403,7 +423,7 @@ class KLR:
         target = canonical_word(perms.right_mul_s(p, c)) + (c,)
         out = {}
         cur = list(word)
-        self._walk_moves(cur, perms.move_path(prefix, target, n), a, seq, tag, out)
+        self._walk_moves(cur, perms.move_path(prefix, target, n), seq, tag, out)
         # cur is now Q + (c, c) + rest; fire the psi^2 relation at the face
         q_word = tuple(cur[:k - 2])
         rest = tuple(cur[k:])
@@ -412,15 +432,15 @@ class KLR:
         if jr == js:
             pass  # psi_c^2 e = 0
         elif self.arrow(tag, jr, js):
-            _acc(out, self._insert_y(q_word, c, rest, a, seq, tag), dom.one, dom)
-            _acc(out, self._insert_y(q_word, c + 1, rest, a, seq, tag),
+            _acc(out, self._insert_y(q_word, c, rest, seq, tag), dom.one, dom)
+            _acc(out, self._insert_y(q_word, c + 1, rest, seq, tag),
                  dom.from_int(-1), dom)
         elif self.arrow(tag, js, jr):
-            _acc(out, self._insert_y(q_word, c + 1, rest, a, seq, tag), dom.one, dom)
-            _acc(out, self._insert_y(q_word, c, rest, a, seq, tag),
+            _acc(out, self._insert_y(q_word, c + 1, rest, seq, tag), dom.one, dom)
+            _acc(out, self._insert_y(q_word, c, rest, seq, tag),
                  dom.from_int(-1), dom)
         else:
-            _acc(out, self._word_nf(q_word + rest, a, seq, tag), dom.one, dom)
+            _acc(out, self._word_nf(q_word + rest, seq, tag), dom.one, dom)
         return out
 
     def _first_drop(self, word: tuple) -> int:
@@ -433,8 +453,7 @@ class KLR:
             p[c - 1], p[c] = p[c], p[c - 1]
         raise ValueError("word is reduced")
 
-    def _walk_moves(self, cur: list, moves, a: tuple, seq: tuple, tag: str,
-                    out: dict) -> None:
+    def _walk_moves(self, cur: list, moves, seq: tuple, tag: str, out: dict) -> None:
         """Apply elementary moves in place, accumulating braid corrections.
 
         After a braid move at position t the element picks up a correction
@@ -461,21 +480,19 @@ class KLR:
                 sign = -sign
             if sign:
                 deleted = tuple(cur[:t] + cur[t + 3:])
-                _acc(out, self._word_nf(deleted, a, seq, tag),
-                     dom.from_int(sign), dom)
+                _acc(out, self._word_nf(deleted, seq, tag), dom.from_int(sign), dom)
             cur[t], cur[t + 1], cur[t + 2] = q, p, q
 
-    def _insert_y(self, prefix: tuple, s: int, rest: tuple, a: tuple,
-                  seq: tuple, tag: str) -> dict:
-        """Normal form of psi_prefix y_s psi_rest y^a e(seq)."""
+    def _insert_y(self, prefix: tuple, s: int, rest: tuple, seq: tuple,
+                  tag: str) -> dict:
+        """Normal form of psi_prefix y_s psi_rest e(seq)."""
         dom = self.dom
         final_s, corrections = self._y_through(s, rest, seq)
-        a2 = list(a)
-        a2[final_s - 1] += 1
-        out = dict(self._word_nf(prefix + rest, tuple(a2), seq, tag))
+        out: dict = {}
+        _acc(out, self._word_nf(prefix + rest, seq, tag), dom.one, dom,
+             self._unit_a[final_s - 1])
         for rest2, sign in corrections:
-            _acc(out, self._word_nf(prefix + rest2, a, seq, tag),
-                 dom.from_int(sign), dom)
+            _acc(out, self._word_nf(prefix + rest2, seq, tag), dom.from_int(sign), dom)
         return out
 
     # --- products ------------------------------------------------------------
@@ -485,11 +502,18 @@ class KLR:
         the right of m1 meets the face of m2 on the same tag."""
         if m1.tag != m2.tag or m1.seq != self.mono_face(m2):
             return {}
-        key = (m1, m2)
+        out: dict = {}
+        _acc(out, self._pair_nf(m1, m2), self.dom.one, self.dom, m2.a)
+        return out
+
+    def _pair_nf(self, m1: Mono, m2: Mono) -> dict:
+        """m1 psi_w e(seq), memoised, for an m2 = psi_w y^b e(seq) whose face
+        meets m1's right idempotent: the product m1 m2 is this times y^b."""
+        key = (m1, m2.w, m2.seq)
         cached = self._pair_cache.get(key)
         if cached is not None:
             return cached
-        out = {m2: self.dom.one}
+        out = {Mono(m2.tag, m2.w, self._zero_a, m2.seq): self.dom.one}
         for pos in range(self.n):
             for _ in range(m1.a[pos]):
                 out = self._apply_y(pos + 1, out)
@@ -517,7 +541,7 @@ class KLR:
         out: dict = {}
         for m1, c1 in x.terms.items():
             for m2, c2 in by_face.get((m1.tag, m1.seq), ()):
-                _acc(out, self._mono_pair(m1, m2), dom.mul(c1, c2), dom)
+                _acc(out, self._pair_nf(m1, m2), dom.mul(c1, c2), dom, m2.a)
         return Element(self, out)
 
     def word_element(self, tokens, seq, tag: str = TAG_MAIN) -> Element:

@@ -174,7 +174,7 @@ def _dispatch(args) -> int:
         kwargs["fuzz_words"] = args.fuzz
     elif name == "clifford":
         kwargs["max_pairs"] = args.max_pairs
-        if args.block:
+        if args.block is not None:
             kwargs["block"] = _parse_block(quiver, args.block)
     report = suites.SUITES[name](quiver, args.n, dom, **kwargs)
     print(suites.emit_report(report, args.format))

@@ -39,6 +39,8 @@ class Rationals:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
+        if a == 1 or a == -1:
+            return int(a)
         q = Fraction(1) / a
         return q.numerator if q.denominator == 1 else q
 

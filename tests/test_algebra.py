@@ -6,8 +6,8 @@ import pytest
 
 import klrcalc as K
 from klrcalc import suites
-from klrcalc.algebra import E, Element, Mono, Realisation, evaluate
-from klrcalc.perms import all_perms, canonical_word, length
+from klrcalc.algebra import TAGS_BOTH, E, Element, Mono, Realisation, evaluate
+from klrcalc.perms import act, all_perms, canonical_word, length
 from klrcalc.scalars import PrimeField
 from klrcalc.suites import random_element
 
@@ -166,7 +166,8 @@ def test_multiply_matches_all_pairs_definition(field):
     assert meeting > 100 and missing > 1000
     # the product visits, and so memoises, only pairs whose faces meet
     assert ctx._pair_cache
-    for m1, m2 in ctx._pair_cache:
+    for m1, w, seq in ctx._pair_cache:
+        m2 = Mono(m1.tag, w, (0, 0, 0), seq)
         assert (m1.tag, m1.seq) == (m2.tag, ctx.mono_face(m2))
 
     # cancelling terms: psi_1^2 e(0,1,2) is y_1 - y_2 up to sign, and a
@@ -183,6 +184,64 @@ def test_multiply_matches_all_pairs_definition(field):
     assert list(got.terms) == [Mono("G", (0, 1, 2), (0, 1, 0), i)]
     assert list(got.terms.items()) == list(
         all_pairs_product(ctx, x, y).items())
+
+
+def test_rewrite_memo_is_exponent_free():
+    q = K.cycle(3)
+    ctx = K.make_context(q, 3)
+    root = K.make_root(q, {0: 2, 1: 1})
+    suites._sweep_block(ctx, root, 2)
+    seqs = set(ctx.block_seqs(root))
+    perm_set = set(all_perms(3))
+    assert ctx._word_cache and ctx._y_cache
+    # one entry per (word, seq, tag): no exponent in the key
+    triples = {(k[0], k[-2], k[-1]) for k in ctx._word_cache}
+    assert len(triples) == len(ctx._word_cache)
+    for word, seq, tag in ctx._word_cache:
+        assert all(1 <= c < 3 for c in word) and seq in seqs and tag in TAGS_BOTH
+    for s, w, seq, tag in ctx._y_cache:
+        assert 1 <= s <= 3 and w in perm_set and seq in seqs and tag in TAGS_BOTH
+    # the exponents live in the memoised products
+    assert any(any(m.a) for out in ctx._word_cache.values() for m in out)
+
+
+def shifted(x, b) -> list:
+    """The terms of x times y^b, in x's order."""
+    return [(Mono(m.tag, m.w, tuple(p + q for p, q in zip(m.a, b)), m.seq), c)
+            for m, c in x.terms.items()]
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp:5"])
+def test_products_commute_with_right_y_shift(field):
+    """psi_w y^(a+b) e(i) = (psi_w y^a e(i)) y^b, so a left product of the
+    first is the b-shift of the same product of the second; each side is
+    computed on a fresh context, so no memo is shared between them."""
+    dom = K.domain_from_flag(field)
+    q = K.cycle(3)
+    seqs = [s for content in ({0: 1, 1: 1, 2: 1}, {0: 2, 1: 1})
+            for s in K.sequences(q, K.make_root(q, content))]
+    tags = (K.TAG_MAIN, K.TAG_OPP)
+    rng = random.Random(23)
+    shifts = nonzero = 0
+    for _ in range(60):
+        m = suites.random_mono(K.make_context(q, 3, dom), rng, seqs, tags)
+        b = tuple(rng.randint(0, 2) for _ in range(3))
+        shifts += any(b)
+        mb = Mono(m.tag, m.w, tuple(p + q for p, q in zip(m.a, b)), m.seq)
+        gen = rng.choice([("psi", 1), ("psi", 2), ("y", 1), ("y", 2), ("y", 3),
+                          ("e", act(m.w, m.seq), m.tag)])
+        ctx, ctx_b = K.make_context(q, 3, dom), K.make_context(q, 3, dom)
+        got = ctx_b.gen_left(gen, Element(ctx_b, {mb: dom.one}))
+        assert list(got.terms.items()) == shifted(
+            ctx.gen_left(gen, Element(ctx, {m: dom.one})), b)
+        ctx, ctx_b = K.make_context(q, 3, dom), K.make_context(q, 3, dom)
+        # every term of x ends on m's face, so its products are not zero by a mismatch
+        x = random_element(ctx, rng, [act(m.w, m.seq)], (m.tag,), max_terms=4)
+        got = ctx_b.multiply(Element(ctx_b, x.terms), Element(ctx_b, {mb: dom.one}))
+        assert list(got.terms.items()) == shifted(
+            ctx.multiply(x, Element(ctx, {m: dom.one})), b)
+        nonzero += bool(got.terms)
+    assert shifts > 40 and nonzero > 40
 
 
 def test_enumerate_basis_counts():

@@ -131,6 +131,7 @@ def test_field_flag(capsys):
     # zero checks would pass vacuously
     ["verify", "klr-relations", "--n", "1", "--fuzz", "0"],
     ["verify", "clifford", "--n", "1", "--max-pairs", "0"],
+    ["verify", "clifford", "--n", "2", "--block", ""],
 ])
 def test_malformed_input_exits2(capsys, argv):
     # argparse refuses a bad flag value by raising SystemExit(2)

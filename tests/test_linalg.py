@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+from klrcalc import scalars
 from klrcalc.linalg import Echelon, rank, spans_equal
 from klrcalc.scalars import PrimeField, Rationals
 
@@ -35,10 +36,20 @@ def test_span_utilities():
     assert not spans_equal([{"x": 1}], a, dom)
 
 
-def test_integral_rational_inverse_stays_int():
+def test_integral_rational_inverse_stays_int(monkeypatch):
     dom = Rationals()
+    built = []
+
+    def counting_fraction(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(scalars, "Fraction", counting_fraction)
     assert type(dom.inv(1)) is int and dom.inv(1) == 1
     assert type(dom.inv(-1)) is int and dom.inv(-1) == -1
+    assert type(dom.inv(Fraction(-1))) is int and dom.inv(Fraction(-1)) == -1
+    # a unit is its own inverse: no Fraction is built for it
+    assert built == []
     assert type(dom.inv(Fraction(-1, 3))) is int and dom.inv(Fraction(-1, 3)) == -3
     assert type(dom.inv(2)) is Fraction and dom.inv(2) == Fraction(1, 2)
     fp = PrimeField(5)
