@@ -135,3 +135,49 @@ def test_pool_and_in_process_reports_match(name, fmt, monkeypatch, capsys):
     assert digests[0] == digests[1]
     if (name, fmt) in GOLDEN:
         assert digests[0] == GOLDEN[(name, fmt)]
+
+
+# A seeded fault: the relation table's rhs loses its braid correction, so
+# every braid instance with i_r = i_{r+2} and an arrow between i_r and
+# i_{r+1} fails.  Forked workers inherit the patch.
+FAILING_RUNS = {
+    "alt-presentation": ["verify", "alt-presentation", "--n", "3",
+                         "--bound", "1"],
+    "signed-relations": ["verify", "signed-relations", "--quiver", "cycle(3)",
+                         "--n", "3", "--bound", "1"],
+}
+
+# sha256 of the raw stdout, instance order included
+FAILING_GOLDEN = {
+    ("alt-presentation", "text"):
+        "eac79c6bbc7ab9d4610ca0d80c388e77cd4e0067125404d07b19621c3e80e29a",
+    ("alt-presentation", "json"):
+        "b78f83f14fd6d67e179774db3eea65be7eef49ea87b2312e690d82f65bb44992",
+    ("signed-relations", "text"):
+        "2a416ca2293b8e8c0e638c8036c2be7bee9dfb6bdc4134e34a714c420cdb6a07",
+    ("signed-relations", "json"):
+        "6d7039e9087f780f77c4af50e1cec5b4277cc547d12aeca03230742ed5513135",
+}
+
+
+def drop_braid_correction(monkeypatch):
+    correction = K.algebra._correction
+    monkeypatch.setattr(K.algebra, "_correction",
+                        lambda kind, *args: [] if kind == "braid"
+                        else correction(kind, *args))
+
+
+@pytest.mark.parametrize("pooled", [False, True], ids=["in-process", "pool"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("name", sorted(FAILING_RUNS))
+def test_failing_presentation_report(name, fmt, pooled, monkeypatch, capsys):
+    drop_braid_correction(monkeypatch)
+    if pooled:
+        usable_cpus(monkeypatch, 2)
+    else:
+        monkeypatch.setattr(suites, "POOL_MIN_WORK", 10**9)
+    assert main(FAILING_RUNS[name] + ["--format", fmt]) == 1
+    out = capsys.readouterr().out
+    assert "FAILURES PRESENT" in out if fmt == "text" else '"fail"' in out
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        FAILING_GOLDEN[(name, fmt)]
