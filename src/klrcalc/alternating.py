@@ -298,19 +298,22 @@ def verify_alt_presentation(ctx: KLR, root: Root):
     return out, notes
 
 
-def express_coverage(ctx: KLR, root: Root, bound: int):
+def iter_express_coverage(ctx: KLR, root: Root, bound: int):
     """Reproduce every truncated parity-basis element from its generator
-    word; the words of the block share their suffixes' products."""
+    word, yielding one instance row per element as it is evaluated; the
+    words of the block share their suffixes' products."""
     descs, elems, _ = alt_basis(ctx, root, bound)
     real = _two_copy(ctx, *_alt_gens(ctx, root), seq=lambda i: i)
     memo: dict = {}
-    out = []
     for desc, el in zip(descs, elems):
         got = evaluate(real, tuple(express_alt(ctx, desc)), memo, {})
-        out.append(_instance("express(alt basis element)",
-                             (desc[0], desc[1], desc[2], desc[3]),
-                             lhs=got, rhs=el))
-    return out
+        yield _instance("express(alt basis element)",
+                        (desc[0], desc[1], desc[2], desc[3]), lhs=got, rhs=el)
+
+
+def express_coverage(ctx: KLR, root: Root, bound: int) -> list:
+    """The rows of `iter_express_coverage`, as a list."""
+    return list(iter_express_coverage(ctx, root, bound))
 
 
 # --- the signed companion algebra ----------------------------------------------
@@ -460,12 +463,11 @@ def verify_signed_relations(ctx: KLR, root: Root, bound: int = 1):
                                  lhs=got, rhs=ctx.e(j, TAG_MAIN)))
 
     # even part of the signed algebra = the alternating subalgebra (spans);
-    # b + sgn(b) is twice the even part of b, which spans the same
+    # b + sgn(b) is twice the even part of b, which spans the same.  The
+    # even rows are read once, so each is built only when it is eliminated.
     monos, _ = ctx.enumerate_basis(root, bound, TAGS_BOTH)
-    even_rows = []
-    for m in monos:
-        b = Element(ctx, {m: dom.one})
-        even_rows.append((b + sgn(b)).terms)
+    basis = (Element(ctx, {m: dom.one}) for m in monos)
+    even_rows = ((b + sgn(b)).terms for b in basis)
     _, alt_elems, _ = alt_basis(ctx, root, bound)
     alt_rows = [e.terms for e in alt_elems]
     ok_span = linalg.spans_equal(even_rows, alt_rows, dom)

@@ -172,6 +172,8 @@ def _dispatch(args) -> int:
     if name == "klr-relations":
         kwargs["fuzz_triples"] = args.fuzz
         kwargs["fuzz_words"] = args.fuzz
+    elif name in ("alt-presentation", "signed-relations"):
+        kwargs["fmt"] = args.format  # a text report keeps no passing rows
     elif name == "clifford":
         kwargs["max_pairs"] = args.max_pairs
         if args.block is not None:

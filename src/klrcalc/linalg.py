@@ -64,6 +64,11 @@ def rank(rows, dom) -> int:
 
 
 def spans_equal(rows_a, rows_b, dom) -> bool:
+    """Whether `rows_a` and `rows_b` span the same space.  `rows_a` is read
+    once, so it may be an iterator; `rows_b` is read twice.  The echelon of
+    `rows_a` is released before `rows_b` is ranked."""
     ech = Echelon(dom, rows_a)
-    return (all(not ech.reduce(row) for row in rows_b)
-            and rank(rows_b, dom) == ech.rank)
+    rank_a = ech.rank
+    contained = all(not ech.reduce(row) for row in rows_b)
+    del ech
+    return contained and rank(rows_b, dom) == rank_a

@@ -8,6 +8,7 @@ byte-identically for identical inputs, so text output is golden-file safe.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -28,7 +29,7 @@ class Report:
     params: dict
     seed: int | None
     ok: bool
-    payload: dict
+    payload: dict | None  # None: built for text output only
     text_lines: list = field(default_factory=list)
 
     @property
@@ -37,8 +38,13 @@ class Report:
 
 
 def emit_report(report: Report, fmt: str = "text") -> str:
-    """Render a Report deterministically."""
+    """Render a Report deterministically.  A report built for text output
+    holds no passing instance rows, so it refuses to render JSON rather than
+    print a short list of instances."""
     if fmt == "json":
+        if report.payload is None:
+            raise ValueError(f"this {report.suite} report was built for text "
+                             "output and holds no instance rows")
         return json.dumps(report.payload, sort_keys=True, indent=2)
     return "\n".join(report.text_lines)
 
@@ -76,10 +82,11 @@ def _map_blocks(fn, args, work: int = POOL_MIN_WORK) -> list:
     Blocks are independent (their idempotents are central), so with two or
     more usable CPUs and an estimated `work` (see `_block_work`) of at least
     POOL_MIN_WORK, the default, the calls run in a pool of worker processes,
-    one per CPU; otherwise they run here and no process is started.  An
-    exception raised by a call is raised again in the caller once the calls
-    not yet started are cancelled; a worker that dies raises
-    BrokenProcessPool instead of hanging the pool.
+    one per CPU; otherwise, and where processes cannot be forked (Windows),
+    they run here and no process is started.  An exception raised by a call
+    is raised again in the caller once the calls not yet started are
+    cancelled; a worker that dies raises BrokenProcessPool instead of
+    hanging the pool.
 
     The workers are forked: they start as copies of this process, with
     klrcalc imported and its pages shared copy-on-write, so they import
@@ -95,11 +102,15 @@ def _map_blocks(fn, args, work: int = POOL_MIN_WORK) -> list:
       caches of pure functions, shared copy-on-write.
     """
     args = list(args)
-    workers = min(len(args), len(os.sched_getaffinity(0)))
+    # macOS has no sched_getaffinity: count the machine's CPUs there
+    workers = min(len(args), len(os.sched_getaffinity(0))
+                  if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
     if workers < 2 or work < POOL_MIN_WORK:
         return [fn(*a) for a in args]
     # imported only here: importing them slows every start-up
     import multiprocessing
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return [fn(*a) for a in args]
     from concurrent.futures import ProcessPoolExecutor
     pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"))
     try:
@@ -320,52 +331,94 @@ def homogeneity_fuzz(ctx: KLR, count: int, seed: int, tags=(TAG_MAIN,)):
 # --- the remaining suites ---------------------------------------------------------
 
 
+def _tally_block(ctx: KLR, root: Root, check, bound: int, keep_rows: bool):
+    """check(ctx, root, bound) -> (rows, notes), its rows tallied as they
+    are produced: returns (counts, fails, rows, notes), where counts maps
+    (block, relation) to [instances, failing], fails lists the failing rows
+    in order, and rows is every row if `keep_rows`, else None."""
+    block = str(root)
+    rows, notes = check(ctx, root, bound)
+    counts: dict = {}
+    fails = []
+    kept = [] if keep_rows else None
+    for row in rows:
+        row["block"] = block
+        tally = counts.setdefault((block, row["relation"]), [0, 0])
+        tally[0] += 1
+        if row["status"] != "pass":
+            tally[1] += 1
+            fails.append(row)
+        if keep_rows:
+            kept.append(row)
+    return counts, fails, kept, notes
+
+
 def _run_presentation(suite: str, theorem: str, check, quiver: Quiver, n: int,
-                      domain, bound: int, seed: int, tau_mapping) -> Report:
-    """Run check(ctx, root, bound) -> (instances, notes) on one block per
-    class, each block on its own context."""
+                      domain, bound: int, seed: int, tau_mapping,
+                      fmt: str) -> Report:
+    """Run check(ctx, root, bound) -> (rows, notes) on one block per class,
+    each block on its own context, and report per (block, relation) its
+    instance and failing counts, then every failing row.
+
+    With fmt "text" a block hands back only those tallies and its failing
+    rows (see `_tally_block`), and the report renders text only.  With fmt
+    "json" every row comes back for the payload's "instances", a list that
+    grows with the truncated basis."""
     ctx = make_context(quiver, n, domain, tau_mapping)
     if ctx.tau is None:
         raise ValueError("this suite needs a reversal map")
     roots = root_tau_classes(quiver, ctx.tau, n).reps
-    instances = []
+    counts: dict = {}
+    fails = []
+    instances = [] if fmt == "json" else None
     notes = []
-    for root, (rows, block_notes) in zip(roots, _map_blocks(_on_own_context, [
-            (check, quiver, n, domain, tau_mapping, root, bound)
-            for root in roots], _block_work(n, bound, roots))):
-        for r in rows:
-            r["block"] = str(root)
-        instances.extend(rows)
+    for block_counts, block_fails, rows, block_notes in _map_blocks(
+            _on_own_context,
+            [(_tally_block, quiver, n, domain, tau_mapping, root, check, bound,
+              instances is not None) for root in roots],
+            _block_work(n, bound, roots)):
+        counts.update(block_counts)
+        fails += block_fails
+        if instances is not None:
+            instances += rows
         for note in block_notes:
             if note not in notes:
                 notes.append(note)
-    ok = all(r["status"] == "pass" for r in instances)
+    ok = not fails
     params = {"quiver": quiver.name, "n": n, "bound": bound, "field": ctx.dom.name}
-    payload = {"suite": suite, "theorem": theorem, "params": params,
-               "seed": seed, "notes": notes, "instances": instances}
+    payload = None if instances is None else {
+        "suite": suite, "theorem": theorem, "params": params, "seed": seed,
+        "notes": notes, "instances": instances}
     lines = _text_header(suite, params, seed, notes)
-    lines += _instance_lines(instances)
+    for (block, rel), (total, bad) in sorted(counts.items()):
+        status = "FAIL" if bad else "PASS"
+        lines.append(f"{status} [{block}] {rel} ({total} instances, {bad} failing)")
+    for inst in fails:
+        lines.append(f"  failing instance: {json.dumps(inst, sort_keys=True, default=str)}")
     lines.append(_verdict(ok))
     return Report(suite, params, seed, ok, payload, lines)
 
 
 def _alt_block(ctx: KLR, root: Root, bound: int):
     rows, notes = alternating.verify_alt_presentation(ctx, root)
-    return rows + alternating.express_coverage(ctx, root, bound), notes
+    return itertools.chain(
+        rows, alternating.iter_express_coverage(ctx, root, bound)), notes
 
 
 def run_alt_presentation(quiver: Quiver, n: int, domain=None, bound: int = 1,
-                         seed: int = 0, tau_mapping=None) -> Report:
+                         seed: int = 0, tau_mapping=None,
+                         fmt: str = "text") -> Report:
     return _run_presentation("alt-presentation", "alternating presentation",
                              _alt_block, quiver, n, domain, bound, seed,
-                             tau_mapping)
+                             tau_mapping, fmt)
 
 
 def run_signed_relations(quiver: Quiver, n: int, domain=None, bound: int = 1,
-                         seed: int = 0, tau_mapping=None) -> Report:
+                         seed: int = 0, tau_mapping=None,
+                         fmt: str = "text") -> Report:
     return _run_presentation("signed-relations", "signed presentation",
                              alternating.verify_signed_relations, quiver, n,
-                             domain, bound, seed, tau_mapping)
+                             domain, bound, seed, tau_mapping, fmt)
 
 
 def run_clifford(quiver: Quiver, n: int, domain=None, bound: int = 1,
@@ -491,26 +544,6 @@ def _text_rows(rows, key):
     for r in rows:
         out.append(f"{r['status'].upper()} [{r.get('block', '-')}] {r[key]} "
                    f"({r.get('checked', 1)} checks)")
-    return out
-
-
-def _instance_lines(instances):
-    by_rel: dict = {}
-    fails = []
-    for inst in instances:
-        name = (inst.get("block", "-"), inst["relation"])
-        cur = by_rel.get(name, [0, 0])
-        cur[0] += 1
-        cur[1] += inst["status"] != "pass"
-        by_rel[name] = cur
-        if inst["status"] != "pass":
-            fails.append(inst)
-    out = []
-    for (block, rel), (total, bad) in sorted(by_rel.items()):
-        status = "FAIL" if bad else "PASS"
-        out.append(f"{status} [{block}] {rel} ({total} instances, {bad} failing)")
-    for inst in fails:
-        out.append(f"  failing instance: {json.dumps(inst, sort_keys=True, default=str)}")
     return out
 
 

@@ -2,8 +2,10 @@
 in-process path give the same results and the same report bytes."""
 
 import hashlib
+import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import time
@@ -101,6 +103,33 @@ def test_map_blocks_small_work_starts_no_process(monkeypatch):
     assert suites._map_blocks(os.getpid, [(), ()], work) == [os.getpid()] * 2
 
 
+def test_map_blocks_without_sched_getaffinity(monkeypatch, capsys):
+    # macOS has no sched_getaffinity: the CPUs of the machine are counted
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(suites, "POOL_MIN_WORK", 0)
+    pids = suites._map_blocks(os.getpid, [(), ()])
+    assert len(pids) == 2 and os.getpid() not in pids
+    assert main(["verify", "alt-presentation", "--n", "2"]) == 0
+    assert "all checks passed" in capsys.readouterr().out
+
+
+def test_map_blocks_without_fork_runs_here(monkeypatch, capsys):
+    usable_cpus(monkeypatch, 2)
+
+    def no_fork(method=None):
+        # what multiprocessing raises where fork does not exist (Windows)
+        raise ValueError(f"cannot find context for {method!r}")
+
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                        lambda: ["spawn"])
+    monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+    assert suites._map_blocks(os.getpid, [(), ()]) == [os.getpid()] * 2
+    # a verify run passes instead of exiting 2 as if it were a usage error
+    assert main(["verify", "alt-presentation", "--n", "2"]) == 0
+    assert "all checks passed" in capsys.readouterr().out
+
+
 def test_block_work_counts_truncated_bases():
     q = K.cycle(3)
     for n, bound in ((2, 2), (3, 1), (3, 0)):
@@ -181,3 +210,61 @@ def test_failing_presentation_report(name, fmt, pooled, monkeypatch, capsys):
     assert "FAILURES PRESENT" in out if fmt == "text" else '"fail"' in out
     assert hashlib.sha256(out.encode()).hexdigest() == \
         FAILING_GOLDEN[(name, fmt)]
+
+
+def instance_rows(obj):
+    """Every instance row (a dict with a "status") nested in `obj`."""
+    if isinstance(obj, dict):
+        if "status" in obj:
+            yield obj
+        else:
+            for value in obj.values():
+                yield from instance_rows(value)
+    elif isinstance(obj, (list, tuple)):
+        for value in obj:
+            yield from instance_rows(value)
+
+
+TALLY_LINE = re.compile(r"^(?:PASS|FAIL) \[(\S+)\] (.+) "
+                        r"\((\d+) instances, (\d+) failing\)$", re.M)
+
+
+def test_text_blocks_ship_tallies_not_passing_rows(monkeypatch, capsys):
+    usable_cpus(monkeypatch, 2)
+    shipped = []
+    map_blocks = suites._map_blocks
+
+    def recording(*args):
+        shipped.append(map_blocks(*args))
+        return shipped[-1]
+
+    monkeypatch.setattr(suites, "_map_blocks", recording)
+    argv = ["verify", "alt-presentation", "--n", "3", "--bound", "2"]
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    assert main(argv + ["--format", "json"]) == 0
+    instances = json.loads(capsys.readouterr().out)["instances"]
+    text_rows, json_rows = (list(instance_rows(res)) for res in shipped)
+    # a text run's blocks hand back no row at all when every check passes;
+    # a JSON run's blocks hand back every row
+    assert text_rows == [] and len(json_rows) == len(instances)
+
+    tallies = {(block, rel): (int(total), int(bad))
+               for block, rel, total, bad in TALLY_LINE.findall(text)}
+    grouped = {}
+    for inst in instances:
+        tally = grouped.setdefault((inst["block"], inst["relation"]), [0, 0])
+        tally[0] += 1
+        tally[1] += inst["status"] != "pass"
+    assert {key: tuple(t) for key, t in grouped.items()} == tallies
+    assert sum(total for total, _ in tallies.values()) == len(instances) > 0
+
+
+def test_text_report_refuses_json():
+    report = suites.run_signed_relations(K.cycle(3), 2)
+    assert report.ok and report.text_lines
+    with pytest.raises(ValueError, match="built for text output"):
+        suites.emit_report(report, "json")
+    report = suites.run_signed_relations(K.cycle(3), 2, fmt="json")
+    assert json.loads(suites.emit_report(report, "json"))["instances"]
+    assert suites.emit_report(report) == "\n".join(report.text_lines)

@@ -34,6 +34,9 @@ def test_span_utilities():
     assert ech.reduce({"z": 1}) == {"z": 1}
     assert not spans_equal(a, [{"x": 1}], dom)
     assert not spans_equal([{"x": 1}], a, dom)
+    # the first rows are read once, so they may come from a generator
+    assert spans_equal((dict(row) for row in a), b, dom)
+    assert not spans_equal((dict(row) for row in b), a[:1], dom)
 
 
 def test_integral_rational_inverse_stays_int(monkeypatch):
