@@ -4,7 +4,8 @@ Any change to report bytes shows here.  The JSON `instances` list of
 alt-presentation and signed-relations is compared as a sorted list (by its
 canonical JSON text), since its order follows the checker's evaluation
 order; the rest of those payloads, and every other output, is compared
-byte for byte.
+byte for byte.  `RAW_GOLDEN` pins the raw bytes of two such JSON runs as
+well, instance order included.
 """
 
 import hashlib
@@ -37,6 +38,7 @@ RUNS = {
     "signed-relations-exponents": ["verify", "signed-relations", "--quiver",
                                    "cycle(3)", "--n", "3", "--bound", "2"],
     "clifford": ["verify", "clifford", "--n", "2"],
+    "clifford-n3": ["verify", "clifford", "--n", "3"],
     "dims": ["verify", "dims", "--n", "1", "--bound", "6"],
 }
 
@@ -84,10 +86,22 @@ GOLDEN = {
         "ba4491b2447202d434b68e5b2727879863632be59fece390e6ddd6fb67afa616",
     ("clifford", "json"):
         "49bd44716ed05f9c03bd69eea0381adbdb9622b01d2a952da8bd83fec2a0d782",
+    ("clifford-n3", "text"):
+        "22dd3707243f360815bf1b670c551f32dd811807369e009838c1b7615305b445",
+    ("clifford-n3", "json"):
+        "12c2e0c20c881fa6d6279dd94f70619bfe99bb5b57600ec96a9fe5bdb27952c4",
     ("dims", "text"):
         "235fc30930507d2282b7cff41f336b104e77726106b228287bddc93375a24c69",
     ("dims", "json"):
         "1be836c4afafe2a41a479df2c89d08703909a7c6f4129095343d9517b3a4978b",
+}
+
+# the raw stdout of JSON runs, instance order included
+RAW_GOLDEN = {
+    "alt-presentation-bound2":
+        "dc23405fa7f34061dabce87ed001409894a014e4f31c78046838f89e87e6d60f",
+    "signed-relations-exponents":
+        "3dec07f498c7b4e1b12955d41c3ecfce94a9e4b764070ac951857dfea10405fd",
 }
 
 
@@ -113,3 +127,10 @@ def digest(argv, fmt, capsys) -> str:
 @pytest.mark.parametrize("name,fmt", sorted(GOLDEN))
 def test_golden_stdout(name, fmt, capsys):
     assert digest(RUNS[name], fmt, capsys) == GOLDEN[(name, fmt)]
+
+
+@pytest.mark.parametrize("name", sorted(RAW_GOLDEN))
+def test_raw_json_stdout(name, capsys):
+    assert main(RUNS[name] + ["--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == RAW_GOLDEN[name]
