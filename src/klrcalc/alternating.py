@@ -27,6 +27,8 @@ the forward edge orientation); the report names that reading explicitly.
 
 from __future__ import annotations
 
+import math
+
 from . import linalg, perms
 from .algebra import (TAG_MAIN, TAG_OPP, TAGS_BOTH, Element, KLR, Mono,
                       NotHomogeneousError, Realisation, ShapeError, evaluate,
@@ -57,32 +59,49 @@ def _alt_gens(ctx: KLR, root: Root):
 # --- the parity-filtered basis ------------------------------------------------
 
 
-def alt_basis(ctx: KLR, root: Root, bound: int):
-    """The sign-fixed basis of the two-copy block, truncated at |a| <= bound.
-
-    Elements psi_w y^a eps^b e[i] with b forced by l(w) + |a| + b even; one
-    element per (w, a, i).  Returns (descriptors, elements, degree table);
-    the count is exactly half the truncated ambient monomial count.
-    """
+def iter_alt_basis(ctx: KLR, root: Root, bound: int):
+    """The sign-fixed basis of the two-copy block, truncated at |a| <= bound,
+    streamed: yields (desc, element) for one element psi_w y^a eps^b e[i] per
+    (w, a, i), in that nesting order, with desc = (w, a, i, b) and b forced
+    by l(w) + |a| + b even.  Nothing is listed, so a caller that reads the
+    basis once holds one element at a time."""
     dom = ctx.dom
+    minus = dom.from_int(-1)
     seqs = ctx.block_seqs(root)
-    descs = []
-    elems = []
-    table: dict = {}
     for w in perms.all_perms(ctx.n):
         lw = length(w)
         for a in ctx.exponents_upto(bound):
             b = (lw + sum(a)) % 2
+            coeff = dom.one if b == 0 else minus
             for s in seqs:
-                m_g = Mono(TAG_MAIN, w, a, s)
-                m_o = Mono(TAG_OPP, w, a, s)
-                coeff = dom.one if b == 0 else dom.from_int(-1)
-                el = Element(ctx, {m_g: dom.one, m_o: coeff})
-                descs.append((w, a, s, b))
-                elems.append(el)
-                d = ctx.mono_degree(m_g)
-                table[d] = table.get(d, 0) + 1
+                yield (w, a, s, b), Element(ctx, {Mono(TAG_MAIN, w, a, s): dom.one,
+                                                  Mono(TAG_OPP, w, a, s): coeff})
+
+
+def alt_basis(ctx: KLR, root: Root, bound: int):
+    """The elements of `iter_alt_basis`, listed.
+
+    Returns (descriptors, elements, degree table), in the stream's order;
+    the count is exactly half the truncated ambient monomial count.
+    """
+    descs = []
+    elems = []
+    table: dict = {}
+    for desc, el in iter_alt_basis(ctx, root, bound):
+        descs.append(desc)
+        elems.append(el)
+        d = ctx.mono_degree(Mono(TAG_MAIN, *desc[:3]))
+        table[d] = table.get(d, 0) + 1
     return descs, elems, dict(sorted(table.items()))
+
+
+# The letters of the basis words, one object per letter: a word's memoised
+# suffixes keep its letters alive, so the words of a block share theirs.
+_LETTERS: dict = {}
+
+
+def _letter(*g) -> tuple:
+    return _LETTERS.setdefault(g, g)
 
 
 def express_alt(ctx: KLR, desc) -> list:
@@ -93,10 +112,10 @@ def express_alt(ctx: KLR, desc) -> list:
     leftover power matches the parity constraint.
     """
     w, a, s, _b = desc
-    word = [("psi", c) for c in canonical_word(w)]
+    word = [_letter("psi", c) for c in canonical_word(w)]
     for r, k in enumerate(a, start=1):
-        word.extend([("y", r)] * k)
-    word.append(("e", s))
+        word.extend([_letter("y", r)] * k)
+    word.append(_letter("e", s))
     return word
 
 
@@ -301,14 +320,13 @@ def verify_alt_presentation(ctx: KLR, root: Root):
 def iter_express_coverage(ctx: KLR, root: Root, bound: int):
     """Reproduce every truncated parity-basis element from its generator
     word, yielding one instance row per element as it is evaluated; the
-    words of the block share their suffixes' products."""
-    descs, elems, _ = alt_basis(ctx, root, bound)
+    basis is streamed (`iter_alt_basis`), and the words of the block share
+    their suffixes' products."""
     real = _two_copy(ctx, *_alt_gens(ctx, root), seq=lambda i: i)
     memo: dict = {}
-    for desc, el in zip(descs, elems):
+    for desc, el in iter_alt_basis(ctx, root, bound):
         got = evaluate(real, tuple(express_alt(ctx, desc)), memo, {})
-        yield _instance("express(alt basis element)",
-                        (desc[0], desc[1], desc[2], desc[3]), lhs=got, rhs=el)
+        yield _instance("express(alt basis element)", desc, lhs=got, rhs=el)
 
 
 def express_coverage(ctx: KLR, root: Root, bound: int) -> list:
@@ -346,6 +364,24 @@ def deg2_of(ctx: KLR, x: Element):
     if eig == 0:
         raise NotHomogeneousError("the zero element has no distinguished parity")
     return z, PLUS if eig == 1 else MINUS
+
+
+class _AltRows:
+    """The rows of the truncated alternating basis as a re-iterable: every
+    iteration streams them afresh from `iter_alt_basis`.  It is sized, one
+    row per (w, a, i), so code that counts the rows handed to
+    `linalg.rank` (a profiler, say) can still count them."""
+
+    def __init__(self, ctx: KLR, root: Root, bound: int):
+        self.args = ctx, root, bound
+        self.size = (math.factorial(ctx.n) * len(ctx.exponents_upto(bound))
+                     * len(ctx.block_seqs(root)))
+
+    def __len__(self):
+        return self.size
+
+    def __iter__(self):
+        return (el.terms for _, el in iter_alt_basis(*self.args))
 
 
 def verify_signed_relations(ctx: KLR, root: Root, bound: int = 1):
@@ -463,14 +499,13 @@ def verify_signed_relations(ctx: KLR, root: Root, bound: int = 1):
                                  lhs=got, rhs=ctx.e(j, TAG_MAIN)))
 
     # even part of the signed algebra = the alternating subalgebra (spans);
-    # b + sgn(b) is twice the even part of b, which spans the same.  The
-    # even rows are read once, so each is built only when it is eliminated.
+    # b + sgn(b) is twice the even part of b, which spans the same.  No row
+    # is listed: each is built when it is eliminated, the alternating rows
+    # once for each of their two reads.
     monos, _ = ctx.enumerate_basis(root, bound, TAGS_BOTH)
     basis = (Element(ctx, {m: dom.one}) for m in monos)
     even_rows = ((b + sgn(b)).terms for b in basis)
-    _, alt_elems, _ = alt_basis(ctx, root, bound)
-    alt_rows = [e.terms for e in alt_elems]
-    ok_span = linalg.spans_equal(even_rows, alt_rows, dom)
+    ok_span = linalg.spans_equal(even_rows, _AltRows(ctx, root, bound), dom)
     out.append({"relation": "even part = alternating subalgebra (truncated spans)",
                 "class": None, "r": None,
                 "status": "pass" if ok_span else "fail", "diff": None})

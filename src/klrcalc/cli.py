@@ -159,7 +159,7 @@ def _dispatch(args) -> int:
     if args.command == "dims":
         report = suites.run_dims(quiver, args.n, dom, bound=args.bound,
                                  seed=args.seed, tau_mapping=tau_mapping)
-        print(suites.emit_report(report, args.format))
+        suites.write_report(report, args.format, sys.stdout)
         return report.exit_code
 
     # verify
@@ -179,7 +179,7 @@ def _dispatch(args) -> int:
         if args.block is not None:
             kwargs["block"] = _parse_block(quiver, args.block)
     report = suites.SUITES[name](quiver, args.n, dom, **kwargs)
-    print(suites.emit_report(report, args.format))
+    suites.write_report(report, args.format, sys.stdout)
     return report.exit_code
 
 

@@ -30,17 +30,20 @@ class Echelon:
         is empty exactly when `row` lies in the span."""
         dom = self.dom
         pivots = self.pivots
+        sub, mul, neg, is_zero = dom.sub, dom.mul, dom.neg, dom.is_zero
         row = dict(row)
         while True:
-            hit = next((col for col in row if col in pivots), None)
-            if hit is None:
+            for hit in row:
+                if hit in pivots:
+                    break
+            else:
                 return row
             factor = row[hit]
             for k, v in pivots[hit].items():
                 cur = row.get(k)
-                val = dom.sub(cur, dom.mul(factor, v)) if cur is not None \
-                    else dom.neg(dom.mul(factor, v))
-                if dom.is_zero(val):
+                val = sub(cur, mul(factor, v)) if cur is not None \
+                    else neg(mul(factor, v))
+                if is_zero(val):
                     row.pop(k, None)
                 else:
                     row[k] = val
@@ -65,8 +68,10 @@ def rank(rows, dom) -> int:
 
 def spans_equal(rows_a, rows_b, dom) -> bool:
     """Whether `rows_a` and `rows_b` span the same space.  `rows_a` is read
-    once, so it may be an iterator; `rows_b` is read twice.  The echelon of
-    `rows_a` is released before `rows_b` is ranked."""
+    once, so it may be an iterator; `rows_b` is read twice, so it must be
+    re-iterable (a list, or an object whose `__iter__` builds the rows
+    afresh), not an iterator.  The echelon of `rows_a` is released before
+    `rows_b` is ranked."""
     ech = Echelon(dom, rows_a)
     rank_a = ech.rank
     contained = all(not ech.reduce(row) for row in rows_b)

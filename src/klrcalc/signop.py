@@ -214,9 +214,13 @@ def clifford_axioms_check(ctx: KLR, root: Root, choice: CliffordChoice | None = 
     # b + sgn(b) and b - sgn(b) are twice the parts of b: ranks, spans and
     # sign eigenvalues do not see the factor
     monos, _ = ctx.enumerate_basis(root, bound, TAGS_BOTH)
-    basis_elems = [Element(ctx, {m: dom.one}) for m in monos]
-    even = [b + sgn(b) for b in basis_elems]
-    odd = [b - sgn(b) for b in basis_elems]
+    even = []
+    odd = []
+    for m in monos:
+        b = Element(ctx, {m: dom.one})
+        s = sgn(b)
+        even.append(b + s)
+        odd.append(b - s)
 
     rng = random.Random(seed)
     bad = None
@@ -240,8 +244,10 @@ def clifford_axioms_check(ctx: KLR, root: Root, choice: CliffordChoice | None = 
     rows_eps_even = [(eps * b).terms for b in even]
     odd_span = linalg.Echelon(dom, rows_odd)
     r_odd = odd_span.rank
-    ok_span = (all(not odd_span.reduce(row) for row in rows_eps_even)
-               and linalg.rank(rows_eps_even, dom) == r_odd)
+    ok_span = all(not odd_span.reduce(row) for row in rows_eps_even)
+    del odd_span  # one echelon at a time
+    ok_span = ok_span and linalg.rank(rows_eps_even, dom) == r_odd
+    del rows_eps_even
     axioms["odd_is_eps_even"] = {"status": "pass" if ok_span else "fail", "witness": None}
 
     # the basis monomials are distinct unit rows

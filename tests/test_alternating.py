@@ -129,6 +129,39 @@ def test_express_word_shapes(ctx2, root01):
     assert got == el
 
 
+@pytest.mark.parametrize("bound", [0, 1, 2])
+def test_streamed_basis_is_alt_basis(bound):
+    ctx = K.make_context(K.cycle(3), 3)
+    for root in K.all_roots(ctx.quiver, 3):
+        descs, elems, _ = alt.alt_basis(ctx, root, bound)
+        streamed = list(alt.iter_alt_basis(ctx, root, bound))
+        assert [desc for desc, _ in streamed] == descs
+        assert [el.terms for _, el in streamed] == [el.terms for el in elems]
+        # the same terms in the same order
+        assert [list(el.terms) for _, el in streamed] == \
+            [list(el.terms) for el in elems]
+        # the signed check's re-iterable rows: sized, and streamed afresh
+        rows = alt._AltRows(ctx, root, bound)
+        assert len(rows) == len(elems)
+        assert list(rows) == list(rows) == [el.terms for el in elems]
+
+
+def test_express_coverage_reads_no_degree(monkeypatch):
+    ctx = K.make_context(K.cycle(3), 3)
+    roots = K.all_roots(ctx.quiver, 3)
+
+    def refuse(self, m):
+        raise AssertionError("express coverage built a degree table")
+
+    # the presentation checks' degree rows call mono_degree; express
+    # coverage walks the basis without one
+    monkeypatch.setattr(K.KLR, "mono_degree", refuse)
+    counts = [sum(1 for row in alt.iter_express_coverage(ctx, root, 2)
+                  if row["status"] == "pass") for root in roots]
+    monkeypatch.undo()
+    assert counts == [len(alt.alt_basis(ctx, root, 2)[1]) for root in roots]
+
+
 def test_express_coverage_small(ctx2, root01):
     rows = alt.express_coverage(ctx2, root01, 1)
     assert rows and all(r["status"] == "pass" for r in rows)

@@ -2,6 +2,7 @@
 in-process path give the same results and the same report bytes."""
 
 import hashlib
+import io
 import json
 import multiprocessing
 import os
@@ -9,11 +10,12 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
 import klrcalc as K
-from klrcalc import suites
+from klrcalc import alternating, linalg, suites
 from klrcalc.cli import main
 from test_golden import GOLDEN, RUNS, canonical_stdout
 
@@ -268,3 +270,49 @@ def test_text_report_refuses_json():
     report = suites.run_signed_relations(K.cycle(3), 2, fmt="json")
     assert json.loads(suites.emit_report(report, "json"))["instances"]
     assert suites.emit_report(report) == "\n".join(report.text_lines)
+
+
+def test_write_report_is_emit_report_plus_newline():
+    for report in (suites.run_signed_relations(K.cycle(3), 2),
+                   suites.run_alt_presentation(K.cycle(3), 2, fmt="json")):
+        for fmt in ("text", "json") if report.payload else ("text",):
+            buf = io.StringIO()
+            suites.write_report(report, fmt, buf)
+            assert buf.getvalue() == suites.emit_report(report, fmt) + "\n"
+
+
+def test_presentations_list_no_alternating_basis(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the alternating basis was listed")
+
+    monkeypatch.setattr(alternating, "alt_basis", refuse)
+    monkeypatch.setattr(suites, "POOL_MIN_WORK", 10**9)
+    rank = linalg.rank
+
+    def sized_rank(rows, dom):
+        len(rows)  # streamed rows stay countable
+        return rank(rows, dom)
+
+    monkeypatch.setattr(linalg, "rank", sized_rank)
+    for run in (suites.run_alt_presentation, suites.run_signed_relations):
+        report = run(K.cycle(3), 3, bound=2)
+        assert report.ok and report.text_lines[-1] == "all checks passed"
+
+
+@pytest.mark.parametrize("check", [suites._alt_block,
+                                   alternating.verify_signed_relations],
+                         ids=["alt", "signed"])
+def test_largest_block_memory(check):
+    # n = 3 at bound 3: the streamed basis keeps the block's Python
+    # allocations below 1 MiB, where listing it took 1.2 and 1.1 MiB
+    q = K.cycle(3)
+    root = max(K.all_roots(q, 3), key=lambda r: len(K.KLR(q, 3).block_seqs(r)))
+    tracemalloc.start()
+    try:
+        counts, fails, rows, _ = suites._on_own_context(
+            suites._tally_block, q, 3, None, None, root, check, 3, False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts and not fails and rows is None
+    assert peak < 2**20, f"peak {peak / 2**20:.3f} MiB"
