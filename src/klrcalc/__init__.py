@@ -15,10 +15,8 @@ from .quiver import (InvalidQuiverError, Quiver, ReversalMap,
                      root_tau_classes, sequences, tau_classes,
                      validate_reversal)
 from .scalars import DomainError, PrimeField, Rationals, domain_from_flag
-from .signop import (CliffordChoice, NotInvertibleError, centrality_check,
-                     clifford_axioms_check, e_pair, eps_pair, make_epsilon,
-                     parity_project, sgn, translate_to_ambient,
-                     translate_to_single)
+from .signop import (CliffordChoice, centrality_check, clifford_axioms_check,
+                     e_pair, eps_pair, make_epsilon, sgn, translate_to_single)
 from .suites import make_context
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -124,9 +124,6 @@ class Element:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def support(self):
-        return set(self.terms)
-
     def sorted_items(self):
         key = self.ctx.mono_sort_key
         return sorted(self.terms.items(), key=lambda kv: key(kv[0]))
@@ -139,9 +136,6 @@ class Element:
         if len(degs) > 1:
             raise NotHomogeneousError(f"mixed degrees {sorted(degs)}")
         return degs.pop()
-
-    def is_homogeneous(self) -> bool:
-        return len({self.ctx.mono_degree(m) for m in self.terms}) <= 1
 
     def __repr__(self):
         from .exprs import element_to_text
@@ -221,13 +215,6 @@ class KLR:
             if v not in self.quiver._index:
                 raise ShapeError(f"unknown vertex {v!r} in sequence")
         return seq
-
-    def mono(self, w, a, seq, tag: str = TAG_MAIN) -> Mono:
-        if tag not in TAGS_BOTH:
-            raise ShapeError(f"unknown tag {tag!r}")
-        if len(w) != self.n or len(a) != self.n:
-            raise ShapeError("permutation/exponent length mismatch")
-        return Mono(tag, tuple(w), tuple(a), self._check_seq(seq))
 
     def zero(self) -> Element:
         return Element(self, {})

@@ -1,5 +1,5 @@
 """
-The element expression language: parsing, printing, JSON serialization.
+The element expression language: parsing, printing, and JSON output.
 
 Grammar (whitespace insensitive):
 
@@ -21,11 +21,10 @@ Errors carry 1-based line and column of the offending token.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .algebra import TAG_MAIN, TAG_OPP, Element, KLR, Mono
-from .perms import canonical_word, word_perm
+from .perms import canonical_word
 from .quiver import all_seqs
 
 
@@ -273,7 +272,7 @@ def normal_form(src: str, ctx: KLR, seqs=None) -> Element:
 # --- printing ----------------------------------------------------------------
 
 
-def _mono_text(ctx: KLR, m: Mono) -> str:
+def _mono_text(m: Mono) -> str:
     parts = [f"psi[{c}]" for c in canonical_word(m.w)]
     for r, k in enumerate(m.a, start=1):
         if k == 1:
@@ -302,7 +301,7 @@ def element_to_text(x: Element) -> str:
         neg = text.startswith("-")
         if neg:
             text = text[1:]
-        body = _mono_text(ctx, m)
+        body = _mono_text(m)
         if text != "1":
             body = text + "*" + body
         if k == 0:
@@ -326,21 +325,3 @@ def element_to_json_obj(x: Element) -> list:
             "coeff": x.ctx.dom.format(c),
         })
     return out
-
-def element_to_json(x: Element) -> str:
-    return json.dumps(element_to_json_obj(x))
-
-
-def element_from_json_obj(ctx: KLR, data: list) -> Element:
-    terms = {}
-    for rec in data:
-        w = word_perm(tuple(rec["word"]), ctx.n)
-        if canonical_word(w) != tuple(rec["word"]):
-            raise ValueError(f"word {rec['word']} is not canonical")
-        m = ctx.mono(w, tuple(rec["exp"]), tuple(rec["seq"]), rec["tag"])
-        terms[m] = ctx.dom.parse(rec["coeff"])
-    return ctx.elem(terms)
-
-
-def element_from_json(ctx: KLR, text: str) -> Element:
-    return element_from_json_obj(ctx, json.loads(text))

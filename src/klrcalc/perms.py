@@ -32,18 +32,6 @@ def identity(n: int) -> Perm:
     return tuple(range(n))
 
 
-def compose(p: Perm, q: Perm) -> Perm:
-    """(p o q)(k) = p(q(k))."""
-    return tuple(p[q[k]] for k in range(len(p)))
-
-
-def inverse(p: Perm) -> Perm:
-    inv = [0] * len(p)
-    for k, v in enumerate(p):
-        inv[v] = k
-    return tuple(inv)
-
-
 def length(p: Perm) -> int:
     """Number of inversions = Coxeter length."""
     cached = _LENGTH_CACHE.get(p)
@@ -113,10 +101,6 @@ def canonical_word(p: Perm) -> tuple:
     return out
 
 
-def is_reduced(word, n: int) -> bool:
-    return length(word_perm(word, n)) == len(word)
-
-
 def all_perms(n: int):
     return [tuple(p) for p in itertools.permutations(range(n))]
 
@@ -125,17 +109,6 @@ def all_perms(n: int):
 #
 # A move is ("comm", t): swap the distant letters at positions t, t+1, or
 # ("braid", t): replace (x, y, x) at positions t..t+2 by (y, x, y), |x-y|=1.
-
-
-def apply_move(word: tuple, move) -> tuple:
-    kind, t = move
-    w = list(word)
-    if kind == "comm":
-        w[t], w[t + 1] = w[t + 1], w[t]
-    else:
-        x, y = w[t], w[t + 1]
-        w[t], w[t + 1], w[t + 2] = y, x, y
-    return tuple(w)
 
 
 def move_path(w1: tuple, w2: tuple, n: int) -> tuple:

@@ -74,9 +74,6 @@ class Quiver:
     def _index(self) -> dict:
         return {v: k for k, v in enumerate(self.vertices)}
 
-    def index(self, v) -> int:
-        return self._index[v]
-
     def has_edge(self, u, v) -> bool:
         return (u, v) in self.edges
 
@@ -92,12 +89,6 @@ class Quiver:
         vs = self.vertices
         return tuple(tuple(self.cartan_entry(u, v) for v in vs) for u in vs)
 
-    def opposite(self) -> "Quiver":
-        name = self.name[:-1] if self.name.endswith("'") else self.name + "'"
-        return Quiver(name, self.vertices,
-                      frozenset((v, u) for (u, v) in self.edges),
-                      tau_default=self.tau_default)
-
     def seq_key(self, seq) -> tuple:
         return tuple(self._index[v] for v in seq)
 
@@ -111,9 +102,6 @@ class Quiver:
         if self.tau_default is not None:
             obj["tau"] = {str(a): b for a, b in self.tau_default}
         return obj
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True)
 
 
 def make_quiver(name: str, vertices: Iterable, edges: Iterable, tau: Mapping | None = None) -> Quiver:
@@ -243,9 +231,6 @@ class ReversalMap:
     def _map(self) -> dict:
         return dict(self.pairs)
 
-    def v(self, vertex):
-        return self._map[vertex]
-
     def seq(self, seq: tuple) -> tuple:
         return tuple(self._map[x] for x in seq)
 
@@ -357,12 +342,6 @@ class TauClassTable:
 
     classes: tuple  # tuple of tuples, each sorted
     reps: tuple     # one distinguished member per class, aligned with classes
-
-    def rep_of(self, item):
-        for cls, rep in zip(self.classes, self.reps):
-            if item in cls:
-                return rep
-        raise KeyError(item)
 
 
 def _orbit_table(items, image: Callable, sort_key: Callable) -> TauClassTable:

@@ -1,7 +1,7 @@
 """
 The graded sign involution on the two-copy ambient algebra, Clifford
-elements, parity projections, the Clifford-system axioms, and the
-translation between the two-copy and one-quiver pictures.
+elements, the Clifford-system axioms, and the translation from the two-copy
+picture to the one-quiver picture.
 
 The ambient algebra for a block is the tagged direct sum of the block over
 the quiver and over its opposite, both indexed by the same residue
@@ -21,11 +21,7 @@ from . import linalg
 from .algebra import (TAG_MAIN, TAG_OPP, TAGS_BOTH, Element, KLR, Mono,
                       ShapeError, _acc1)
 from .perms import length
-from .quiver import Root, root_of_seq
-
-
-class NotInvertibleError(ValueError):
-    pass
+from .quiver import Root
 
 
 def sgn(x: Element) -> Element:
@@ -103,15 +99,6 @@ def centrality_check(ctx: KLR, x: Element, root: Root):
     return True, None
 
 
-def parity_project(ctx: KLR, x: Element, parity: str) -> Element:
-    """Even part (x + sgn x)/2 or odd part (x - sgn x)/2."""
-    if parity not in ("even", "odd"):
-        raise ValueError(f"parity must be 'even' or 'odd', not {parity!r}")
-    s = sgn(x)
-    total = x + s if parity == "even" else x - s
-    return total.scale(ctx.dom.half)
-
-
 def sgn_eigenvalue(x: Element):
     """+1, -1, 0 for the zero element, or None for a non-eigenvector."""
     if x.is_zero():
@@ -138,32 +125,6 @@ def translate_to_single(ctx: KLR, x: Element) -> Element:
             m = Mono(TAG_MAIN, m.w, m.a, ctx.tau.seq(m.seq))
         _acc1(out, m, c, ctx.dom)
     return Element(ctx, out)
-
-
-def translate_to_ambient(ctx: KLR, x: Element, root: Root) -> Element:
-    """Inverse of translate_to_single on the class of `root`.
-
-    Only defined when root != tau(root): otherwise the two tagged copies
-    land on the same block and the identification is not invertible.
-    """
-    if ctx.tau is None:
-        raise ShapeError("context has no reversal map")
-    tau_root = ctx.tau.root(root)
-    if tau_root == root:
-        raise NotInvertibleError(
-            "block is reversal-symmetric; the one-quiver picture is not invertible")
-    out = {}
-    for m, c in x.terms.items():
-        if m.tag != TAG_MAIN:
-            raise ShapeError("one-quiver element expected (G-tagged terms only)")
-        content = root_of_seq(ctx.quiver, m.seq)
-        if content == root:
-            out[m] = c
-        elif content == tau_root:
-            out[Mono(TAG_OPP, m.w, m.a, ctx.tau.seq(m.seq))] = c
-        else:
-            raise ShapeError(f"term outside the class of {root}: {m}")
-    return ctx.elem(out)
 
 
 # --- Clifford axiom checking ------------------------------------------------

@@ -8,7 +8,6 @@ byte-identically for identical inputs, so text output is golden-file safe.
 
 from __future__ import annotations
 
-import io
 import itertools
 import json
 import math
@@ -21,7 +20,6 @@ from .algebra import (TAG_MAIN, Element, KLR, Mono, Realisation,
                       relation_instances)
 from .quiver import (Quiver, Root, all_roots, all_seqs, default_reversal,
                      root_of_seq, root_tau_classes, validate_reversal)
-from .scalars import Rationals
 
 
 @dataclass
@@ -62,13 +60,6 @@ def write_report(report: Report, fmt: str, out) -> None:
     # no piece is empty, so an empty batch is the end of the text
     while batch := "".join(itertools.islice(pieces, WRITE_BATCH)):
         out.write(batch)
-
-
-def emit_report(report: Report, fmt: str = "text") -> str:
-    """The text `write_report` writes, without its final newline."""
-    buf = io.StringIO()
-    write_report(report, fmt, buf)
-    return buf.getvalue().removesuffix("\n")
 
 
 def make_context(quiver: Quiver, n: int, domain=None, tau_mapping=None) -> KLR:
@@ -260,7 +251,7 @@ def run_klr_relations(quiver: Quiver, n: int, domain=None, bound: int = 2,
     payload = {"suite": "klr-relations", "params": params, "seed": seed,
                "instances": rows, "fuzz": fuzz}
     lines = _text_header("klr-relations", params, seed)
-    lines += _text_rows(rows, key="relation")
+    lines += _text_rows(rows)
     for name, res in fuzz.items():
         lines.append(f"{res['status'].upper()} {name} ({res['checked']} checks)")
     lines.append(_verdict(ok))
@@ -328,25 +319,6 @@ def strategy_fuzz(ctx: KLR, count: int, seed: int):
         c = _tokens_element(ctx, tokens, block, rng_c) * ctx.e(seq)
         if not (a == b == c):
             return k + 1, f"word #{k}: {tokens} e({seq})"
-    return count, None
-
-
-def homogeneity_fuzz(ctx: KLR, count: int, seed: int, tags=(TAG_MAIN,)):
-    """Products of homogeneous elements have additive degree; the sign map
-    preserves degree.  Returns (checked, first failure)."""
-    rng = random.Random(seed)
-    seqs = all_seqs(ctx.quiver, ctx.n)
-    for k in range(count):
-        m1 = random_mono(ctx, rng, seqs, tags)
-        m2 = random_mono(ctx, rng, seqs, tags)
-        x = Element(ctx, {m1: ctx.dom.from_int(rng.choice([1, 2, -1]))})
-        y = Element(ctx, {m2: ctx.dom.one})
-        prod = x * y
-        if not prod.is_zero():
-            if prod.degree() != x.degree() + y.degree():
-                return k + 1, f"product #{k}"
-        if signop.sgn(x).degree() != x.degree():
-            return k + 1, f"sgn degree #{k}"
     return count, None
 
 
@@ -518,36 +490,6 @@ SUITES = {
 }
 
 
-# --- characteristic reduction spot check -------------------------------------------
-
-
-def char_reduction_check(quiver: Quiver, n: int, root: Root, bound: int,
-                         primes=(3, 5), sample: int = 60, seed: int = 0):
-    """Structure constants over the rationals, reduced mod p, against the
-    ones computed natively mod p.  Discrepancies are returned for reporting,
-    not asserted; the engine never divides, so none are expected."""
-    from .scalars import PrimeField
-    rng = random.Random(seed)
-    ctx_q = KLR(quiver, n, Rationals())
-    monos, _ = ctx_q.enumerate_basis(root, bound)
-    pairs = [(rng.choice(monos), rng.choice(monos)) for _ in range(sample)]
-    mismatches = []
-    for p in primes:
-        fp = PrimeField(p)
-        ctx_p = KLR(quiver, n, fp)
-        for m1, m2 in pairs:
-            prod_q = ctx_q._mono_pair(m1, m2)
-            prod_p = ctx_p._mono_pair(m1, m2)
-            reduced = {}
-            for m, c in prod_q.items():
-                v = fp.from_int(int(c))  # integral structure constants
-                if not fp.is_zero(v):
-                    reduced[m] = v
-            if reduced != prod_p:
-                mismatches.append((p, m1, m2))
-    return len(pairs) * len(primes), mismatches
-
-
 # --- text helpers -------------------------------------------------------------------
 
 
@@ -561,11 +503,11 @@ def _text_header(suite, params, seed, notes=()):
     return lines
 
 
-def _text_rows(rows, key):
+def _text_rows(rows):
     out = []
     for r in rows:
-        out.append(f"{r['status'].upper()} [{r.get('block', '-')}] {r[key]} "
-                   f"({r.get('checked', 1)} checks)")
+        out.append(f"{r['status'].upper()} [{r['block']}] {r['relation']} "
+                   f"({r['checked']} checks)")
     return out
 
 

@@ -262,23 +262,31 @@ def test_text_blocks_ship_tallies_not_passing_rows(monkeypatch, capsys):
     assert sum(total for total, _ in tallies.values()) == len(instances) > 0
 
 
+def _emit_report(report, fmt="text"):
+    """The text `suites.write_report` writes."""
+    buf = io.StringIO()
+    suites.write_report(report, fmt, buf)
+    return buf.getvalue()
+
+
 def test_text_report_refuses_json():
     report = suites.run_signed_relations(K.cycle(3), 2)
     assert report.ok and report.text_lines
     with pytest.raises(ValueError, match="built for text output"):
-        suites.emit_report(report, "json")
+        _emit_report(report, "json")
     report = suites.run_signed_relations(K.cycle(3), 2, fmt="json")
-    assert json.loads(suites.emit_report(report, "json"))["instances"]
-    assert suites.emit_report(report) == "\n".join(report.text_lines)
+    assert json.loads(_emit_report(report, "json"))["instances"]
 
 
-def test_write_report_is_emit_report_plus_newline():
+def test_write_report_matches_its_docstring():
     for report in (suites.run_signed_relations(K.cycle(3), 2),
-                   suites.run_alt_presentation(K.cycle(3), 2, fmt="json")):
-        for fmt in ("text", "json") if report.payload else ("text",):
-            buf = io.StringIO()
-            suites.write_report(report, fmt, buf)
-            assert buf.getvalue() == suites.emit_report(report, fmt) + "\n"
+                   suites.run_alt_presentation(K.cycle(3), 2, fmt="json"),
+                   suites.run_klr_relations(K.cycle(3), 2, bound=1,
+                                            fuzz_triples=5, fuzz_words=5)):
+        assert _emit_report(report) == "\n".join(report.text_lines) + "\n"
+        if report.payload is not None:
+            assert _emit_report(report, "json") == json.dumps(
+                report.payload, sort_keys=True, indent=2) + "\n"
 
 
 def test_presentations_list_no_alternating_basis(monkeypatch):

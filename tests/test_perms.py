@@ -2,9 +2,38 @@
 
 import pytest
 
-from klrcalc.perms import (act, all_perms, apply_move, canonical_word, compose,
-                           identity, inverse, is_reduced, left_descents,
-                           left_mul_s, length, move_path, word_perm)
+from klrcalc.perms import (act, all_perms, canonical_word, identity,
+                           left_descents, left_mul_s, length, move_path,
+                           word_perm)
+
+
+def compose(p, q):
+    """(p o q)(k) = p(q(k))."""
+    return tuple(p[q[k]] for k in range(len(p)))
+
+
+def inverse(p):
+    inv = [0] * len(p)
+    for k, v in enumerate(p):
+        inv[v] = k
+    return tuple(inv)
+
+
+def is_reduced(word, n):
+    return length(word_perm(word, n)) == len(word)
+
+
+def apply_move(word, move):
+    """The word after one elementary move: ("comm", t) swaps the letters at
+    t, t+1; ("braid", t) turns (x, y, x) at t..t+2 into (y, x, y)."""
+    kind, t = move
+    w = list(word)
+    if kind == "comm":
+        w[t], w[t + 1] = w[t + 1], w[t]
+    else:
+        x, y = w[t], w[t + 1]
+        w[t], w[t + 1], w[t + 2] = y, x, y
+    return tuple(w)
 
 
 def brute_reduced_words(p):
