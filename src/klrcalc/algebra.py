@@ -34,7 +34,8 @@ and a caller's exponent is added to each term as the terms are accumulated.
 The defining presentation is also written down as data, apart from the
 rewrite rules: `KLR_RELATIONS` lists the relation families once, and
 `relation_instances` evaluates them in any realisation of the generators,
-each word through `evaluate`, a right-to-left product memoised by suffix.
+each word through `evaluate`: its letters act one by one, right to left, on
+a base element, and the products are memoised by suffix.
 """
 
 from __future__ import annotations
@@ -617,22 +618,22 @@ _RANGES = {
 }
 
 
-def _correction(kind, r, i, arrow) -> list:
+def _correction(kind, r, i, arrow, f) -> list:
     """The signed words that a row's correction adds to its rhs, with their
-    generators placed at r."""
+    generators placed at r and f standing for F."""
     if kind == "delta" and i[r - 1] == i[r]:
         return [(1, (E,))]
     if kind == "square" and i[r - 1] != i[r]:
         if arrow(i[r - 1], i[r]):
-            return [(1, (("ydiff", r, r + 1), F))]
+            return [(1, (("ydiff", r, r + 1), f))]
         if arrow(i[r], i[r - 1]):
-            return [(1, (("ydiff", r + 1, r), F))]
+            return [(1, (("ydiff", r + 1, r), f))]
         return [(1, (E,))]
     if kind == "braid" and i[r - 1] == i[r + 1]:
         if arrow(i[r - 1], i[r]):
-            return [(-1, (F,))]
+            return [(-1, (f,))]
         if arrow(i[r], i[r - 1]):
-            return [(1, (F,))]
+            return [(1, (f,))]
     return []
 
 
@@ -642,35 +643,30 @@ class Realisation(NamedTuple):
     `act(g, x)` is the product g x of a letter and an element: g is ("y", r),
     ("psi", r) or an idempotent letter resolved to ("e", j, label') -
     sequence j under label', which is the instance's label or, for F, its
-    `flip`.  With no `base`, x is None for the innermost letter and act
-    returns the generator itself.  With a `base`, every word of a label acts
-    on base(label), an element fixed by its own E; a base realisation keeps
-    the identity `flip`.  A family in `bare` is checked once, with label
-    None: E then stands for the block unit and is left out of the words.
+    `flip`.  Every word of a label acts on base(label), right to left, and
+    every letter acts, E and F too.  A family in `bare` is checked once, with
+    label None: its words leave E out and act on base(None), the block unit.
     """
 
     labels: Sequence
     seq: Callable  # label -> residue sequence
     arrow: Callable  # (label, u, v) -> is u -> v an arrow under this label
-    act: Callable  # (letter, Element or None) -> Element
-    base: Callable | None = None  # label -> Element
+    act: Callable  # (letter, Element) -> Element
+    base: Callable  # label -> Element
     flip: Callable = lambda label: label
     bare: frozenset = frozenset()
 
 
 def evaluate(real: Realisation, word: tuple, memo: dict, letters: dict):
-    """The right-to-left product of a word, memoised by word suffix.
+    """The product of a word acting on a base, memoised by word suffix.
 
     `memo` maps each suffix already evaluated to its product, so words
-    sharing a suffix share its products; it is kept per label, and a base
-    realisation seeds memo[()] with base(label), which makes a trailing E
-    or F act as the identity and drops it.  `letters` resolves the label's
-    idempotent letters E, F and ("swap", r) when a suffix is computed;
-    other letters pass as they are.  A ("ydiff", r, s) letter is the
-    difference of the two y-suffixes it expands to.
+    sharing a suffix share its products; it is kept per label and seeded
+    with memo[()] = base(label), on which the last letter acts.  `letters`
+    resolves the label's idempotent letters E, F and ("swap", r) when a
+    suffix is computed; other letters pass as they are.  A ("ydiff", r, s)
+    letter is the difference of the two y-suffixes it expands to.
     """
-    if word[-1] in (E, F) and () in memo:
-        word = word[:-1]
     x = memo.get(word)
     if x is not None:
         return x
@@ -679,8 +675,7 @@ def evaluate(real: Realisation, word: tuple, memo: dict, letters: dict):
         x = (evaluate(real, (("y", g[1]),) + rest, memo, letters)
              - evaluate(real, (("y", g[2]),) + rest, memo, letters))
     else:
-        inner = evaluate(real, rest, memo, letters) if rest else memo.get(())
-        x = real.act(letters.get(g, g), inner)
+        x = real.act(letters.get(g, g), evaluate(real, rest, memo, letters))
     memo[word] = x
     return x
 
@@ -713,15 +708,15 @@ def _place(word, r, s) -> tuple:
 
 
 def _instances(real, label, rows):
-    letters, memo = {}, {}
-    i = None
+    letters, memo = {}, {(): real.base(label)}
+    i, f = None, F
     if label is not None:
         i = real.seq(label)
         letters = {E: ("e", i, label), F: ("e", i, real.flip(label))}
+        if letters[F] == letters[E]:
+            f = E  # F's words then share the memoised suffixes of E's
         for r in range(1, len(i)):
             letters["swap", r] = ("e", i[:r - 1] + (i[r], i[r - 1]) + i[r + 1:], label)
-        if real.base is not None:
-            memo[()] = real.base(label)
 
     def arrow(u, v):
         return real.arrow(label, u, v)
@@ -731,7 +726,7 @@ def _instances(real, label, rows):
             left = evaluate(real, lhs, memo, letters)
             right = evaluate(real, rhs, memo, letters) if rhs else left.ctx.zero()
             if correction:
-                for sign, extra in _correction(correction, r, i, arrow):
+                for sign, extra in _correction(correction, r, i, arrow, f):
                     x = evaluate(real, extra, memo, letters)
                     right = right + x if sign > 0 else right - x
             yield family, label, r, s, left, right

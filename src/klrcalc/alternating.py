@@ -16,9 +16,10 @@ Two pictures coexist and are translated between:
 
 The relation families of both presentations are the rows of one table,
 `algebra.KLR_RELATIONS`, which `algebra.relation_instances` evaluates on the
-generators realised here (`_two_copy`).  The signed presentation differs
-only in its correction idempotent: `_signed_realisation` flips eps_a(i) to
-eps_{-a}(i) wherever a row places F, that is in the psi'^2 and braid rows.
+generators realised here (`_two_copy`): as in the relation sweep, a word
+acts letter by letter on a base, e[i] or the block unit.  The signed
+presentation's `_signed_realisation` flips eps_a(i) to eps_{-a}(i) wherever
+a row places F, that is in the psi'^2 and braid rows.
 
 The braid relation of the signed presentation is checked with the
 correction sign matching the underlying deformed braid relation (minus on
@@ -35,25 +36,11 @@ from .algebra import (TAG_MAIN, TAG_OPP, TAGS_BOTH, Element, KLR, Mono,
                       relation_instances)
 from .perms import canonical_word, length
 from .quiver import Root, all_seqs, root_tau_classes, sequences, tau_classes
-from .signop import (ambient_unit, e_pair, eps_pair, make_epsilon, sgn,
-                     sgn_eigenvalue, translate_to_single)
+from .signop import (ambient_unit, e_pair, eps_pair, sgn, sgn_eigenvalue,
+                     translate_to_single)
 
 PLUS = "+"
 MINUS = "-"
-
-
-# --- generators --------------------------------------------------------------
-
-
-def _alt_gens(ctx: KLR, root: Root):
-    """The generators of the block as dicts: Psi_r = psi_r eps,
-    Y_r = y_r eps and e[i], each realised on the two-copy block."""
-    seqs = ctx.block_seqs(root)
-    eps = make_epsilon(ctx, root)
-    Psi = {r: ctx.psi_element(r, seqs, TAGS_BOTH) * eps for r in range(1, ctx.n)}
-    Y = {r: ctx.y_element(r, seqs, TAGS_BOTH) * eps for r in range(1, ctx.n + 1)}
-    E = {s: e_pair(ctx, s) for s in seqs}
-    return Psi, Y, E
 
 
 # --- the parity-filtered basis ------------------------------------------------
@@ -222,26 +209,45 @@ SIGNED_NAMES = {
 }
 
 
-def _two_copy(ctx: KLR, Psi, Y, E, key=lambda g: g[1], **fields) -> Realisation:
-    """The relation table on two-copy elements: a letter acts by left
-    multiplication with its generator, an idempotent letter ("e", j, ...)
-    being E[key(letter)], and the labels are the keys of E."""
-    gens = {"psi": Psi, "y": Y}
+def _two_copy(ctx: KLR, signed: bool, **fields) -> Realisation:
+    """The relation table on two-copy block elements, acting on their terms.
+    ("psi", r) and ("y", r) act through `KLR.gen_left`; unless `signed` they
+    are Psi_r = psi_r eps and Y_r = y_r eps, and eps = sum_i (e_G(i) -
+    e_G'(i)) first negates the G' terms.  ("e", j, ...) keeps the terms of
+    face j; when `signed`, ("e", j, (i, a)) is eps_a(j), which for a = -
+    also negates the G' ones."""
+    dom = ctx.dom
+
+    def opp_negated(terms):
+        return Element(ctx, {m: dom.neg(c) if m.tag == TAG_OPP else c
+                             for m, c in terms.items()})
 
     def act(g, x):
-        a = E[key(g)] if g[0] == "e" else gens[g[0]][g[1]]
-        return a if x is None else a * x
+        if g[0] != "e":
+            return ctx.gen_left(g, x if signed else opp_negated(x.terms))
+        kept = {m: c for m, c in x.terms.items() if ctx.mono_face(m) == g[1]}
+        return opp_negated(kept) if signed and g[2][1] == MINUS else Element(ctx, kept)
 
-    return Realisation(labels=list(E), act=act,
-                       arrow=lambda label, u, v: ctx.quiver.has_edge(u, v),
+    return Realisation(act=act, arrow=lambda label, u, v: ctx.quiver.has_edge(u, v),
                        **fields)
 
 
-def _signed_realisation(ctx: KLR, Pp, Yp, E) -> Realisation:
-    """The signed presentation in the table's terms: labels are (i, a), and
-    the correction idempotent of eps_a(i) is eps_{-a}(i)."""
-    return _two_copy(ctx, Pp, Yp, E, key=lambda g: (g[1], g[2][1]),
+def _alt_realisation(ctx: KLR, root: Root) -> Realisation:
+    """The alternating presentation: labels are the sequences i, words act on
+    e[i], and Y_r Y_s = Y_s Y_r is checked once, on the block unit."""
+    one = ambient_unit(ctx, root)
+    return _two_copy(ctx, False, labels=list(ctx.block_seqs(root)), seq=lambda i: i,
+                     base=lambda i: one if i is None else e_pair(ctx, i),
+                     bare=frozenset({"y y"}))
+
+
+def _signed_realisation(ctx: KLR, root: Root) -> Realisation:
+    """The signed presentation: labels are (i, a), words act on e[i], and the
+    correction idempotent of eps_a(i) is eps_{-a}(i)."""
+    return _two_copy(ctx, True,
+                     labels=[(s, a) for s in ctx.block_seqs(root) for a in (PLUS, MINUS)],
                      seq=lambda label: label[0],
+                     base=lambda label: e_pair(ctx, label[0]),
                      flip=lambda label: (label[0], MINUS if label[1] == PLUS else PLUS))
 
 
@@ -263,10 +269,10 @@ def verify_alt_presentation(ctx: KLR, root: Root):
     is read with the Cartan entry as the exponent drop, matching the degree
     function of the underlying algebra.
     """
-    Psi, Y, E = _alt_gens(ctx, root)
     seqs = ctx.block_seqs(root)
     n = ctx.n
-    one = ambient_unit(ctx, root)
+    real = _alt_realisation(ctx, root)
+    E, one = real.base, real.base(None)
     out = []
     notes = [
         "idempotents are indexed by tag-swap classes: one e[i] per sequence "
@@ -283,16 +289,14 @@ def verify_alt_presentation(ctx: KLR, root: Root):
 
     for i in seqs:
         for j in seqs:
-            want = E[i] if i == j else ctx.zero()
-            out.append(_instance("e[i]e[j] = delta e[i]", (i, j), lhs=E[i] * E[j],
+            want = E(i) if i == j else ctx.zero()
+            out.append(_instance("e[i]e[j] = delta e[i]", (i, j), lhs=E(i) * E(j),
                                  rhs=want))
     total = ctx.zero()
     for i in seqs:
-        total = total + E[i]
+        total = total + E(i)
     out.append(_instance("sum e[i] = 1", None, lhs=total, rhs=one))
 
-    # labels are the sequences i; Y_r Y_s = Y_s Y_r is checked without e[i]
-    real = _two_copy(ctx, Psi, Y, E, seq=lambda i: i, bare=frozenset({"y y"}))
     out += _table_instances(real, n, ALT_NAMES,
                             lambda i: None if i is None else (i,))
 
@@ -300,17 +304,17 @@ def verify_alt_presentation(ctx: KLR, root: Root):
     for i in seqs:
         for r in range(1, n):
             want = -ctx.quiver.cartan_entry(i[r - 1], i[r])
-            got = (Psi[r] * E[i]).degree()
+            got = real.act(("psi", r), E(i)).degree()
             out.append({"relation": "deg Psi_r e[i]", "class": list((i,)), "r": r,
                         "status": "pass" if got == want else "fail",
                         "diff": None if got == want else f"deg {got} != {want}"})
     for r in range(1, n + 1):
-        got = Y[r].degree()
+        got = real.act(("y", r), one).degree()
         out.append({"relation": "deg Y_r = 2", "class": None, "r": r,
                     "status": "pass" if got == 2 else "fail",
                     "diff": None if got == 2 else f"deg {got}"})
     for i in seqs:
-        got = E[i].degree()
+        got = E(i).degree()
         out.append({"relation": "deg e[i] = 0", "class": list((i,)), "r": None,
                     "status": "pass" if got == 0 else "fail",
                     "diff": None if got == 0 else f"deg {got}"})
@@ -321,9 +325,9 @@ def iter_express_coverage(ctx: KLR, root: Root, bound: int):
     """Reproduce every truncated parity-basis element from its generator
     word, yielding one instance row per element as it is evaluated; the
     basis is streamed (`iter_alt_basis`), and the words of the block share
-    their suffixes' products."""
-    real = _two_copy(ctx, *_alt_gens(ctx, root), seq=lambda i: i)
-    memo: dict = {}
+    their suffixes' products.  Every word acts on the block unit."""
+    real = _alt_realisation(ctx, root)
+    memo = {(): real.base(None)}
     for desc, el in iter_alt_basis(ctx, root, bound):
         got = evaluate(real, tuple(express_alt(ctx, desc)), memo, {})
         yield _instance("express(alt basis element)", desc, lhs=got, rhs=el)
@@ -402,8 +406,7 @@ def verify_signed_relations(ctx: KLR, root: Root, bound: int = 1):
     symmetric = tau_root == root
 
     E = {(s, a): signed_eps(ctx, s, a) for s in seqs for a in (PLUS, MINUS)}
-    Yp = {r: ctx.y_element(r, seqs, TAGS_BOTH) for r in range(1, n + 1)}
-    Pp = {r: ctx.psi_element(r, seqs, TAGS_BOTH) for r in range(1, n)}
+    real = _signed_realisation(ctx, root)
     one = ambient_unit(ctx, root)
 
     out = []
@@ -444,8 +447,7 @@ def verify_signed_relations(ctx: KLR, root: Root, bound: int = 1):
                 out.append(_instance("eps_-(i) = 0 for tau-fixed i", (i,),
                                      lhs=theta_eps(ctx, i, a), rhs=ctx.zero()))
 
-    out += _table_instances(_signed_realisation(ctx, Pp, Yp, E), n,
-                            SIGNED_NAMES, lambda label: label)
+    out += _table_instances(real, n, SIGNED_NAMES, lambda label: label)
 
     # Z x C2 degrees of the realized generators
     def deg2_inst(name, cls, x, want):
@@ -462,14 +464,14 @@ def verify_signed_relations(ctx: KLR, root: Root, bound: int = 1):
         deg2_inst("deg2 eps_+(i) = (0,+)", (i,), E[(i, PLUS)], (0, PLUS))
         deg2_inst("deg2 eps_-(i) = (0,-)", (i,), E[(i, MINUS)], (0, MINUS))
     for r in range(1, n + 1):
-        deg2_inst("deg2 y'_r = (2,-)", None, Yp[r], (2, MINUS))
+        deg2_inst("deg2 y'_r = (2,-)", None, real.act(("y", r), one), (2, MINUS))
     for i in seqs:
         for r in range(1, n):
             c = ctx.quiver.cartan_entry(i[r - 1], i[r])
-            deg2_inst("deg2 psi'_r eps_+(i)", (i,), Pp[r] * E[(i, PLUS)],
-                      (-c, MINUS))
-            deg2_inst("deg2 psi'_r eps_-(i)", (i,), Pp[r] * E[(i, MINUS)],
-                      (-c, PLUS))
+            deg2_inst("deg2 psi'_r eps_+(i)", (i,),
+                      real.act(("psi", r), E[(i, PLUS)]), (-c, MINUS))
+            deg2_inst("deg2 psi'_r eps_-(i)", (i,),
+                      real.act(("psi", r), E[(i, MINUS)]), (-c, PLUS))
 
     # structure maps: round trips on generators, classes of two blocks only
     if not symmetric:

@@ -57,6 +57,8 @@ class Quiver:
 
     def __post_init__(self):
         vs = self.vertices
+        if not vs:
+            raise InvalidQuiverError("a quiver needs at least one vertex")
         if len(set(vs)) != len(vs):
             raise InvalidQuiverError(f"duplicate vertex labels in {vs!r}")
         if len({type(v).__name__ for v in vs}) > 1:

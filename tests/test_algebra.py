@@ -348,15 +348,16 @@ def test_evaluate_computes_each_suffix_once(c3):
 
     def act(g, x):
         calls.append(g)
-        return c3.gen_left(g[:2], c3.e(i) if x is None else x)
+        return c3.gen_left(g[:2], x)
 
-    real = Realisation(labels=[i], seq=lambda label: label, arrow=None, act=act)
-    memo, letters = {}, {E: ("e", i, i)}
+    real = Realisation(labels=[i], seq=lambda label: label, arrow=None, act=act,
+                       base=c3.e)
+    memo, letters = {(): real.base(i)}, {E: ("e", i, i)}
     words = [(("y", 1), ("psi", 1)), (("psi", 1), ("y", 1), ("psi", 1)),
              (("y", 2), ("psi", 1)), (E, ("y", 1), ("psi", 1))]
     got = [evaluate(real, w, memo, letters) for w in words]
     suffixes = {w[t:] for w in words for t in range(len(w))}
-    assert len(calls) == len(suffixes) and set(memo) == suffixes
+    assert len(calls) == len(suffixes) and set(memo) == suffixes | {()}
     assert ("e", i, i) in calls
     for w, x in zip(words, got):
         tokens = [("e", i) if g == E else g for g in w]
@@ -367,10 +368,11 @@ def test_evaluate_computes_each_suffix_once(c3):
     assert len(calls) == len(suffixes)
     assert ydiff == got[0] - got[2]
 
-    # with a base in memo[()], a trailing E acts as the identity
-    base = c3.e(i)
-    memo = {(): base}
-    assert evaluate(real, (E,), memo, letters) is base
+    # every letter acts on the base, a trailing E too
+    calls.clear()
+    memo = {(): real.base(i)}
+    assert evaluate(real, (E,), memo, letters) == real.base(i)
     assert evaluate(real, (("y", 1), E), memo, letters) == c3.word_element(
         [("y", 1)], i)
-    assert set(memo) == {(), (("y", 1),)}
+    assert calls == [("e", i, i), ("y", 1)]
+    assert set(memo) == {(), (E,), (("y", 1), E)}

@@ -5,10 +5,32 @@ import pytest
 import klrcalc as K
 from klrcalc import alternating as alt
 from klrcalc import linalg, signop
-from klrcalc.algebra import Element, Mono
+from klrcalc.algebra import Element, Mono, relation_instances
 from klrcalc.perms import all_perms, length
 
 TAGS = ("G", "G'")
+
+
+def alt_gens(ctx, root):
+    """The alternating generators of the block as whole two-copy elements,
+    built by multiplication: Psi_r = psi_r eps, Y_r = y_r eps and e[i]."""
+    seqs = ctx.block_seqs(root)
+    eps = signop.make_epsilon(ctx, root)
+    Psi = {r: ctx.psi_element(r, seqs, TAGS) * eps for r in range(1, ctx.n)}
+    Y = {r: ctx.y_element(r, seqs, TAGS) * eps for r in range(1, ctx.n + 1)}
+    E = {s: signop.e_pair(ctx, s) for s in seqs}
+    return Psi, Y, E
+
+
+def acted_gens(ctx, root):
+    """The same generators, as the alternating realisation's letters acting
+    on the block unit."""
+    real = alt._alt_realisation(ctx, root)
+    one = real.base(None)
+    Psi = {r: real.act(("psi", r), one) for r in range(1, ctx.n)}
+    Y = {r: real.act(("y", r), one) for r in range(1, ctx.n + 1)}
+    E = {s: real.act(("e", s), one) for s in ctx.block_seqs(root)}
+    return Psi, Y, E
 
 
 @pytest.fixture(scope="module")
@@ -24,14 +46,14 @@ def root01(ctx2):
 def test_alt_generator_examples():
     ctx1 = K.make_context(K.cycle(3), 1)
     root = K.make_root(ctx1.quiver, {0: 1})
-    _, Y, _ = alt._alt_gens(ctx1, root)
     want = Element(ctx1, {Mono("G", (0,), (1,), (0,)): 1,
                           Mono("G'", (0,), (1,), (0,)): -1})
-    assert Y[1] == want
+    for _, Y, _ in (alt_gens(ctx1, root), acted_gens(ctx1, root)):
+        assert Y[1] == want
 
 
 def test_alt_generators_sign_fixed(ctx2, root01):
-    Psi, Y, E = alt._alt_gens(ctx2, root01)
+    Psi, Y, E = acted_gens(ctx2, root01)
     assert (len(Psi), len(Y), len(E)) == (1, 2, 2)
     for gens in (Psi, Y, E):
         for g in gens.values():
@@ -121,11 +143,17 @@ def test_express_word_shapes(ctx2, root01):
     # the realized word reproduces the basis element with scalar one
     w, a, s, _b = desc
     el = Element(ctx2, {Mono("G", w, a, s): 1, Mono("G'", w, a, s): 1})
-    Psi, Y, E = alt._alt_gens(ctx2, root01)
+    Psi, Y, E = alt_gens(ctx2, root01)
     gens = {"psi": Psi, "y": Y}
     got = E[word[-1][1]]
     for kind, index in reversed(word[:-1]):
         got = gens[kind][index] * got
+    assert got == el
+    # and so do its letters, acting on the block unit
+    real = alt._alt_realisation(ctx2, root01)
+    got = real.base(None)
+    for g in reversed(word):
+        got = real.act(g, got)
     assert got == el
 
 
@@ -168,29 +196,28 @@ def test_express_coverage_small(ctx2, root01):
 
 
 def test_express_coverage_shares_suffixes(ctx2, root01, monkeypatch):
-    # one product per distinct word suffix of two or more letters
-    gens = alt._alt_gens(ctx2, root01)
-    monkeypatch.setattr(alt, "_alt_gens", lambda ctx, root: gens)
+    # one gen_left call per distinct word suffix of two or more letters:
+    # the last letter e[i] only keeps the unit's terms of face i
     calls = []
-    multiply = ctx2.multiply
-    monkeypatch.setattr(ctx2, "multiply",
-                        lambda x, y: calls.append(1) or multiply(x, y))
+    gen_left = ctx2.gen_left
+    monkeypatch.setattr(ctx2, "gen_left",
+                        lambda g, x: calls.append(g) or gen_left(g, x))
     rows = alt.express_coverage(ctx2, root01, 1)
     words = [tuple(alt.express_alt(ctx2, desc))
              for desc in alt.alt_basis(ctx2, root01, 1)[0]]
     suffixes = {w[t:] for w in words for t in range(len(w) - 1)}
     assert all(r["status"] == "pass" for r in rows)
-    assert len(calls) <= len(suffixes) < sum(len(w) - 1 for w in words)
+    assert len(calls) == len(suffixes) < sum(len(w) - 1 for w in words)
 
 
 def test_presentation_paper_instances(ctx2, root01):
-    Psi, Y, E = alt._alt_gens(ctx2, root01)
+    Psi, Y, E = alt_gens(ctx2, root01)
     e01 = E[(0, 1)]
     # edge 0 -> 1: Psi_1^2 e[(0,1)] = (Y_1 - Y_2) e[(0,1)]
     assert Psi[1] * (Psi[1] * e01) == (Y[1] - Y[2]) * e01
 
     sym = K.make_root(ctx2.quiver, {0: 2})
-    Psi2, Y2, E2 = alt._alt_gens(ctx2, sym)
+    Psi2, Y2, E2 = alt_gens(ctx2, sym)
     e00 = E2[(0, 0)]
     assert Psi2[1] * (Y2[2] * e00) == Y2[1] * (Psi2[1] * e00) + e00
 
@@ -198,7 +225,7 @@ def test_presentation_paper_instances(ctx2, root01):
 def test_presentation_braid_instance():
     ctx = K.make_context(K.cycle(3), 3)
     root = K.make_root(ctx.quiver, {0: 2, 1: 1})
-    Psi, Y, E = alt._alt_gens(ctx, root)
+    Psi, Y, E = alt_gens(ctx, root)
     e010 = E[(0, 1, 0)]
     lhs = Psi[1] * (Psi[2] * (Psi[1] * e010))
     rhs = Psi[2] * (Psi[1] * (Psi[2] * e010)) - e010
@@ -216,7 +243,7 @@ def test_presentation_full_sweep_n2():
 def test_component_split_of_quadratic_and_braid(ctx2, root01):
     # the two tagged components of each side agree separately: the ambient
     # check on e[i] sums both orientations
-    Psi, Y, E = alt._alt_gens(ctx2, root01)
+    Psi, Y, E = alt_gens(ctx2, root01)
 
     def split(x):
         g = {m: c for m, c in x.terms.items() if m.tag == "G"}
@@ -237,10 +264,55 @@ def test_component_split_of_quadratic_and_braid(ctx2, root01):
 
 
 def test_generator_degrees(ctx2, root01):
-    Psi, Y, E = alt._alt_gens(ctx2, root01)
+    Psi, Y, E = acted_gens(ctx2, root01)
     assert Y[1].degree() == 2
     assert E[(0, 1)].degree() == 0
-    assert (Psi[1] * E[(0, 1)]).degree() == 1  # cartan entry -1 on the edge
+    real = alt._alt_realisation(ctx2, root01)
+    # cartan entry -1 on the edge
+    assert real.act(("psi", 1), E[(0, 1)]).degree() == 1
+    assert (Psi[1] * E[(0, 1)]).degree() == 1
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_letters_act_as_their_generators(n):
+    # differential: each letter of both realisations, acting on a basis
+    # monomial, against left multiplication by its whole generator
+    ctx = K.make_context(K.cycle(3), n)
+    for root in K.all_roots(ctx.quiver, n):
+        seqs = ctx.block_seqs(root)
+        eps = signop.make_epsilon(ctx, root)
+        gens = [(("psi", r), ctx.psi_element(r, seqs, TAGS)) for r in range(1, n)]
+        gens += [(("y", r), ctx.y_element(r, seqs, TAGS)) for r in range(1, n + 1)]
+        alt_letters = [(g, G * eps) for g, G in gens]
+        alt_letters += [(("e", j), signop.e_pair(ctx, j)) for j in seqs]
+        alt_letters += [(("e", j, i), signop.e_pair(ctx, j))
+                        for j in seqs for i in seqs]
+        signed_letters = gens + [(("e", j, (i, a)), alt.signed_eps(ctx, j, a))
+                                 for j in seqs for i in seqs for a in "+-"]
+        monos, _ = ctx.enumerate_basis(root, 1, TAGS)
+        for real, letters in ((alt._alt_realisation(ctx, root), alt_letters),
+                              (alt._signed_realisation(ctx, root), signed_letters)):
+            for m in monos:
+                x = Element(ctx, {m: 1})
+                for g, G in letters:
+                    assert real.act(g, x) == G * x, (g, m)
+
+
+def test_presentations_act_without_multiply(monkeypatch):
+    # express coverage and both presentations' relation tables act letter
+    # by letter; no whole generator element is multiplied
+    ctx = K.make_context(K.cycle(3), 3)
+
+    def refuse(self, x, y):
+        raise AssertionError("multiplied whole elements")
+
+    monkeypatch.setattr(K.KLR, "multiply", refuse)
+    for root in K.all_roots(ctx.quiver, 3):
+        assert all(row["status"] == "pass"
+                   for row in alt.iter_express_coverage(ctx, root, 1))
+        for real in (alt._alt_realisation(ctx, root),
+                     alt._signed_realisation(ctx, root)):
+            assert all(lhs == rhs for *_, lhs, rhs in relation_instances(real, 3))
 
 
 def test_dims_complete_window():

@@ -132,6 +132,10 @@ def test_field_flag(capsys):
     ["verify", "klr-relations", "--n", "1", "--fuzz", "0"],
     ["verify", "clifford", "--n", "1", "--max-pairs", "0"],
     ["verify", "clifford", "--n", "2", "--block", ""],
+    ["verify", "klr-relations", "--quiver", '{"vertices":[],"edges":[],"tau":{}}',
+     "--n", "1"],
+    ["verify", "alt-presentation", "--quiver", '{"vertices":[],"edges":[],"tau":{}}',
+     "--n", "1"],
 ])
 def test_malformed_input_exits2(capsys, argv):
     # argparse refuses a bad flag value by raising SystemExit(2)

@@ -52,6 +52,8 @@ def test_invalid_quivers_name_offenders():
         K.make_quiver("bad", [0, 1], [(0, 1), (1, 0)])
     with pytest.raises(InvalidQuiverError, match="loop"):
         K.make_quiver("bad", [0, 1], [(0, 0)])
+    with pytest.raises(InvalidQuiverError, match="at least one vertex"):
+        K.make_quiver("bad", [], [])
 
 
 def test_opposite_involution_and_cartan_invariance():

@@ -84,11 +84,7 @@ def test_relation_table_needs_the_sign_flip():
     # psi'^2 and braid rows must fail
     ctx = K.make_context(K.cycle(3), 3)
     root = K.make_root(ctx.quiver, {0: 2, 1: 1})
-    seqs = ctx.block_seqs(root)
-    E = {(s, a): alt.signed_eps(ctx, s, a) for s in seqs for a in ("+", "-")}
-    Y = {r: ctx.y_element(r, seqs, TAGS) for r in range(1, 4)}
-    P = {r: ctx.psi_element(r, seqs, TAGS) for r in range(1, 3)}
-    real = alt._signed_realisation(ctx, P, Y, E)
+    real = alt._signed_realisation(ctx, root)
 
     def failing(real):
         return {alt.SIGNED_NAMES[family]
