@@ -553,9 +553,8 @@ class KLR:
         return tuple(rec(0, bound))
 
     def enumerate_basis(self, root: Root, bound: int, tags=(TAG_MAIN,)):
-        """All basis monomials over I^beta with |a| <= bound, plus the graded
-        dimension table of the truncation.  Order: the canonical
-        (tag, word, exponents, sequence) sort."""
+        """All basis monomials over I^beta with |a| <= bound, in the canonical
+        (tag, word, exponents, sequence) sort.  No degree is computed."""
         if bound < 0:
             raise ShapeError("bound must be >= 0")
         if root.height != self.n:
@@ -567,11 +566,7 @@ class KLR:
                  for a in self.exponents_upto(bound)
                  for s in seqs]
         monos.sort(key=self.mono_sort_key)
-        table: dict = {}
-        for m in monos:
-            d = self.mono_degree(m)
-            table[d] = table.get(d, 0) + 1
-        return monos, dict(sorted(table.items()))
+        return monos
 
 
 # --- the defining presentation, written once ------------------------------------

@@ -68,18 +68,11 @@ def iter_alt_basis(ctx: KLR, root: Root, bound: int):
 def alt_basis(ctx: KLR, root: Root, bound: int):
     """The elements of `iter_alt_basis`, listed.
 
-    Returns (descriptors, elements, degree table), in the stream's order;
-    the count is exactly half the truncated ambient monomial count.
+    Returns (descriptors, elements), in the stream's order; the count is
+    exactly half the truncated ambient monomial count.
     """
-    descs = []
-    elems = []
-    table: dict = {}
-    for desc, el in iter_alt_basis(ctx, root, bound):
-        descs.append(desc)
-        elems.append(el)
-        d = ctx.mono_degree(Mono(TAG_MAIN, *desc[:3]))
-        table[d] = table.get(d, 0) + 1
-    return descs, elems, dict(sorted(table.items()))
+    rows = list(iter_alt_basis(ctx, root, bound))
+    return [desc for desc, _ in rows], [el for _, el in rows]
 
 
 # The letters of the basis words, one object per letter: a word's memoised
@@ -109,22 +102,35 @@ def express_alt(ctx: KLR, desc) -> list:
 # --- graded dimensions in the one-quiver picture ------------------------------
 
 
+def _add_dims(ctx: KLR, table: dict, seqs, bound: int,
+              parity: bool = False) -> None:
+    """Add to `table` the degrees of psi_w y^a e(i) over every w, every i in
+    `seqs` and |a| <= bound.  The C(k + n - 1, k) exponent vectors a with
+    |a| = k all sit at degree deg(psi_w e(i)) + 2k, so each (w, i) costs one
+    `mono_degree`.  With `parity`, only the k with l(w) + k even count."""
+    n = ctx.n
+    zero = (0,) * n
+    ways = [math.comb(k + n - 1, k) for k in range(bound + 1)]
+    for w in perms.all_perms(n):
+        first, step = (length(w) % 2, 2) if parity else (0, 1)
+        for s in seqs:
+            d = ctx.mono_degree(Mono(TAG_MAIN, w, zero, s))
+            for k in range(first, bound + 1, step):
+                table[d + 2 * k] = table.get(d + 2 * k, 0) + ways[k]
+
+
 def full_dims_single(ctx: KLR, bound: int) -> dict:
     """Graded dimension table of the whole rank-n algebra (single copy),
-    truncated at |a| <= bound."""
-    seqs = all_seqs(ctx.quiver, ctx.n)
+    truncated at |a| <= bound, counted per (w, i) by `_add_dims`."""
     table: dict = {}
-    for w in perms.all_perms(ctx.n):
-        for a in ctx.exponents_upto(bound):
-            for s in seqs:
-                d = ctx.mono_degree(Mono(TAG_MAIN, w, a, s))
-                table[d] = table.get(d, 0) + 1
+    _add_dims(ctx, table, all_seqs(ctx.quiver, ctx.n), bound)
     return dict(sorted(table.items()))
 
 
 def alternating_dims_single(ctx: KLR, bound: int) -> dict:
     """Graded dimension table of the sign-fixed subalgebra in the one-quiver
-    picture, summed over one block class representative each.
+    picture, summed over one block class representative each and counted
+    per (w, i) by `_add_dims`.
 
     For a class with two distinct blocks every (w, a, i) over the
     representative block contributes once; on a reversal-symmetric block the
@@ -135,26 +141,14 @@ def alternating_dims_single(ctx: KLR, bound: int) -> dict:
         raise ShapeError("alternating dimensions need a reversal map")
     tau = ctx.tau
     table: dict = {}
-
-    def bump(d):
-        table[d] = table.get(d, 0) + 1
-
     for root in root_tau_classes(ctx.quiver, tau, ctx.n).reps:
         seqs = sequences(ctx.quiver, root)
-        if tau.root(root) != root:
-            for w in perms.all_perms(ctx.n):
-                for a in ctx.exponents_upto(bound):
-                    for s in seqs:
-                        bump(ctx.mono_degree(Mono(TAG_MAIN, w, a, s)))
-            continue
-        classes = tau_classes(ctx.quiver, seqs, tau)
-        for w in perms.all_perms(ctx.n):
-            lw = length(w)
-            for a in ctx.exponents_upto(bound):
-                even = (lw + sum(a)) % 2 == 0
-                for cls, rep in zip(classes.classes, classes.reps):
-                    if len(cls) == 2 or even:
-                        bump(ctx.mono_degree(Mono(TAG_MAIN, w, a, rep)))
+        if tau.root(root) == root:
+            reps = tau_classes(ctx.quiver, seqs, tau).reps
+            seqs = [s for s in reps if tau.seq(s) != s]
+            _add_dims(ctx, table, [s for s in reps if tau.seq(s) == s], bound,
+                      parity=True)
+        _add_dims(ctx, table, seqs, bound)
     return dict(sorted(table.items()))
 
 
@@ -504,7 +498,7 @@ def verify_signed_relations(ctx: KLR, root: Root, bound: int = 1):
     # b + sgn(b) is twice the even part of b, which spans the same.  No row
     # is listed: each is built when it is eliminated, the alternating rows
     # once for each of their two reads.
-    monos, _ = ctx.enumerate_basis(root, bound, TAGS_BOTH)
+    monos = ctx.enumerate_basis(root, bound, TAGS_BOTH)
     basis = (Element(ctx, {m: dom.one}) for m in monos)
     even_rows = ((b + sgn(b)).terms for b in basis)
     ok_span = linalg.spans_equal(even_rows, _AltRows(ctx, root, bound), dom)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 
 from . import suites
 from .algebra import Element
@@ -138,21 +139,22 @@ def _dispatch(args) -> int:
         ctx = suites.make_context(quiver, args.n, dom, tau_mapping)
         root = _parse_block(quiver, args.block)
         tags = ("G",) if args.tags == "G" else ("G", "G'")
-        monos, table = ctx.enumerate_basis(root, args.bound, tags)
+        monos = ctx.enumerate_basis(root, args.bound, tags)
+        table = sorted(Counter(map(ctx.mono_degree, monos)).items())
         if args.format == "json":
             obj = {
                 "block": str(root),
                 "count": len(monos),
                 "monomials": [element_to_json_obj(
                     Element(ctx, {m: ctx.dom.one}))[0] for m in monos],
-                "degree_table": {str(d): c for d, c in table.items()},
+                "degree_table": {str(d): c for d, c in table},
             }
             print(json.dumps(obj, sort_keys=True, indent=2))
         else:
             for m in monos:
                 print(element_to_text(Element(ctx, {m: ctx.dom.one})))
             print(f"count: {len(monos)}")
-            for d, c in table.items():
+            for d, c in table:
                 print(f"deg {d}: {c}")
         return 0
 

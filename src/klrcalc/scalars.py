@@ -9,6 +9,7 @@ subalgebra constructions require; characteristic 2 is rejected outright.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -72,12 +73,14 @@ class Rationals:
 
 
 class PrimeField:
-    """Z/p for an odd prime p; values are ints in [0, p)."""
+    """Z/p for an odd prime p below 2**31; values are ints in [0, p)."""
 
     def __init__(self, p: int):
         if p == 2:
             raise DomainError("characteristic 2 is not supported (2 must be invertible)")
-        if p < 3 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
+        if p >= 2 ** 31:
+            raise DomainError("the modulus must be below 2**31")
+        if p < 3 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
             raise DomainError(f"{p} is not an odd prime")
         self.p = p
         self.name = f"F{p}"
@@ -116,6 +119,11 @@ class PrimeField:
             if int(mod) != self.p:
                 raise DomainError(f"value is mod {mod.strip()}, domain is mod {self.p}")
             return int(val) % self.p
+        if "/" in text:
+            num, den = text.split("/")
+            if int(den) % self.p == 0:
+                raise DomainError(f"zero denominator mod {self.p} in {text!r}")
+            return int(num) * pow(int(den), -1, self.p) % self.p
         return int(text) % self.p
 
     def __repr__(self):

@@ -174,7 +174,7 @@ def clifford_axioms_check(ctx: KLR, root: Root, choice: CliffordChoice | None = 
 
     # b + sgn(b) and b - sgn(b) are twice the parts of b: ranks, spans and
     # sign eigenvalues do not see the factor
-    monos, _ = ctx.enumerate_basis(root, bound, TAGS_BOTH)
+    monos = ctx.enumerate_basis(root, bound, TAGS_BOTH)
     even = []
     odd = []
     for m in monos:

@@ -185,7 +185,7 @@ def _sweep_block(ctx: KLR, root: Root, bound: int):
     """Apply both sides of every defining relation to every truncated basis
     monomial of the block; returns aggregated rows."""
     seqs = ctx.block_seqs(root)
-    monos, _ = ctx.enumerate_basis(root, bound)
+    monos = ctx.enumerate_basis(root, bound)
     elems = [Element(ctx, {m: ctx.dom.one}) for m in monos]
     unit = ctx.block_idempotent(root)
     checked: dict = {}

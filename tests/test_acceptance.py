@@ -117,8 +117,8 @@ def test_criterion_alternating_basis():
         for n in (1, 2, 3):
             ctx = K.make_context(quiver, n)
             for root in K.root_tau_classes(quiver, ctx.tau, n).reps:
-                descs, elems, _ = alt.alt_basis(ctx, root, 2)
-                monos, _ = ctx.enumerate_basis(root, 2, TAGS)
+                descs, elems = alt.alt_basis(ctx, root, 2)
+                monos = ctx.enumerate_basis(root, 2, TAGS)
                 assert 2 * len(elems) == len(monos), str(root)
                 r = linalg.rank([e.terms for e in elems], ctx.dom)
                 assert r == len(elems), str(root)

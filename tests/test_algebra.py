@@ -1,6 +1,7 @@
 """The rewrite engine: relations, degrees, products, basis enumeration."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -244,22 +245,34 @@ def test_enumerate_basis_counts():
     ctx1 = K.KLR(q, 1)
     total = 0
     for v in q.vertices:
-        monos, table = ctx1.enumerate_basis(K.make_root(q, {v: 1}), 3)
+        monos = ctx1.enumerate_basis(K.make_root(q, {v: 1}), 3)
         total += len(monos)
-        assert table == {0: 1, 2: 1, 4: 1, 6: 1}
+        degrees = Counter(map(ctx1.mono_degree, monos))
+        assert degrees == {0: 1, 2: 1, 4: 1, 6: 1}
     assert total == 12  # y^k e(i), k <= 3, i in I
 
     ctx2 = K.KLR(q, 2)
     root = K.make_root(q, {0: 1, 1: 1})
-    monos, _ = ctx2.enumerate_basis(root, 1)
+    monos = ctx2.enumerate_basis(root, 1)
     assert len(monos) == 2 * 2 * 3  # perms * sequences * exponent vectors
-    monos0, _ = ctx2.enumerate_basis(root, 0)
+    monos0 = ctx2.enumerate_basis(root, 0)
     assert len(monos0) == 2 * 2
+
+
+def test_enumerate_basis_reads_no_degree(monkeypatch):
+    def refuse(self, m):
+        raise AssertionError("enumerate_basis built a degree table")
+
+    monkeypatch.setattr(K.KLR, "mono_degree", refuse)
+    ctx = K.KLR(K.cycle(3), 2)
+    monos = ctx.enumerate_basis(K.make_root(ctx.quiver, {0: 1, 1: 1}), 2,
+                                TAGS_BOTH)
+    assert len(monos) == 2 * 2 * 2 * 6  # tags * perms * sequences * exponents
 
 
 def test_basis_monomials_distinct_and_products_stay_in_shape(c3):
     root = K.make_root(K.cycle(3), {0: 1, 1: 1})
-    monos, _ = c3.enumerate_basis(root, 2)
+    monos = c3.enumerate_basis(root, 2)
     assert len(set(monos)) == len(monos)
     rng = random.Random(3)
     for _ in range(40):
@@ -308,7 +321,7 @@ def char_reduction_check(quiver, n, root, bound, primes, sample, seed=0):
     (p, m1, m2)).  The engine never divides, so none are expected."""
     rng = random.Random(seed)
     ctx_q = K.KLR(quiver, n)
-    monos, _ = ctx_q.enumerate_basis(root, bound)
+    monos = ctx_q.enumerate_basis(root, bound)
     pairs = [(rng.choice(monos), rng.choice(monos)) for _ in range(sample)]
     mismatches = []
     for p in primes:

@@ -68,9 +68,9 @@ def test_class_idempotents_sum_to_identity(ctx2, root01):
 
 
 def test_alt_basis_counts_and_rank(ctx2, root01):
-    descs, elems, table = alt.alt_basis(ctx2, root01, 1)
+    descs, elems = alt.alt_basis(ctx2, root01, 1)
     assert len(elems) == 12
-    monos, _ = ctx2.enumerate_basis(root01, 1, TAGS)
+    monos = ctx2.enumerate_basis(root01, 1, TAGS)
     assert len(monos) == 24
     assert linalg.rank([e.terms for e in elems], ctx2.dom) == 12
     for (w, a, s, b), el in zip(descs, elems):
@@ -84,8 +84,8 @@ def test_alt_basis_halving_all_blocks():
         for n in (1, 2, 3):
             ctx = K.make_context(quiver, n)
             for root in K.root_tau_classes(quiver, ctx.tau, n).reps:
-                descs, elems, _ = alt.alt_basis(ctx, root, 2)
-                monos, _ = ctx.enumerate_basis(root, 2, TAGS)
+                descs, elems = alt.alt_basis(ctx, root, 2)
+                monos = ctx.enumerate_basis(root, 2, TAGS)
                 assert 2 * len(elems) == len(monos)
                 assert linalg.rank([e.terms for e in elems], ctx.dom) == len(elems)
 
@@ -135,6 +135,72 @@ def test_alternating_dims_match_rank_oracle(quiver, n, bound):
         sigma_fixed_dims_oracle(ctx, bound)
 
 
+def dims_by_listing(ctx, bound):
+    """The (full, alternating) dims tables by listing every psi_w y^a e(i),
+    one `mono_degree` per (w, a, i): the tables' old computation, kept as an
+    oracle for their per-(w, i) sums."""
+    tau = ctx.tau
+    full, table = {}, {}
+
+    def bump(t, w, a, s):
+        d = ctx.mono_degree(Mono("G", w, a, s))
+        t[d] = t.get(d, 0) + 1
+
+    for w in all_perms(ctx.n):
+        for a in ctx.exponents_upto(bound):
+            for s in K.all_seqs(ctx.quiver, ctx.n):
+                bump(full, w, a, s)
+    for root in K.root_tau_classes(ctx.quiver, tau, ctx.n).reps:
+        seqs = K.sequences(ctx.quiver, root)
+        if tau.root(root) != root:
+            for w in all_perms(ctx.n):
+                for a in ctx.exponents_upto(bound):
+                    for s in seqs:
+                        bump(table, w, a, s)
+            continue
+        classes = K.tau_classes(ctx.quiver, seqs, tau)
+        for w in all_perms(ctx.n):
+            for a in ctx.exponents_upto(bound):
+                even = (length(w) + sum(a)) % 2 == 0
+                for cls, rep in zip(classes.classes, classes.reps):
+                    if len(cls) == 2 or even:
+                        bump(table, w, a, rep)
+    return dict(sorted(full.items())), dict(sorted(table.items()))
+
+
+LETTERS = K.make_quiver("letters", ["a", "b", "c"],
+                        [("a", "b"), ("b", "c"), ("c", "a")],
+                        {"a": "a", "b": "c", "c": "b"})
+
+
+@pytest.mark.parametrize("quiver,n,bound", [
+    *((K.cycle(3), n, b) for n in (1, 2, 3) for b in range(5)),
+    (K.cycle(3), 4, 2), (K.path(3), 2, 3), (K.path(3), 3, 3),
+    (K.cycle(4), 2, 3), (K.cycle(4), 3, 3), (K.cycle(0), 2, 3),
+    (LETTERS, 2, 3),
+], ids=lambda v: v.name if isinstance(v, K.Quiver) else str(v))
+def test_dims_tables_match_listing(quiver, n, bound):
+    ctx = K.make_context(quiver, n)
+    assert (alt.full_dims_single(ctx, bound),
+            alt.alternating_dims_single(ctx, bound)) == dims_by_listing(ctx, bound)
+
+
+def test_dims_tables_degree_calls_do_not_grow_with_bound(monkeypatch):
+    # one mono_degree per (w, i), however many exponent vectors a there are
+    ctx = K.make_context(K.cycle(3), 3)
+    calls = []
+    mono_degree = K.KLR.mono_degree
+    monkeypatch.setattr(K.KLR, "mono_degree",
+                        lambda self, m: calls.append(m) or mono_degree(self, m))
+    counts = []
+    for bound in (2, 10):
+        calls.clear()
+        alt.full_dims_single(ctx, bound)
+        alt.alternating_dims_single(ctx, bound)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
 def test_express_word_shapes(ctx2, root01):
     desc = ((1, 0), (2, 1), (0, 1), 0)  # l(w) + |a| = 4 even forces b = 0
     word = alt.express_alt(ctx2, desc)
@@ -161,7 +227,7 @@ def test_express_word_shapes(ctx2, root01):
 def test_streamed_basis_is_alt_basis(bound):
     ctx = K.make_context(K.cycle(3), 3)
     for root in K.all_roots(ctx.quiver, 3):
-        descs, elems, _ = alt.alt_basis(ctx, root, bound)
+        descs, elems = alt.alt_basis(ctx, root, bound)
         streamed = list(alt.iter_alt_basis(ctx, root, bound))
         assert [desc for desc, _ in streamed] == descs
         assert [el.terms for _, el in streamed] == [el.terms for el in elems]
@@ -289,7 +355,7 @@ def test_letters_act_as_their_generators(n):
                         for j in seqs for i in seqs]
         signed_letters = gens + [(("e", j, (i, a)), alt.signed_eps(ctx, j, a))
                                  for j in seqs for i in seqs for a in "+-"]
-        monos, _ = ctx.enumerate_basis(root, 1, TAGS)
+        monos = ctx.enumerate_basis(root, 1, TAGS)
         for real, letters in ((alt._alt_realisation(ctx, root), alt_letters),
                               (alt._signed_realisation(ctx, root), signed_letters)):
             for m in monos:
@@ -325,8 +391,8 @@ def test_dims_complete_window():
 def test_truncated_span_closed_under_multiplication(ctx2, root01):
     # products of truncated basis elements re-expand with parity-consistent
     # terms only, inside the span of a larger truncation
-    _, small, _ = alt.alt_basis(ctx2, root01, 1)
-    _, big, _ = alt.alt_basis(ctx2, root01, 4)
+    _, small = alt.alt_basis(ctx2, root01, 1)
+    _, big = alt.alt_basis(ctx2, root01, 4)
     big_span = linalg.Echelon(ctx2.dom, [e.terms for e in big])
     for x in small:
         for y in small:

@@ -138,7 +138,7 @@ def test_block_work_counts_truncated_bases():
         roots = K.all_roots(q, n)
         ctx = K.KLR(q, n)
         assert suites._block_work(n, bound, roots) == sum(
-            len(ctx.enumerate_basis(root, bound)[0]) for root in roots)
+            len(ctx.enumerate_basis(root, bound)) for root in roots)
     # `verify klr-relations --n 2` runs here; the n = 4 sweeps stay pooled
     assert suites._block_work(2, 2, K.all_roots(q, 2)) < suites.POOL_MIN_WORK
     assert suites._block_work(4, 1, K.all_roots(q, 4)) >= suites.POOL_MIN_WORK

@@ -108,6 +108,15 @@ def test_field_flag(capsys):
     assert out.strip() == "e(1,0)@G"
 
 
+@pytest.mark.parametrize("expr,coeff", [("1/2", 3), ("3/2", 4), ("2/4", 3)])
+def test_prime_field_fraction(capsys, expr, coeff):
+    # a scalar a/b reads as a * b^-1 mod p
+    code, out, _ = run(capsys, "nf", "--field", "Fp:5", "--n", "1",
+                       f"{expr}*y[1]*e(0)")
+    assert code == 0
+    assert out.strip() == f"{coeff}*y[1]*e(0)@G"
+
+
 @pytest.mark.parametrize("argv", [
     ["quiver", "--tau", '{"9":0}'],
     ["quiver", "--tau", "[1,2]"],
@@ -117,6 +126,7 @@ def test_field_flag(capsys):
     ["quiver", "--quiver", '{"vertices":[[0],[1]],"edges":[]}'],
     ["quiver", "--quiver", '{"family":"path","k":"3"}'],
     ["nf", "--n", "1", "1/0"],
+    ["nf", "--field", "Fp:5", "--n", "1", "1/5"],
     ["verify", "klr-relations", "--n", "1", "--fuzz", "-5"],
     ["verify", "dims", "--n", "1", "--bound", "-1"],
     ["verify", "clifford", "--n", "1", "--max-pairs", "-1"],
@@ -136,6 +146,9 @@ def test_field_flag(capsys):
      "--n", "1"],
     ["verify", "alt-presentation", "--quiver", '{"vertices":[],"edges":[],"tau":{}}',
      "--n", "1"],
+    # moduli past the cap, refused before any primality test
+    ["nf", "--field", f"Fp:{10 ** 400 + 1}", "--n", "1", "e(0)"],
+    ["nf", "--field", "Fp:1000000000000000003", "--n", "1", "e(0)"],
 ])
 def test_malformed_input_exits2(capsys, argv):
     # argparse refuses a bad flag value by raising SystemExit(2)

@@ -1,4 +1,4 @@
-"""Golden reports: the sha256 of stdout for fixed suite runs.
+"""Golden reports: the sha256 of stdout for fixed CLI runs.
 
 Any change to report bytes shows here.  The JSON `instances` list of
 alt-presentation and signed-relations is compared as a sorted list (by its
@@ -40,6 +40,9 @@ RUNS = {
     "clifford": ["verify", "clifford", "--n", "2"],
     "clifford-n3": ["verify", "clifford", "--n", "3"],
     "dims": ["verify", "dims", "--n", "1", "--bound", "6"],
+    # the degree table of a basis listing, tallied over the printed monomials
+    "basis": ["basis", "--n", "3", "--block", "0,1,2", "--bound", "1",
+              "--tags", "both"],
 }
 
 # instance order in these suites' JSON follows the checker, not the report
@@ -94,6 +97,10 @@ GOLDEN = {
         "235fc30930507d2282b7cff41f336b104e77726106b228287bddc93375a24c69",
     ("dims", "json"):
         "1be836c4afafe2a41a479df2c89d08703909a7c6f4129095343d9517b3a4978b",
+    ("basis", "text"):
+        "bd071e43c8c91942ce69bc8fc5cedebff2e9e1436686af7e6c2255f3e2cf4b7c",
+    ("basis", "json"):
+        "9a457ae497f7c55db3367e4f7051a7d51e7621afce43a765dcb1b22ac3ca3f99",
 }
 
 # the raw stdout of JSON runs, instance order included
