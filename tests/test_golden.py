@@ -43,6 +43,17 @@ RUNS = {
     # the degree table of a basis listing, tallied over the printed monomials
     "basis": ["basis", "--n", "3", "--block", "0,1,2", "--bound", "1",
               "--tags", "both"],
+    # products through KLR.multiply: y-exponents, both tags and eps, and a
+    # psi^2 whose y terms cancel one of the sum (over F5, only mod 5)
+    "nf-Q": ["nf", "--n", "3", "psi[1]*(psi[1]*y[3]*e(0,1,2) + eps*y[2]^2*psi[2])"
+             " + y[2]*y[3]*e(0,1,2)"],
+    "nf-F5": ["nf", "--n", "3", "--field", "Fp:5",
+              "(2*psi[1]*y[1] + eps)*(psi[1]*y[2]*e(1,2,0)@G' + 3*y[1]*psi[2]*e(0,1,2))"
+              " + psi[1]*psi[1]*y[1]*e(1,2,0)@G' + 4*y[1]*y[2]*e(1,2,0)@G'"],
+    "mul-Q": ["mul", "--n", "3", "(psi[1]+y[2])^2*psi[2]",
+              "psi[1]*y[1]*e(0,1,0) - eps*psi[2]"],
+    "mul-F5": ["mul", "--n", "3", "--field", "Fp:5", "psi[2]*psi[1]*y[3]^2 + 3*eps*y[1]",
+               "psi[1]*psi[2]*e(0,1,0)@G + psi[1]*e(1,1,2)@G'"],
 }
 
 # instance order in these suites' JSON follows the checker, not the report
@@ -101,6 +112,22 @@ GOLDEN = {
         "bd071e43c8c91942ce69bc8fc5cedebff2e9e1436686af7e6c2255f3e2cf4b7c",
     ("basis", "json"):
         "9a457ae497f7c55db3367e4f7051a7d51e7621afce43a765dcb1b22ac3ca3f99",
+    ("nf-Q", "text"):
+        "b2c6c28843316bd9c30944e972c63e8b6c7f7205cd7f3d13598d6cb47e530666",
+    ("nf-Q", "json"):
+        "95310f9a9697a2d0e4c601e66437abe56e453d1375321fb79b4a417f4d6deba2",
+    ("nf-F5", "text"):
+        "5eb9fd4db33a6996872281bf40a875b28081d6148100889762fb29f60934f258",
+    ("nf-F5", "json"):
+        "3086241045eca30edd04d92afcdb4225bec789095a4b02030b5e967d27df9f24",
+    ("mul-Q", "text"):
+        "98207382a6a24af65b410b024d4188dc9cd55b4cc0c9e06169c7a2e8006914cb",
+    ("mul-Q", "json"):
+        "9eb42cde45ce600a6726ef42d140cb77ac350eb25765c2d4bc433a3de0e0f5c6",
+    ("mul-F5", "text"):
+        "329815418595ce8171a71de8bcf16c36693f883798c1a7a21454a2630f331972",
+    ("mul-F5", "json"):
+        "2a83b886d31c6e39f1d811f3448b7e72821cdb48fb97fd7ddc2b8f8a342af525",
 }
 
 # the raw stdout of JSON runs, instance order included
