@@ -30,6 +30,7 @@ and the y's commute with each other and with e(seq), so psi_word y^a e(seq)
 = (psi_word e(seq)) y^a, and right multiplication by y^a adds a to each
 term's exponent.  The memo tables therefore hold exponent-free products,
 and a caller's exponent is added to each term as the terms are accumulated.
+Products x y are built from the same one-letter actions.
 
 The defining presentation is also written down as data, apart from the
 rewrite rules: `KLR_RELATIONS` lists the relation families once, and
@@ -175,9 +176,9 @@ class KLR:
     validated reversal map, and all rewrite memo tables.  Elements are tied
     to their context; contexts with equal (quiver, n, domain) are compatible.
 
-    The memo tables hold exponent-free products: psi_word e(seq) by
-    (word, seq, tag), y_s psi_w e(seq) by (s, w, seq, tag), and m1 psi_w
-    e(seq) by (m1, w, seq).  A term's y^a is right of every psi letter and
+    The two rewrite memo tables hold exponent-free products, reached one
+    letter at a time: psi_word e(seq) by (word, seq, tag), y_s psi_w e(seq)
+    by (s, w, seq, tag).  A term's y^a is right of every psi letter and
     commutes with e(seq) and the other y's, so its product is the memoised
     one times y^a, and the rewriting never reads a.
     """
@@ -195,7 +196,6 @@ class KLR:
         self._id_perm = perms.identity(n)
         self._y_cache: dict = {}
         self._word_cache: dict = {}
-        self._pair_cache: dict = {}
         self._psi_deg_cache: dict = {}
         # memo tables stop growing past this many entries apiece; results are
         # still computed, just not retained, so memory stays bounded under
@@ -485,51 +485,30 @@ class KLR:
 
     # --- products ------------------------------------------------------------
 
-    def _mono_pair(self, m1: Mono, m2: Mono) -> dict:
-        """The product m1 m2; zero, and not memoised, unless e(m1.seq) on
-        the right of m1 meets the face of m2 on the same tag."""
-        if m1.tag != m2.tag or m1.seq != self.mono_face(m2):
-            return {}
-        out: dict = {}
-        _acc(out, self._pair_nf(m1, m2), self.dom.one, self.dom, m2.a)
-        return out
-
-    def _pair_nf(self, m1: Mono, m2: Mono) -> dict:
-        """m1 psi_w e(seq), memoised, for an m2 = psi_w y^b e(seq) whose face
-        meets m1's right idempotent: the product m1 m2 is this times y^b."""
-        key = (m1, m2.w, m2.seq)
-        cached = self._pair_cache.get(key)
-        if cached is not None:
-            return cached
-        out = {Mono(m2.tag, m2.w, self._zero_a, m2.seq): self.dom.one}
-        for pos in range(self.n):
-            for _ in range(m1.a[pos]):
-                out = self._apply_y(pos + 1, out)
-        for c in reversed(canonical_word(m1.w)):
-            out = self._apply_psi(c, out)
-        if len(self._pair_cache) < self.cache_limit:
-            self._pair_cache[key] = out
-        return out
-
     def multiply(self, x: Element, y: Element) -> Element:
-        """x y, visiting only the term pairs whose idempotents meet.
+        """x y: each term m1 = psi_w y^a e(i) of x acts on the terms of y
+        that it meets, letter by letter: y^a, then psi_w right to left.
 
         The algebra is the sum of its pieces e(i) R e(j), so m1 m2 is zero
-        unless m2's face carries m1's tag and sequence.  y's terms are
-        grouped by (tag, face) in their order, so the non-zero products
-        accumulate in the order of the all-pairs loop, and so does the
-        result's term order.
+        unless m2's face carries m1's tag and sequence; y's terms are
+        grouped by (tag, face), in their order.
         """
         self._check_same(x.ctx)
         self._check_same(y.ctx)
-        dom = self.dom
         by_face: dict = {}
         for m2, c2 in y.terms.items():
-            by_face.setdefault((m2.tag, self.mono_face(m2)), []).append((m2, c2))
+            by_face.setdefault((m2.tag, self.mono_face(m2)), {})[m2] = c2
         out: dict = {}
         for m1, c1 in x.terms.items():
-            for m2, c2 in by_face.get((m1.tag, m1.seq), ()):
-                _acc(out, self._pair_nf(m1, m2), dom.mul(c1, c2), dom, m2.a)
+            terms = by_face.get((m1.tag, m1.seq))
+            if terms is None:
+                continue
+            for s, k in enumerate(m1.a, start=1):
+                for _ in range(k):
+                    terms = self._apply_y(s, terms)
+            for c in reversed(canonical_word(m1.w)):
+                terms = self._apply_psi(c, terms)
+            _acc(out, terms, c1, self.dom)
         return Element(self, out)
 
     def word_element(self, tokens, seq, tag: str = TAG_MAIN) -> Element:

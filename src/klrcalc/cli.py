@@ -115,6 +115,7 @@ def _dispatch(args) -> int:
         tau_from_json(quiver.vertices, json.loads(args.tau))
 
     if args.command == "quiver":
+        suites.make_context(quiver, args.n, dom, tau_mapping)  # checks the reversal map
         obj = quiver.to_json_obj()
         if args.format == "json":
             print(json.dumps(obj, sort_keys=True, indent=2))

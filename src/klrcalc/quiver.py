@@ -107,10 +107,17 @@ class Quiver:
 
 
 def make_quiver(name: str, vertices: Iterable, edges: Iterable, tau: Mapping | None = None) -> Quiver:
-    vs = tuple(sorted(set(vertices)))
-    es = frozenset((u, v) for u, v in edges)
+    """A quiver on the given vertices and arrows; a repeated vertex or arrow
+    is refused, since two arrows u -> v would not be simply laced."""
+    vs, es = tuple(vertices), tuple((u, v) for u, v in edges)
+    for what, items in (("vertex", vs), ("arrow", es)):
+        seen = set()
+        for x in items:
+            if x in seen:
+                raise InvalidQuiverError(f"repeated {what} {x!r}")
+            seen.add(x)
     hint = tuple(sorted(tau.items())) if tau is not None else None
-    return Quiver(name, vs, es, tau_default=hint)
+    return Quiver(name, tuple(sorted(vs)), frozenset(es), tau_default=hint)
 
 
 def cycle(e: int, window: int = 3) -> Quiver:

@@ -149,6 +149,13 @@ def test_prime_field_fraction(capsys, expr, coeff):
     # moduli past the cap, refused before any primality test
     ["nf", "--field", f"Fp:{10 ** 400 + 1}", "--n", "1", "e(0)"],
     ["nf", "--field", "Fp:1000000000000000003", "--n", "1", "e(0)"],
+    # a repeated arrow or vertex, and reversal maps the quiver command printed
+    ["verify", "klr-relations", "--n", "2", "--quiver",
+     '{"vertices":[0,1],"edges":[[0,1],[0,1]]}'],
+    ["quiver", "--quiver", '{"vertices":[0,0,1],"edges":[[0,1]]}'],
+    ["quiver", "--tau", '{"0":0}'],
+    ["quiver", "--tau", '{"0":"x","1":2,"2":1}'],
+    ["quiver", "--quiver", '{"vertices":[0,1,2],"edges":[[0,1]],"tau":{"0":1}}'],
 ])
 def test_malformed_input_exits2(capsys, argv):
     # argparse refuses a bad flag value by raising SystemExit(2)

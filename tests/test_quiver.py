@@ -54,6 +54,10 @@ def test_invalid_quivers_name_offenders():
         K.make_quiver("bad", [0, 1], [(0, 0)])
     with pytest.raises(InvalidQuiverError, match="at least one vertex"):
         K.make_quiver("bad", [], [])
+    with pytest.raises(InvalidQuiverError, match=r"repeated arrow \(0, 1\)"):
+        K.make_quiver("bad", [0, 1], [(0, 1), (0, 1)])
+    with pytest.raises(InvalidQuiverError, match="repeated vertex 0"):
+        K.make_quiver("bad", [0, 0, 1], [(0, 1)])
 
 
 def test_opposite_involution_and_cartan_invariance():
