@@ -176,6 +176,9 @@ FAILING_RUNS = {
                          "--bound", "1"],
     "signed-relations": ["verify", "signed-relations", "--quiver", "cycle(3)",
                          "--n", "3", "--bound", "1"],
+    # six blocks fail their braid rows; both fuzz lines pass
+    "klr-relations": ["verify", "klr-relations", "--n", "3", "--bound", "0",
+                      "--fuzz", "5"],
 }
 
 # sha256 of the raw stdout, instance order included
@@ -188,6 +191,10 @@ FAILING_GOLDEN = {
         "2a416ca2293b8e8c0e638c8036c2be7bee9dfb6bdc4134e34a714c420cdb6a07",
     ("signed-relations", "json"):
         "6d7039e9087f780f77c4af50e1cec5b4277cc547d12aeca03230742ed5513135",
+    ("klr-relations", "text"):
+        "e18501666fd8e43eeb728666be3ef8512fa0c017102774d63727255e4123f9d3",
+    ("klr-relations", "json"):
+        "bb236d97962454500378a43cef0b9c3149856a04fe3617c6a497c297cb7ec049",
 }
 
 

@@ -156,6 +156,8 @@ def test_prime_field_fraction(capsys, expr, coeff):
     ["quiver", "--tau", '{"0":0}'],
     ["quiver", "--tau", '{"0":"x","1":2,"2":1}'],
     ["quiver", "--quiver", '{"vertices":[0,1,2],"edges":[[0,1]],"tau":{"0":1}}'],
+    # nesting past the interpreter's recursion limit
+    ["nf", "--n", "1", "(" * 400 + "1" + ")" * 400],
 ])
 def test_malformed_input_exits2(capsys, argv):
     # argparse refuses a bad flag value by raising SystemExit(2)
@@ -167,3 +169,30 @@ def test_malformed_input_exits2(capsys, argv):
     assert code == 2
     assert "error:" in out.err and "Traceback" not in out.err
     assert out.out == ""
+
+
+def test_long_sum_exits0(capsys):
+    code, out, err = run(capsys, "nf", "--n", "1", "+".join(["1"] * 5000))
+    assert code == 0 and err == ""
+    assert out.startswith("5000*e(0)@G + ")
+
+
+def test_nesting_within_the_limit_evaluates(capsys):
+    code, out, _ = run(capsys, "nf", "--n", "1", "(" * 200 + "2" + ")" * 200)
+    assert code == 0 and out.startswith("2*e(0)@G + ")
+
+
+DIGIT_LABELS = '{"vertices":["0","1"],"edges":[["0","1"]],"tau":{"0":"1","1":"0"}}'
+
+
+# vertex labels typed as text are matched by their text, in every reader
+@pytest.mark.parametrize("argv", [
+    ["nf", "--quiver", DIGIT_LABELS, "psi[1]*e(0,1)"],
+    ["basis", "--quiver", DIGIT_LABELS, "--block", "0,1"],
+    ["verify", "clifford", "--quiver", DIGIT_LABELS, "--block", "0,1"],
+    ["nf", "--quiver", "cycle(0)", "e(-1,0)"],
+    ["basis", "--quiver", "cycle(0)", "--block=-1,0"],
+])
+def test_labels_typed_as_text_exit0(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == "" and out

@@ -131,3 +131,53 @@ def test_prime_field_coeff_format():
 def test_text_is_canonically_sorted(ctx):
     x = ctx.e((1, 0)) + ctx.e((0, 1))
     assert element_to_text(x) == "e(0,1)@G + e(1,0)@G"
+
+
+# (source, message fragment, line, column); n = 2 on cycle(3)
+MALFORMED = [
+    ("e(0,1)@H", "expected G after @", 1, 7),
+    ("e(0,1) +\n  e(1,0)@", "expected G after @", 2, 9),
+    ("e(0,1) # 2", "unexpected character '#'", 1, 8),
+    ("y[1]*\n\t e(0,1)$", "unexpected character '$'", 2, 9),
+    ("y[1)*e(0,1)", "expected ']', found ')'", 1, 4),
+    ("psi[1*e(0,1)", "expected ']', found '*'", 1, 6),
+    ("e(0,1) e(1,0)", "trailing input 'e'", 1, 8),
+    ("(e(0,1)))", "trailing input ')'", 1, 9),
+    ("2*foo*e(0,1)", "unknown name 'foo'", 1, 3),
+    ("e(0,*)", "bad sequence entry '*'", 1, 5),
+    ("e(0,1) -\n e(,1)", "bad sequence entry ','", 2, 4),
+    ("y[3]*e(0,1)", "y index 3 out of range 1..2", 1, 1),
+    ("e(0,1) + \n y[0]", "y index 0 out of range 1..2", 2, 2),
+    ("psi[2]*e(0,1)", "psi index 2 out of range 1..1", 1, 1),
+]
+
+
+@pytest.mark.parametrize("src,message,line,col", MALFORMED)
+def test_malformed_expression_position(ctx, src, message, line, col):
+    with pytest.raises(ExprError) as exc:
+        normal_form(src, ctx)
+    assert message in str(exc.value)
+    assert (exc.value.line, exc.value.col) == (line, col)
+
+
+def test_negative_and_named_sequence_entries():
+    line = K.make_context(K.cycle(0), 2)
+    assert normal_form("e(-1,0)", line) == line.e((-1, 0))
+    assert normal_form("e(- 3 , 3)@G'", line) == line.e((-3, 3), "G'")
+    named = K.make_context(K.make_quiver("ab", ["a", "b"], [("a", "b")]), 2)
+    assert normal_form("psi[1]*e(a,b)", named) == \
+        named.gen_left(("psi", 1), named.e(("a", "b")))
+
+
+GRAMMAR_PIECES = ["e", "y", "psi", "eps", "x", "_", "(", ")", "[", "]", ",",
+                  "+", "-", "*", "/", "^", "@G", "@G'", "@", "'", "G", "0",
+                  "1", "2", "10", " ", "\t", "\n", "#"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(GRAMMAR_PIECES), max_size=30))
+def test_parse_returns_or_raises_expr_error(pieces):
+    try:
+        parse_element("".join(pieces))
+    except ExprError:
+        pass
