@@ -16,7 +16,8 @@ from collections import Counter
 from . import suites
 from .algebra import Element
 from .exprs import element_to_json_obj, element_to_text, normal_form
-from .quiver import Root, parse_quiver_arg, root_of_seq, tau_from_json
+from .quiver import (Root, labels_by_text, parse_quiver_arg, root_of_seq,
+                     tau_from_json)
 from .scalars import domain_from_flag
 
 
@@ -33,14 +34,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 def _parse_block(quiver, text: str) -> Root:
     """A block is named by any residue sequence with its content, e.g. '0,1'."""
-    labels = []
-    for part in text.split(","):
-        part = part.strip()
-        try:
-            labels.append(int(part))
-        except ValueError:
-            labels.append(part)
-    return root_of_seq(quiver, labels)
+    by_text = labels_by_text(quiver.vertices)
+    parts = [part.strip() for part in text.split(",")]
+    return root_of_seq(quiver, [by_text.get(part, part) for part in parts])
 
 
 def _count(text: str) -> int:

@@ -16,16 +16,22 @@ Unary minus is accepted anywhere a factor is, so printed elements with a
 leading negative coefficient re-parse; everything the plain grammar accepts
 is unchanged.  Untagged e(...) means the main copy '@G'.
 
-Errors carry 1-based line and column of the offending token.
+Errors carry 1-based line and column of the offending token; a column
+counts characters from the start of its line.  Nesting past the
+interpreter's recursion limit is refused as an error at the token reached.
 """
 
 from __future__ import annotations
 
+import operator
+import re
 from dataclasses import dataclass
+from functools import reduce
 
-from .algebra import TAG_MAIN, TAG_OPP, Element, KLR, Mono
+from .algebra import (TAG_MAIN, TAG_OPP, TAGS_BOTH, BadGeneratorError,
+                      Element, KLR, Mono, ShapeError)
 from .perms import canonical_word
-from .quiver import all_seqs
+from .quiver import all_seqs, labels_by_text
 
 
 class ExprError(ValueError):
@@ -43,57 +49,26 @@ class Token:
     col: int
 
 
-_SYMBOLS = "+-*/^()[],"
+# one token, or one whitespace character, or the one character no token
+# starts with; a TAG's text is the tag itself, "@G'" -> "G'"
+_TOKEN = re.compile(r"""(?P<INT>\d+) | (?P<NAME>[^\W\d]\w*) | (?P<TAG>@G'?)
+                        | (?P<SYM>[-+*/^()\[\],]) | (?P<SPACE>\s) | (?P<BAD>.)""",
+                    re.S | re.X)
 
 
 def tokenize(src: str):
     out = []
-    line, col = 1, 1
-    k = 0
-    while k < len(src):
-        ch = src[k]
-        if ch == "\n":
-            line += 1
-            col = 1
-            k += 1
-            continue
-        if ch.isspace():
-            col += 1
-            k += 1
-            continue
-        if ch.isdigit():
-            start = k
-            while k < len(src) and src[k].isdigit():
-                k += 1
-            out.append(Token("INT", src[start:k], line, col))
-            col += k - start
-            continue
-        if ch.isalpha() or ch == "_":
-            start = k
-            while k < len(src) and (src[k].isalnum() or src[k] == "_"):
-                k += 1
-            out.append(Token("NAME", src[start:k], line, col))
-            col += k - start
-            continue
-        if ch == "@":
-            if src[k + 1:k + 2] != "G":
-                raise ExprError("expected G after @", line, col)
-            if src[k + 2:k + 3] == "'":
-                out.append(Token("TAG", TAG_OPP, line, col))
-                k += 3
-                col += 3
-            else:
-                out.append(Token("TAG", TAG_MAIN, line, col))
-                k += 2
-                col += 2
-            continue
-        if ch in _SYMBOLS:
-            out.append(Token("SYM", ch, line, col))
-            k += 1
-            col += 1
-            continue
-        raise ExprError(f"unexpected character {ch!r}", line, col)
-    out.append(Token("END", "", line, col))
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(src):
+        kind, text, col = m.lastgroup, m.group(), m.start() - line_start + 1
+        if kind == "BAD":
+            raise ExprError("expected G after @" if text == "@"
+                            else f"unexpected character {text!r}", line, col)
+        if text == "\n":
+            line, line_start = line + 1, m.end()
+        elif kind != "SPACE":
+            out.append(Token(kind, text[1:] if kind == "TAG" else text, line, col))
+    out.append(Token("END", "", line, len(src) - line_start + 1))
     return out
 
 
@@ -122,37 +97,39 @@ class Parser:
         return tok.kind == "SYM" and tok.text == text
 
     def parse(self):
-        node = self.parse_expr()
+        try:
+            node = self.parse_expr()
+        except RecursionError:
+            tok = self.peek()
+            raise ExprError("expression nested too deeply", tok.line, tok.col) from None
         tok = self.peek()
         if tok.kind != "END":
             raise ExprError(f"trailing input {tok.text!r}", tok.line, tok.col)
         return node
 
     def parse_expr(self):
-        node = self.parse_term()
+        terms = [("+", self.parse_term())]
         while self.at_sym("+") or self.at_sym("-"):
-            op = self.next().text
-            rhs = self.parse_term()
-            node = ("add" if op == "+" else "sub", node, rhs)
-        return node
+            terms.append((self.next().text, self.parse_term()))
+        return ("add", terms) if len(terms) > 1 else terms[0][1]
 
     def parse_term(self):
-        node = self.parse_factor()
+        factors = [self.parse_factor()]
         while self.at_sym("*"):
             self.next()
-            node = ("mul", node, self.parse_factor())
-        return node
+            factors.append(self.parse_factor())
+        return ("mul", factors) if len(factors) > 1 else factors[0]
 
     def parse_factor(self):
-        if self.at_sym("-"):
+        negate = False
+        while self.at_sym("-"):
             self.next()
-            return ("neg", self.parse_factor())
+            negate = not negate
         node = self.parse_atom()
         if self.at_sym("^"):
             self.next()
-            tok = self.expect("INT")
-            node = ("pow", node, int(tok.text))
-        return node
+            node = ("pow", node, int(self.expect("INT").text))
+        return ("neg", node) if negate else node
 
     def parse_atom(self):
         tok = self.next()
@@ -171,9 +148,7 @@ class Parser:
                 self.expect("SYM", "(")
                 seq = self.parse_seq()
                 self.expect("SYM", ")")
-                tag = None
-                if self.peek().kind == "TAG":
-                    tag = self.next().text
+                tag = self.next().text if self.peek().kind == "TAG" else TAG_MAIN
                 return ("e", seq, tag, tok)
             if tok.text in ("y", "psi"):
                 self.expect("SYM", "[")
@@ -193,13 +168,11 @@ class Parser:
         return tuple(entries)
 
     def parse_entry(self):
+        """A sequence entry as text; it names a vertex by its text."""
         tok = self.next()
         if tok.kind == "SYM" and tok.text == "-":
-            num = self.expect("INT")
-            return -int(num.text)
-        if tok.kind == "INT":
-            return int(tok.text)
-        if tok.kind == "NAME":
+            return "-" + self.expect("INT").text
+        if tok.kind in ("INT", "NAME"):
             return tok.text
         raise ExprError(f"bad sequence entry {tok.text!r}", tok.line, tok.col)
 
@@ -211,57 +184,47 @@ def parse_element(src: str) -> tuple:
 
 def eval_ast(node, ctx: KLR, seqs=None) -> Element:
     """Evaluate an AST in a context; bare scalars scale the ambient identity
-    over `seqs` (default all of I^n, both copies)."""
+    over `seqs` (default all of I^n, both copies).  Sums and products fold
+    left to right; the engine checks each atom, and its error is reported
+    at the atom's token."""
     if seqs is None:
         seqs = all_seqs(ctx.quiver, ctx.n)
+    labels = labels_by_text(ctx.quiver.vertices)
 
-    def unit():
-        return ctx.unit(seqs, (TAG_MAIN, TAG_OPP))
+    def unit(tags=TAGS_BOTH):
+        return ctx.unit(seqs, tags)
 
-    kind = node[0]
-    if kind == "num":
-        return unit().scale(ctx.dom.parse(node[1]))
-    if kind == "e":
-        _, seq, tag, tok = node
-        if len(seq) != ctx.n:
-            raise ExprError(f"sequence length {len(seq)} != n = {ctx.n}",
-                            tok.line, tok.col)
-        for v in seq:
-            if v not in ctx.quiver._index:
-                raise ExprError(f"unknown vertex label {v!r}", tok.line, tok.col)
-        return ctx.e(seq, tag or TAG_MAIN)
-    if kind == "y":
-        _, r, tok = node
-        if not 1 <= r <= ctx.n:
-            raise ExprError(f"y index {r} out of range 1..{ctx.n}", tok.line, tok.col)
-        return ctx.y_element(r, seqs, (TAG_MAIN, TAG_OPP))
-    if kind == "psi":
-        _, r, tok = node
-        if not 1 <= r <= ctx.n - 1:
-            raise ExprError(f"psi index {r} out of range 1..{ctx.n - 1}",
-                            tok.line, tok.col)
-        return ctx.psi_element(r, seqs, (TAG_MAIN, TAG_OPP))
-    if kind == "eps":
-        from .signop import eps_pair
-        out = ctx.zero()
-        for s in seqs:
-            out = out + eps_pair(ctx, s)
-        return out
-    if kind == "add":
-        return eval_ast(node[1], ctx, seqs) + eval_ast(node[2], ctx, seqs)
-    if kind == "sub":
-        return eval_ast(node[1], ctx, seqs) - eval_ast(node[2], ctx, seqs)
-    if kind == "mul":
-        return eval_ast(node[1], ctx, seqs) * eval_ast(node[2], ctx, seqs)
-    if kind == "neg":
-        return -eval_ast(node[1], ctx, seqs)
-    if kind == "pow":
-        base = eval_ast(node[1], ctx, seqs)
-        out = unit()
-        for _ in range(node[2]):
-            out = out * base
-        return out
-    raise ValueError(f"unknown AST node {kind!r}")
+    def ev(node):
+        kind = node[0]
+        if kind == "num":
+            return unit().scale(ctx.dom.parse(node[1]))
+        if kind in ("e", "y", "psi"):
+            tok = node[-1]
+            try:
+                if kind == "e":
+                    return ctx.e([labels.get(t, t) for t in node[1]], node[2])
+                return ctx.gen_left((kind, node[1]), unit())
+            except (ShapeError, BadGeneratorError) as exc:
+                raise ExprError(str(exc), tok.line, tok.col) from None
+        if kind == "eps":
+            return unit((TAG_MAIN,)) - unit((TAG_OPP,))
+        if kind == "add":
+            out = ctx.zero()
+            for op, term in node[1]:
+                out = out + ev(term) if op == "+" else out - ev(term)
+            return out
+        if kind == "mul":
+            return reduce(operator.mul, map(ev, node[1]))
+        if kind == "neg":
+            return -ev(node[1])
+        if kind == "pow":
+            base, out = ev(node[1]), unit()
+            for _ in range(node[2]):
+                out = out * base
+            return out
+        raise ValueError(f"unknown AST node {kind!r}")
+
+    return ev(node)
 
 
 def normal_form(src: str, ctx: KLR, seqs=None) -> Element:

@@ -160,16 +160,22 @@ def _spec_field(spec: dict, key: str, kind: type, default=None):
     return value
 
 
+def labels_by_text(vertices) -> dict:
+    """Each vertex label by its text: a label typed as text (a JSON key, a
+    --block entry, an e(...) entry) names the vertex whose text it is."""
+    return {str(v): v for v in vertices}
+
+
 def tau_from_json(vertices, raw) -> dict:
-    """A reversal map given as a JSON object.  JSON object keys are strings,
-    so they are matched back to the vertex labels by their text."""
+    """A reversal map given as a JSON object, its keys matched to the
+    vertex labels by their text."""
     if not isinstance(raw, dict):
         raise InvalidQuiverError("a reversal map must be a JSON object")
-    by_str = {str(v): v for v in vertices}
+    by_text = labels_by_text(vertices)
     for k in raw:
-        if k not in by_str:
+        if k not in by_text:
             raise InvalidQuiverError(f"reversal map names unknown vertex {k!r}")
-    return {by_str[k]: v for k, v in raw.items()}
+    return {by_text[k]: v for k, v in raw.items()}
 
 
 def build_quiver(spec) -> Quiver:
