@@ -175,6 +175,9 @@ def test_long_sum_exits0(capsys):
     code, out, err = run(capsys, "nf", "--n", "1", "+".join(["1"] * 5000))
     assert code == 0 and err == ""
     assert out.startswith("5000*e(0)@G + ")
+    code, out, err = run(capsys, "nf", "--n", "1", "--", "-" * 5001 + "1")
+    assert code == 0 and err == ""
+    assert out.startswith("-e(0)@G - ")
 
 
 def test_nesting_within_the_limit_evaluates(capsys):
