@@ -171,7 +171,7 @@ def test_malformed_input_exits2(capsys, argv):
     assert out.out == ""
 
 
-def test_long_sum_exits0(capsys):
+def test_long_inputs_exit0(capsys):
     code, out, err = run(capsys, "nf", "--n", "1", "+".join(["1"] * 5000))
     assert code == 0 and err == ""
     assert out.startswith("5000*e(0)@G + ")
