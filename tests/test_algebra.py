@@ -2,12 +2,15 @@
 
 import random
 from collections import Counter
+from fractions import Fraction
+from operator import add
 
 import pytest
 
 import klrcalc as K
 from klrcalc import suites
-from klrcalc.algebra import TAGS_BOTH, E, Element, Mono, Realisation, evaluate
+from klrcalc.algebra import (KLR, TAGS_BOTH, E, Element, Mono, Realisation, _acc,
+                             _acc1, evaluate)
 from klrcalc.perms import act, all_perms, canonical_word, length
 from klrcalc.scalars import PrimeField
 from klrcalc.suites import random_element
@@ -302,6 +305,75 @@ def test_relation_sweep_small_blocks():
             rows = suites._sweep_block(ctx, root, 2)
             bad = [r for r in rows if r["status"] != "pass"]
             assert not bad, bad
+
+
+@pytest.mark.parametrize("quiver", ["cycle", "path"])
+def test_relation_sweep_runs_every_letter_action(quiver, monkeypatch):
+    # every letter of every relation word acts once per label, however the
+    # sweep reaches the one-letter actions
+    calls = Counter()
+    for name in ("_apply_e", "_apply_y", "_apply_psi"):
+        def counted(self, *args, _action=getattr(KLR, name), _name=name):
+            calls[_name] += 1
+            return _action(self, *args)
+        monkeypatch.setattr(KLR, name, counted)
+    q = K.cycle(3) if quiver == "cycle" else K.path(3)
+    for root in K.all_roots(q, 3):
+        suites._sweep_block(K.make_context(q, 3), root, 1)
+    assert calls == {"_apply_e": 3888, "_apply_y": 11664, "_apply_psi": 10368}
+
+
+def _acc_by_terms(out, src, scale, dom, a=None):
+    """The reference for `_acc`: each term of src y^a merged on its own."""
+    for m, c in src.items():
+        if a is not None:
+            m = m._replace(a=tuple(map(add, m.a, a)))
+        _acc1(out, m, dom.mul(scale, c), dom)
+
+
+@pytest.mark.parametrize("dom", [K.Rationals(), PrimeField(5)], ids=["Q", "F5"])
+def test_acc_matches_a_term_by_term_merge(dom):
+    rng = random.Random(11)
+    perms3 = list(all_perms(3))
+
+    def coefficient():
+        if dom.char == 0 and rng.random() < 0.2:
+            return Fraction(rng.choice([-3, -1, 1, 3]), 2)
+        return dom.from_int(rng.randint(-3, 3))  # canonical, 0 included
+
+    def mono():
+        return Mono(rng.choice(TAGS_BOTH), rng.choice(perms3),
+                    tuple(rng.randint(0, 2) for _ in range(3)),
+                    tuple(rng.randint(0, 2) for _ in range(3)))
+
+    cases = cancelled = zero_in_src = 0
+    for _ in range(20):
+        src = {mono(): coefficient() for _ in range(rng.randint(0, 8))}
+        for scale in map(dom.from_int, (0, 1, -1, 2)):
+            for a in (None, (0, 0, 0), (1, 0, 2)):
+                shifted = [m if a is None else m._replace(a=tuple(map(add, m.a, a)))
+                           for m in src]
+                # a target, which holds no zero, that meets some shifted
+                # terms and cancels some
+                start = {mono(): coefficient() for _ in range(3)}
+                for m, c in zip(shifted, src.values()):
+                    if rng.random() < 0.5:
+                        start[m] = (dom.neg(dom.mul(scale, c)) if rng.random() < 0.5
+                                    else coefficient())
+                start = {m: c for m, c in start.items() if not dom.is_zero(c)}
+                for out in ({}, start):
+                    got, want = dict(out), dict(out)
+                    before = dict(src)
+                    _acc(got, src, scale, dom, a)
+                    _acc_by_terms(want, src, scale, dom, a)
+                    assert list(got.items()) == list(want.items())
+                    assert src == before
+                    assert not any(dom.is_zero(c) for c in got.values())
+                    cases += 1
+                    cancelled += any(m not in got for m in out)
+                    zero_in_src += any(dom.is_zero(c) for c in src.values())
+    assert cases == 20 * 4 * 3 * 2
+    assert cancelled and zero_in_src
 
 
 def test_element_arithmetic_and_equality(c3):
