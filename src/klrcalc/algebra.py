@@ -157,16 +157,37 @@ def _acc1(out: dict, m: Mono, c, dom) -> None:
         out[m] = s
 
 
+# b + a for the exponent shifts of `_acc`, keyed by (b, a).  Few pairs occur
+# (221 over `klr-relations --n 4 --bound 1`); past EXP_SUMS_LIMIT entries the
+# sums are computed and not kept.
+EXP_SUMS_LIMIT = 4096
+_exp_sums: dict = {}
+
+
 def _acc(out: dict, src: dict, scale, dom, a=None) -> None:
     """out += scale src y^a: y^a, right of every psi letter, adds a to the
-    exponent of each term of src (no `a`: src as it is)."""
-    if dom.is_zero(scale):
-        return
+    exponent of each term of src (no `a`: src as it is).
+
+    Into an empty out with scale one, src's terms are copied, zeros left
+    out: a shift is injective, so no two of them meet.  Coefficients are
+    taken to be canonical, as every domain operation returns them."""
     shift = a is not None and any(a)
+    copy = not out and scale == dom.one
+    is_zero, sums = dom.is_zero, _exp_sums
     for m, c in src.items():
         if shift:
-            m = Mono(m.tag, m.w, tuple(map(add, m.a, a)), m.seq)
-        _acc1(out, m, dom.mul(scale, c), dom)
+            tag, w, b, seq = m
+            s = sums.get((b, a))
+            if s is None:
+                s = tuple(map(add, b, a))
+                if len(sums) < EXP_SUMS_LIMIT:
+                    sums[b, a] = s
+            # tuple.__new__ skips the namedtuple's Python-level __new__
+            m = tuple.__new__(Mono, (tag, w, s, seq))
+        if not copy:
+            _acc1(out, m, dom.mul(scale, c), dom)
+        elif not is_zero(c):
+            out[m] = c
 
 
 class KLR:
@@ -295,7 +316,8 @@ class KLR:
         for c in reversed(canonical_word(w)):
             total -= self.quiver.cartan_entry(face[c - 1], face[c])
             face[c - 1], face[c] = face[c], face[c - 1]
-        self._psi_deg_cache[key] = total
+        if len(self._psi_deg_cache) < self.cache_limit:
+            self._psi_deg_cache[key] = total
         return total
 
     def mono_sort_key(self, m: Mono):
@@ -329,16 +351,15 @@ class KLR:
     def _apply_y(self, s: int, terms: dict) -> dict:
         dom = self.dom
         out: dict = {}
-        for m, c in terms.items():
-            _acc(out, self._y_mono(s, m.w, m.seq, m.tag), c, dom, m.a)
+        for (tag, w, a, seq), c in terms.items():
+            _acc(out, self._y_mono(s, w, seq, tag), c, dom, a)
         return out
 
     def _apply_psi(self, r: int, terms: dict) -> dict:
         dom = self.dom
         out: dict = {}
-        for m, c in terms.items():
-            _acc(out, self._word_nf((r,) + canonical_word(m.w), m.seq, m.tag),
-                 c, dom, m.a)
+        for (tag, w, a, seq), c in terms.items():
+            _acc(out, self._word_nf((r,) + canonical_word(w), seq, tag), c, dom, a)
         return out
 
     # --- the rewrite core ----------------------------------------------------

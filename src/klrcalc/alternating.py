@@ -205,22 +205,24 @@ SIGNED_NAMES = {
 
 def _two_copy(ctx: KLR, signed: bool, **fields) -> Realisation:
     """The relation table on two-copy block elements, acting on their terms.
-    ("psi", r) and ("y", r) act through `KLR.gen_left`; unless `signed` they
-    are Psi_r = psi_r eps and Y_r = y_r eps, and eps = sum_i (e_G(i) -
-    e_G'(i)) first negates the G' terms.  ("e", j, ...) keeps the terms of
-    face j; when `signed`, ("e", j, (i, a)) is eps_a(j), which for a = -
-    also negates the G' ones."""
+    ("psi", r) and ("y", r) act through the engine's one-letter actions,
+    unchecked, as the table's letters are in range by construction; unless
+    `signed` they are Psi_r = psi_r eps and Y_r = y_r eps, and eps = sum_i
+    (e_G(i) - e_G'(i)) first negates the G' terms.  ("e", j, ...) keeps the
+    terms of face j; when `signed`, ("e", j, (i, a)) is eps_a(j), which for
+    a = - also negates the G' ones."""
     dom = ctx.dom
 
     def opp_negated(terms):
-        return Element(ctx, {m: dom.neg(c) if m.tag == TAG_OPP else c
-                             for m, c in terms.items()})
+        return {m: dom.neg(c) if m.tag == TAG_OPP else c for m, c in terms.items()}
 
     def act(g, x):
         if g[0] != "e":
-            return ctx.gen_left(g, x if signed else opp_negated(x.terms))
+            apply = ctx._apply_y if g[0] == "y" else ctx._apply_psi
+            terms = x.terms if signed else opp_negated(x.terms)
+            return Element(ctx, apply(g[1], terms))
         kept = {m: c for m, c in x.terms.items() if ctx.mono_face(m) == g[1]}
-        return opp_negated(kept) if signed and g[2][1] == MINUS else Element(ctx, kept)
+        return Element(ctx, opp_negated(kept) if signed and g[2][1] == MINUS else kept)
 
     return Realisation(act=act, arrow=lambda label, u, v: ctx.quiver.has_edge(u, v),
                        **fields)

@@ -106,13 +106,14 @@ def _map_blocks(fn, args, work: int = POOL_MIN_WORK) -> list:
     nothing and replay no `__main__`.  That is safe here because
     - no thread exists at fork time: with a fork context the executor
       starts all its workers before its manager thread, and klrcalc starts
-      no thread of its own;
+      no thread here (each worker starts one, see `_die_with_parent`);
     - no report line is printed twice: stdio is flushed before each fork;
     - no clean-up of this process runs in a worker: workers leave through
       `os._exit`, so no `finally` block or atexit handler runs there;
     - no engine memo is shared: every block builds its own context (see
       `_on_own_context`); the one memo inherited is `perms`' module-level
-      caches of pure functions, shared copy-on-write.
+      caches of pure functions, shared copy-on-write;
+    - no worker outlives this process for long: see `_die_with_parent`.
     """
     args = list(args)
     # macOS has no sched_getaffinity: count the machine's CPUs there
@@ -125,12 +126,31 @@ def _map_blocks(fn, args, work: int = POOL_MIN_WORK) -> list:
     if "fork" not in multiprocessing.get_all_start_methods():
         return [fn(*a) for a in args]
     from concurrent.futures import ProcessPoolExecutor
-    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"))
+    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                               initializer=_die_with_parent,
+                               initargs=(os.getpid(),))
     try:
         futures = [pool.submit(fn, *a) for a in args]
         return [f.result() for f in futures]
     finally:
         pool.shutdown(cancel_futures=True)
+
+
+def _die_with_parent(parent: int) -> None:
+    """Pool worker initializer: a daemon thread ends this worker within a
+    quarter second of the process `parent` ending, seen as the worker's
+    parent pid changing when it is re-parented.  So a killed run leaves no
+    worker computing and holding its stdout open.  The thread only sleeps
+    and reads its parent pid; `threading` is loaded already by the pool."""
+    import threading
+    import time
+
+    def watch():
+        while os.getppid() == parent:
+            time.sleep(0.25)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
 
 
 def _on_own_context(check, quiver: Quiver, n: int, domain, tau_mapping,
@@ -206,12 +226,19 @@ def _sweep_block(ctx: KLR, root: Root, bound: int):
         check("sum_i e(i) acts as identity", unit * x, x)
 
     # labels are indices k into monos; every word of label k acts on the
-    # basis element elems[k], which is its own e(i)
+    # basis element elems[k], which is its own e(i).  The table's letters are
+    # in range by construction, so they act without `gen_left`'s checks.
+    def act(g, x):
+        if g[0] == "y":
+            return Element(ctx, ctx._apply_y(g[1], x.terms))
+        if g[0] == "psi":
+            return Element(ctx, ctx._apply_psi(g[1], x.terms))
+        return Element(ctx, ctx._apply_e(TAG_MAIN, g[1], x.terms))
+
     real = Realisation(labels=range(len(monos)),
                        seq=[ctx.mono_face(m) for m in monos].__getitem__,
                        arrow=lambda k, u, v: ctx.arrow(monos[k].tag, u, v),
-                       act=lambda g, x: ctx.gen_left(g[:2], x),
-                       base=elems.__getitem__)
+                       act=act, base=elems.__getitem__)
     for family, *_, lhs, rhs in relation_instances(real, ctx.n):
         check(SWEEP_NAMES[family], lhs, rhs)
     names = ["e(i)e(j) = delta e(i)", "sum_i e(i) acts as identity",

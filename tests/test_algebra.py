@@ -37,6 +37,18 @@ def test_degree_examples():
     assert ctx2.mono_degree(Mono("G", s1, (2, 1), (0, 1))) == 1 + 6
 
 
+def test_psi_degree_memo_keeps_cache_limit():
+    quiver = K.cycle(3)
+    capped, fresh = K.KLR(quiver, 3), K.KLR(quiver, 3)
+    capped.cache_limit = 10
+    monos = [Mono("G", w, (0, 0, 0), seq) for w in all_perms(3)
+             for seq in K.all_seqs(quiver, 3)]
+    want = [fresh.mono_degree(m) for m in monos]
+    for _ in range(2):  # the second pass reads the kept entries back
+        assert [capped.mono_degree(m) for m in monos] == want
+        assert len(capped._psi_deg_cache) == capped.cache_limit
+
+
 def test_left_mul_examples(c3, c3n3):
     psi1 = c3.psi_element(1)
     assert psi1 * (psi1 * c3.e((0, 0))) == c3.zero()

@@ -262,12 +262,13 @@ def test_express_coverage_small(ctx2, root01):
 
 
 def test_express_coverage_shares_suffixes(ctx2, root01, monkeypatch):
-    # one gen_left call per distinct word suffix of two or more letters:
-    # the last letter e[i] only keeps the unit's terms of face i
+    # one psi or y letter action per distinct word suffix of two or more
+    # letters: the last letter e[i] only keeps the unit's terms of face i
     calls = []
-    gen_left = ctx2.gen_left
-    monkeypatch.setattr(ctx2, "gen_left",
-                        lambda g, x: calls.append(g) or gen_left(g, x))
+    for name in ("_apply_y", "_apply_psi"):
+        action = getattr(ctx2, name)
+        monkeypatch.setattr(ctx2, name, lambda r, terms, _action=action:
+                            calls.append(r) or _action(r, terms))
     rows = alt.express_coverage(ctx2, root01, 1)
     words = [tuple(alt.express_alt(ctx2, desc))
              for desc in alt.alt_basis(ctx2, root01, 1)[0]]

@@ -7,6 +7,7 @@ import json
 import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -130,6 +131,61 @@ def test_map_blocks_without_fork_runs_here(monkeypatch, capsys):
     # a verify run passes instead of exiting 2 as if it were a usage error
     assert main(["verify", "alt-presentation", "--n", "2"]) == 0
     assert "all checks passed" in capsys.readouterr().out
+
+
+def proc_stat(pid):
+    """(state, parent pid) of a process, from /proc; None once it is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            stat = f.read()
+    except OSError:
+        return None
+    # the fields after the command name, which may hold spaces
+    state, ppid = stat[stat.rindex(")") + 2:].split()[:2]
+    return state, int(ppid)
+
+
+def is_running(pid):
+    stat = proc_stat(pid)
+    return stat is not None and stat[0] != "Z"
+
+
+def live_children(pid):
+    stats = {int(entry): proc_stat(entry)
+             for entry in os.listdir("/proc") if entry.isdigit()}
+    return [child for child, stat in stats.items()
+            if stat is not None and stat[1] == pid and stat[0] != "Z"]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+def test_pool_workers_die_with_their_caller():
+    script = (
+        "import os\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "from klrcalc.cli import main\n"
+        "main(['verify', 'klr-relations', '--n', '4', '--bound', '1'])\n")
+    src = os.path.dirname(os.path.dirname(suites.__file__))
+    run = subprocess.Popen([sys.executable, "-c", script],
+                           stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                           env={**os.environ, "PYTHONPATH": src})
+    workers = []
+    try:
+        deadline = time.monotonic() + 30
+        while len(workers) < 2 and run.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.02)
+            workers = live_children(run.pid)
+        assert len(workers) == 2, (workers, run.poll())
+        run.kill()
+        run.wait(timeout=10)
+        deadline = time.monotonic() + 5
+        while any(map(is_running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert not any(map(is_running, workers))
+    finally:
+        run.kill()
+        run.wait(timeout=10)
+        for pid in filter(is_running, workers):
+            os.kill(pid, signal.SIGKILL)
 
 
 def test_block_work_counts_truncated_bases():
