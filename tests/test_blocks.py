@@ -277,6 +277,26 @@ def test_failing_presentation_report(name, fmt, pooled, monkeypatch, capsys):
         FAILING_GOLDEN[(name, fmt)]
 
 
+@pytest.mark.parametrize("quiver", ["cycle(3)", "path(3)"])
+@pytest.mark.parametrize("suite", ["alt-presentation", "signed-relations"])
+def test_presentations_read_the_opposite_orientation(suite, quiver, monkeypatch,
+                                                     capsys):
+    # a seeded fault: the G' copy reads G's arrows.  Both presentations
+    # evaluate the G' tag part of every word, so the rows that read an
+    # arrow (psi^2 and braid) fail, and no other row does
+    monkeypatch.setattr(K.KLR, "arrow", lambda self, tag, u, v:
+                        self.quiver.has_edge(u, v))
+    monkeypatch.setattr(suites, "POOL_MIN_WORK", 10**9)
+    argv = ["verify", suite, "--quiver", quiver, "--n", "3", "--bound", "1"]
+    assert main(argv + ["--format", "json"]) == 1
+    failed = {row["relation"]
+              for row in instance_rows(json.loads(capsys.readouterr().out))
+              if row["status"] == "fail"}
+    names = alternating.ALT_NAMES if suite == "alt-presentation" \
+        else alternating.SIGNED_NAMES
+    assert failed and failed <= {names["psi psi"], names["braid"]}
+
+
 def instance_rows(obj):
     """Every instance row (a dict with a "status") nested in `obj`."""
     if isinstance(obj, dict):

@@ -4,7 +4,7 @@ Any change to report bytes shows here.  The JSON `instances` list of
 alt-presentation and signed-relations is compared as a sorted list (by its
 canonical JSON text), since its order follows the checker's evaluation
 order; the rest of those payloads, and every other output, is compared
-byte for byte.  `RAW_GOLDEN` pins the raw bytes of two such JSON runs as
+byte for byte.  `RAW_GOLDEN` pins the raw bytes of four such JSON runs as
 well, instance order included.
 """
 
@@ -37,6 +37,11 @@ RUNS = {
                                 "--fuzz", "20"],
     "signed-relations-exponents": ["verify", "signed-relations", "--quiver",
                                    "cycle(3)", "--n", "3", "--bound", "2"],
+    # n = 4: the first n whose words reach the "psi psi far" family
+    "alt-presentation-n4": ["verify", "alt-presentation", "--n", "4",
+                            "--bound", "0"],
+    "signed-relations-n4": ["verify", "signed-relations", "--n", "4",
+                            "--bound", "0"],
     "clifford": ["verify", "clifford", "--n", "2"],
     "clifford-n3": ["verify", "clifford", "--n", "3"],
     "dims": ["verify", "dims", "--n", "1", "--bound", "6"],
@@ -80,6 +85,14 @@ GOLDEN = {
         "bc7946c8af925d9df5dcfa51d6ec0781ffb7f4ef193362a2961755baf533eaa2",
     ("alt-presentation-bound2", "json"):
         "a207cec4b73b7a4d8f15d4004e7a66a31a916cab924286f2e699413c7f11d399",
+    ("alt-presentation-n4", "text"):
+        "02956d82dce1789c6a8f868ad7eca689bed179a72fffdb5c91667ccbdb8cc3f7",
+    ("alt-presentation-n4", "json"):
+        "29f426a8f66ec4e6af83e22922813cf416f13b92fce70cc266929122ae2ee844",
+    ("signed-relations-n4", "text"):
+        "1f36ab092d74b824119bcf247e7555c819079653b57bedc37d63212161be036e",
+    ("signed-relations-n4", "json"):
+        "e84d3e3cc2a28c4751d3547a332e46a0ea3e6496c9554caff21251dbcfd7b8d9",
     ("signed-relations-cycle3", "text"):
         "a56867d6b9db7998efd17933cf0545de57c001e11fafdf5acdea5d661fb04b74",
     ("signed-relations-cycle3", "json"):
@@ -136,6 +149,10 @@ RAW_GOLDEN = {
         "dc23405fa7f34061dabce87ed001409894a014e4f31c78046838f89e87e6d60f",
     "signed-relations-exponents":
         "3dec07f498c7b4e1b12955d41c3ecfce94a9e4b764070ac951857dfea10405fd",
+    "alt-presentation-n4":
+        "a4512e1095f646e5d11e2a72ec0a39fc06c28d9c21dcc89ff08898f6f6ab1efc",
+    "signed-relations-n4":
+        "2fbea0b7f200817cc55c3468a92a059025f344f407bf3aa08de00843f8667635",
 }
 
 
