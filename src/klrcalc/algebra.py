@@ -636,11 +636,12 @@ class Realisation(NamedTuple):
     """The generators of one algebra, as the relation table reads them.
 
     `act(g, x)` is the product g x of a letter and an element: g is ("y", r),
-    ("psi", r) or an idempotent letter resolved to ("e", j, label') -
-    sequence j under label', which is the instance's label or, for F, its
-    `flip`.  Every word of a label acts on base(label), right to left, and
-    every letter acts, E and F too.  A family in `bare` is checked once, with
-    label None: its words leave E out and act on base(None), the block unit.
+    ("psi", r) or an idempotent letter resolved to ("e", j), E and F alike.
+    Every word of a label acts on base(label), right to left, and every
+    letter acts.  `views(label)` lists the rows read off one evaluation, as
+    (row label, odd): a row reads each word `twisted` by `odd`.  A family in
+    `bare` is checked once, with label None: its words leave E out and act
+    on base(None), the block unit.
     """
 
     labels: Sequence
@@ -648,7 +649,7 @@ class Realisation(NamedTuple):
     arrow: Callable  # (label, u, v) -> is u -> v an arrow under this label
     act: Callable  # (letter, Element) -> Element
     base: Callable  # label -> Element
-    flip: Callable = lambda label: label
+    views: Callable = lambda label: ((label, frozenset()),)
     bare: frozenset = frozenset()
 
 
@@ -677,9 +678,10 @@ def evaluate(real: Realisation, word: tuple, memo: dict, letters: dict):
 
 def relation_instances(real: Realisation, n: int):
     """Every instance of KLR_RELATIONS in a realisation: yields (family,
-    label, r, s, lhs, rhs), with s None in rows of one index.  The instances
-    come label by label (the bare families last) and, within a label, in
-    table order, so each family's instances are in label-major order."""
+    row label, r, s, lhs, rhs), with s None in rows of one index.  The
+    instances come label by label (the bare families last), view by view
+    within a label and, within a view, in table order, so each family's
+    instances are in row-label-major order."""
     labelled, bare = [], []
     for family, indices, lhs, rhs, correction in KLR_RELATIONS:
         if family in real.bare:
@@ -702,26 +704,41 @@ def _place(word, r, s) -> tuple:
                  for g in word)
 
 
+def twisted(x: Element, word: tuple, odd) -> Element:
+    """x, the value of `word` under tag-preserving letters, with its G' terms
+    negated when an odd number of the word's letters are of a kind in `odd`."""
+    if sum(g[0] in odd for g in word) % 2 == 0:
+        return x
+    return Element(x.ctx, {m: x.ctx.dom.neg(c) if m.tag == TAG_OPP else c
+                           for m, c in x.terms.items()})
+
+
 def _instances(real, label, rows):
     letters, memo = {}, {(): real.base(label)}
-    i, f = None, F
+    i = None
     if label is not None:
         i = real.seq(label)
-        letters = {E: ("e", i, label), F: ("e", i, real.flip(label))}
-        if letters[F] == letters[E]:
-            f = E  # F's words then share the memoised suffixes of E's
+        letters = {E: ("e", i), F: ("e", i)}
         for r in range(1, len(i)):
-            letters["swap", r] = ("e", i[:r - 1] + (i[r], i[r - 1]) + i[r + 1:], label)
+            letters["swap", r] = ("e", i[:r - 1] + (i[r], i[r - 1]) + i[r + 1:])
 
     def arrow(u, v):
         return real.arrow(label, u, v)
 
-    for family, words, correction in rows:
-        for r, s, lhs, rhs in words:
-            left = evaluate(real, lhs, memo, letters)
-            right = evaluate(real, rhs, memo, letters) if rhs else left.ctx.zero()
-            if correction:
-                for sign, extra in _correction(correction, r, i, arrow, f):
-                    x = evaluate(real, extra, memo, letters)
-                    right = right + x if sign > 0 else right - x
-            yield family, label, r, s, left, right
+    # the views read the label's words off one memo; F acts as E, and is
+    # written as E (sharing its suffixes) unless the view tells them apart
+    for row_label, odd in real.views(label):
+        f = E if (E[0] in odd) == (F[0] in odd) else F
+        for family, words, correction in rows:
+            for r, s, lhs, rhs in words:
+                left = evaluate(real, lhs, memo, letters)
+                right = evaluate(real, rhs, memo, letters) if rhs else left.ctx.zero()
+                if odd:
+                    left, right = twisted(left, lhs, odd), twisted(right, rhs or (), odd)
+                if correction:
+                    for sign, extra in _correction(correction, r, i, arrow, f):
+                        x = evaluate(real, extra, memo, letters)
+                        if odd:
+                            x = twisted(x, extra, odd)
+                        right = right + x if sign > 0 else right - x
+                yield family, row_label, r, s, left, right

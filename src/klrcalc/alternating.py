@@ -15,11 +15,11 @@ Two pictures coexist and are translated between:
   at one strand.
 
 The relation families of both presentations are the rows of one table,
-`algebra.KLR_RELATIONS`, which `algebra.relation_instances` evaluates on the
-generators realised here (`_two_copy`): as in the relation sweep, a word
-acts letter by letter on a base, e[i] or the block unit.  The signed
-presentation's `_signed_realisation` flips eps_a(i) to eps_{-a}(i) wherever
-a row places F, that is in the psi'^2 and braid rows.
+`algebra.KLR_RELATIONS`, which `algebra.relation_instances` evaluates in
+one plain two-copy realisation (`_two_copy`), word by word on e[i] or the
+block unit.  Every generator of both presentations keeps a term's tag, so a
+word's value in either is G + s G', the tag parts of its one plain value,
+with s = -1 when it has an odd number of odd letters (`algebra.twisted`).
 
 The braid relation of the signed presentation is checked with the
 correction sign matching the underlying deformed braid relation (minus on
@@ -33,7 +33,7 @@ import math
 from . import linalg, perms
 from .algebra import (TAG_MAIN, TAG_OPP, TAGS_BOTH, Element, KLR, Mono,
                       NotHomogeneousError, Realisation, ShapeError, evaluate,
-                      relation_instances)
+                      relation_instances, twisted)
 from .perms import canonical_word, length
 from .quiver import Root, all_seqs, root_tau_classes, sequences, tau_classes
 from .signop import (ambient_unit, e_pair, eps_pair, sgn, sgn_eigenvalue,
@@ -161,18 +161,19 @@ def dims_complete_window(ctx: KLR, bound: int) -> int:
 # --- presentation verification -------------------------------------------------
 
 
+def _row(relation, cls, r, got, want, diff) -> dict:
+    """A report row for got == want, showing `diff` when they differ."""
+    ok = got == want
+    return {"relation": relation, "class": list(cls) if cls else None, "r": r,
+            "status": "pass" if ok else "fail", "diff": None if ok else diff}
+
+
 def _instance(relation, cls, r=None, s=None, lhs=None, rhs=None):
-    ok = lhs == rhs
-    inst = {
-        "relation": relation,
-        "class": list(cls) if cls is not None else None,
-        "r": r,
-        "status": "pass" if ok else "fail",
-        "diff": None,
-    }
+    """The row for lhs == rhs, whose diff is the element lhs - rhs."""
+    inst = _row(relation, cls, r, lhs, rhs, None)
     if s is not None:
         inst["s"] = s
-    if not ok:
+    if inst["status"] == "fail":
         from .exprs import element_to_json_obj
         inst["diff"] = element_to_json_obj(lhs - rhs)
     return inst
@@ -203,48 +204,42 @@ SIGNED_NAMES = {
 }
 
 
-def _two_copy(ctx: KLR, signed: bool, **fields) -> Realisation:
-    """The relation table on two-copy block elements, acting on their terms.
-    ("psi", r) and ("y", r) act through the engine's one-letter actions,
-    unchecked, as the table's letters are in range by construction; unless
-    `signed` they are Psi_r = psi_r eps and Y_r = y_r eps, and eps = sum_i
-    (e_G(i) - e_G'(i)) first negates the G' terms.  ("e", j, ...) keeps the
-    terms of face j; when `signed`, ("e", j, (i, a)) is eps_a(j), which for
-    a = - also negates the G' ones."""
-    dom = ctx.dom
+# The kinds of the odd letters, those that negate G' terms: Psi_r = psi_r eps
+# and Y_r = y_r eps, and the idempotents that read eps_- in the signed rows
+# of (i, a): F = eps_-a(i) under a = +, E and SWAP under a = -.
+ALT_ODD = frozenset({"psi", "y", "ydiff"})
+SIGNED_ODD = {PLUS: frozenset({"F"}), MINUS: frozenset({"E", "swap"})}
 
-    def opp_negated(terms):
-        return {m: dom.neg(c) if m.tag == TAG_OPP else c for m, c in terms.items()}
+
+def _two_copy(ctx: KLR, root: Root) -> Realisation:
+    """The block's two-copy algebra: one label per sequence i, whose words act
+    on e[i] (on the block unit for label None), every letter on both tags
+    alike, so a presentation's rows are views of these values.  The table's
+    letters are in range by construction, so they act unchecked."""
 
     def act(g, x):
-        if g[0] != "e":
-            apply = ctx._apply_y if g[0] == "y" else ctx._apply_psi
-            terms = x.terms if signed else opp_negated(x.terms)
-            return Element(ctx, apply(g[1], terms))
-        kept = {m: c for m, c in x.terms.items() if ctx.mono_face(m) == g[1]}
-        return Element(ctx, opp_negated(kept) if signed and g[2][1] == MINUS else kept)
+        if g[0] == "e":
+            return Element(ctx, {m: c for m, c in x.terms.items()
+                                 if ctx.mono_face(m) == g[1]})
+        apply = ctx._apply_y if g[0] == "y" else ctx._apply_psi
+        return Element(ctx, apply(g[1], x.terms))
 
-    return Realisation(act=act, arrow=lambda label, u, v: ctx.quiver.has_edge(u, v),
-                       **fields)
+    return Realisation(labels=list(ctx.block_seqs(root)), seq=lambda i: i,
+                       arrow=lambda i, u, v: ctx.quiver.has_edge(u, v), act=act,
+                       base=lambda i: (ambient_unit(ctx, root) if i is None
+                                       else e_pair(ctx, i)))
 
 
 def _alt_realisation(ctx: KLR, root: Root) -> Realisation:
-    """The alternating presentation: labels are the sequences i, words act on
-    e[i], and Y_r Y_s = Y_s Y_r is checked once, on the block unit."""
-    one = ambient_unit(ctx, root)
-    return _two_copy(ctx, False, labels=list(ctx.block_seqs(root)), seq=lambda i: i,
-                     base=lambda i: one if i is None else e_pair(ctx, i),
-                     bare=frozenset({"y y"}))
+    """Row i reads i's words with ALT_ODD; "y y" is checked on the unit."""
+    return _two_copy(ctx, root)._replace(views=lambda i: ((i, ALT_ODD),),
+                                         bare=frozenset({"y y"}))
 
 
 def _signed_realisation(ctx: KLR, root: Root) -> Realisation:
-    """The signed presentation: labels are (i, a), words act on e[i], and the
-    correction idempotent of eps_a(i) is eps_{-a}(i)."""
-    return _two_copy(ctx, True,
-                     labels=[(s, a) for s in ctx.block_seqs(root) for a in (PLUS, MINUS)],
-                     seq=lambda label: label[0],
-                     base=lambda label: e_pair(ctx, label[0]),
-                     flip=lambda label: (label[0], MINUS if label[1] == PLUS else PLUS))
+    """Rows (i, +) and (i, -), both read off one evaluation of i's words."""
+    return _two_copy(ctx, root)._replace(
+        views=lambda i: tuple(((i, a), SIGNED_ODD[a]) for a in (PLUS, MINUS)))
 
 
 def _table_instances(real: Realisation, n: int, names: dict, cls) -> list:
@@ -288,32 +283,24 @@ def verify_alt_presentation(ctx: KLR, root: Root):
             want = E(i) if i == j else ctx.zero()
             out.append(_instance("e[i]e[j] = delta e[i]", (i, j), lhs=E(i) * E(j),
                                  rhs=want))
-    total = ctx.zero()
-    for i in seqs:
-        total = total + E(i)
+    total = sum((E(i) for i in seqs), ctx.zero())
     out.append(_instance("sum e[i] = 1", None, lhs=total, rhs=one))
 
     out += _table_instances(real, n, ALT_NAMES,
                             lambda i: None if i is None else (i,))
 
-    # degree assertions
+    # degree assertions, read off the plain values: a twist keeps degrees
     for i in seqs:
         for r in range(1, n):
             want = -ctx.quiver.cartan_entry(i[r - 1], i[r])
             got = real.act(("psi", r), E(i)).degree()
-            out.append({"relation": "deg Psi_r e[i]", "class": list((i,)), "r": r,
-                        "status": "pass" if got == want else "fail",
-                        "diff": None if got == want else f"deg {got} != {want}"})
+            out.append(_row("deg Psi_r e[i]", (i,), r, got, want, f"deg {got} != {want}"))
     for r in range(1, n + 1):
         got = real.act(("y", r), one).degree()
-        out.append({"relation": "deg Y_r = 2", "class": None, "r": r,
-                    "status": "pass" if got == 2 else "fail",
-                    "diff": None if got == 2 else f"deg {got}"})
+        out.append(_row("deg Y_r = 2", None, r, got, 2, f"deg {got}"))
     for i in seqs:
         got = E(i).degree()
-        out.append({"relation": "deg e[i] = 0", "class": list((i,)), "r": None,
-                    "status": "pass" if got == 0 else "fail",
-                    "diff": None if got == 0 else f"deg {got}"})
+        out.append(_row("deg e[i] = 0", (i,), None, got, 0, f"deg {got}"))
     return out, notes
 
 
@@ -322,10 +309,11 @@ def iter_express_coverage(ctx: KLR, root: Root, bound: int):
     word, yielding one instance row per element as it is evaluated; the
     basis is streamed (`iter_alt_basis`), and the words of the block share
     their suffixes' products.  Every word acts on the block unit."""
-    real = _alt_realisation(ctx, root)
+    real = _two_copy(ctx, root)
     memo = {(): real.base(None)}
     for desc, el in iter_alt_basis(ctx, root, bound):
-        got = evaluate(real, tuple(express_alt(ctx, desc)), memo, {})
+        word = tuple(express_alt(ctx, desc))
+        got = twisted(evaluate(real, word, memo, {}), word, ALT_ODD)
         yield _instance("express(alt basis element)", desc, lhs=got, rhs=el)
 
 
@@ -423,9 +411,7 @@ def verify_signed_relations(ctx: KLR, root: Root, bound: int = 1):
                     want = E[(i, prod)] if i == j else ctx.zero()
                     out.append(_instance(f"eps_{a}(i) eps_{b}(j)", (i, j),
                                          lhs=E[(i, a)] * E[(j, b)], rhs=want))
-    total = ctx.zero()
-    for i in seqs:
-        total = total + E[(i, PLUS)]
+    total = sum((E[(i, PLUS)] for i in seqs), ctx.zero())
     out.append(_instance("sum eps_+(i) = 1", None, lhs=total, rhs=one))
 
     # reversal twist, read in the one-quiver picture
@@ -435,8 +421,7 @@ def verify_signed_relations(ctx: KLR, root: Root, bound: int = 1):
             out.append(_instance(f"translate(eps_{a}(i)) = theta(eps_{a}(i))",
                                  (i,), lhs=lhs, rhs=theta_eps(ctx, i, a)))
             sign = 1 if a == PLUS else -1
-            out.append(_instance(f"eps_{a}(i) = {'+' if sign > 0 else '-'}"
-                                 f"eps_{a}(tau i)", (i,),
+            out.append(_instance(f"eps_{a}(i) = {a}eps_{a}(tau i)", (i,),
                                  lhs=theta_eps(ctx, i, a),
                                  rhs=theta_eps(ctx, tau.seq(i), a).scale(sign)))
             if symmetric and tau.seq(i) == i and a == MINUS:
@@ -451,10 +436,7 @@ def verify_signed_relations(ctx: KLR, root: Root, bound: int = 1):
             got = deg2_of(ctx, x)
         except NotHomogeneousError as exc:
             got = str(exc)
-        ok = got == want
-        out.append({"relation": name, "class": list(cls) if cls else None,
-                    "r": None, "status": "pass" if ok else "fail",
-                    "diff": None if ok else f"{got} != {want}"})
+        out.append(_row(name, cls, None, got, want, f"{got} != {want}"))
 
     for i in seqs:
         deg2_inst("deg2 eps_+(i) = (0,+)", (i,), E[(i, PLUS)], (0, PLUS))

@@ -455,17 +455,17 @@ def test_evaluate_computes_each_suffix_once(c3):
 
     def act(g, x):
         calls.append(g)
-        return c3.gen_left(g[:2], x)
+        return c3.gen_left(g, x)
 
     real = Realisation(labels=[i], seq=lambda label: label, arrow=None, act=act,
                        base=c3.e)
-    memo, letters = {(): real.base(i)}, {E: ("e", i, i)}
+    memo, letters = {(): real.base(i)}, {E: ("e", i)}
     words = [(("y", 1), ("psi", 1)), (("psi", 1), ("y", 1), ("psi", 1)),
              (("y", 2), ("psi", 1)), (E, ("y", 1), ("psi", 1))]
     got = [evaluate(real, w, memo, letters) for w in words]
     suffixes = {w[t:] for w in words for t in range(len(w))}
     assert len(calls) == len(suffixes) and set(memo) == suffixes | {()}
-    assert ("e", i, i) in calls
+    assert ("e", i) in calls
     for w, x in zip(words, got):
         tokens = [("e", i) if g == E else g for g in w]
         assert x == c3.word_element(tokens, i)
@@ -481,5 +481,5 @@ def test_evaluate_computes_each_suffix_once(c3):
     assert evaluate(real, (E,), memo, letters) == real.base(i)
     assert evaluate(real, (("y", 1), E), memo, letters) == c3.word_element(
         [("y", 1)], i)
-    assert calls == [("e", i, i), ("y", 1)]
+    assert calls == [("e", i), ("y", 1)]
     assert set(memo) == {(), (E,), (("y", 1), E)}

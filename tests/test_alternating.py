@@ -5,7 +5,7 @@ import pytest
 import klrcalc as K
 from klrcalc import alternating as alt
 from klrcalc import linalg, signop
-from klrcalc.algebra import Element, Mono, relation_instances
+from klrcalc.algebra import E, F, Element, Mono, relation_instances, twisted
 from klrcalc.perms import all_perms, length
 
 TAGS = ("G", "G'")
@@ -23,13 +23,17 @@ def alt_gens(ctx, root):
 
 
 def acted_gens(ctx, root):
-    """The same generators, as the alternating realisation's letters acting
-    on the block unit."""
-    real = alt._alt_realisation(ctx, root)
+    """The same generators, as one-letter words of the two-copy realisation
+    acting on the block unit, read as the alternating rows read them."""
+    real = alt._two_copy(ctx, root)
     one = real.base(None)
-    Psi = {r: real.act(("psi", r), one) for r in range(1, ctx.n)}
-    Y = {r: real.act(("y", r), one) for r in range(1, ctx.n + 1)}
-    E = {s: real.act(("e", s), one) for s in ctx.block_seqs(root)}
+
+    def read(g):
+        return twisted(real.act(g, one), (g,), alt.ALT_ODD)
+
+    Psi = {r: read(("psi", r)) for r in range(1, ctx.n)}
+    Y = {r: read(("y", r)) for r in range(1, ctx.n + 1)}
+    E = {s: read(("e", s)) for s in ctx.block_seqs(root)}
     return Psi, Y, E
 
 
@@ -215,12 +219,23 @@ def test_express_word_shapes(ctx2, root01):
     for kind, index in reversed(word[:-1]):
         got = gens[kind][index] * got
     assert got == el
-    # and so do its letters, acting on the block unit
-    real = alt._alt_realisation(ctx2, root01)
-    got = real.base(None)
-    for g in reversed(word):
-        got = real.act(g, got)
-    assert got == el
+    # and so do its letters, acting on the block unit, read with ALT_ODD
+    real = alt._two_copy(ctx2, root01)
+
+    def read(word):
+        got = real.base(None)
+        for g in reversed(word):
+            got = real.act(g, got)
+        return got, twisted(got, tuple(word), alt.ALT_ODD)
+
+    assert read(word) == (el, el)
+    # an odd word: its plain value is psi_1 e[i], its reading psi_1 eps e[i]
+    odd = alt.express_alt(ctx2, ((1, 0), (0, 0), (0, 1), 1))
+    plain, got = read(odd)
+    assert got == Element(ctx2, {Mono("G", (1, 0), (0, 0), (0, 1)): 1,
+                                 Mono("G'", (1, 0), (0, 0), (0, 1)): -1})
+    assert plain == Psi[1] * (E[(0, 1)] * signop.make_epsilon(ctx2, root01))
+    assert plain != got
 
 
 @pytest.mark.parametrize("bound", [0, 1, 2])
@@ -334,7 +349,7 @@ def test_generator_degrees(ctx2, root01):
     Psi, Y, E = acted_gens(ctx2, root01)
     assert Y[1].degree() == 2
     assert E[(0, 1)].degree() == 0
-    real = alt._alt_realisation(ctx2, root01)
+    real = alt._two_copy(ctx2, root01)
     # cartan entry -1 on the edge
     assert real.act(("psi", 1), E[(0, 1)]).degree() == 1
     assert (Psi[1] * E[(0, 1)]).degree() == 1
@@ -342,27 +357,32 @@ def test_generator_degrees(ctx2, root01):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_letters_act_as_their_generators(n):
-    # differential: each letter of both realisations, acting on a basis
-    # monomial, against left multiplication by its whole generator
+    # differential: each letter of the two-copy realisation, acting on a
+    # basis monomial and read as a one-letter word by the alternating and the
+    # signed rows, against left multiplication by its whole generator
     ctx = K.make_context(K.cycle(3), n)
     for root in K.all_roots(ctx.quiver, n):
         seqs = ctx.block_seqs(root)
         eps = signop.make_epsilon(ctx, root)
         gens = [(("psi", r), ctx.psi_element(r, seqs, TAGS)) for r in range(1, n)]
         gens += [(("y", r), ctx.y_element(r, seqs, TAGS)) for r in range(1, n + 1)]
-        alt_letters = [(g, G * eps) for g, G in gens]
-        alt_letters += [(("e", j), signop.e_pair(ctx, j)) for j in seqs]
-        alt_letters += [(("e", j, i), signop.e_pair(ctx, j))
-                        for j in seqs for i in seqs]
-        signed_letters = gens + [(("e", j, (i, a)), alt.signed_eps(ctx, j, a))
-                                 for j in seqs for i in seqs for a in "+-"]
-        monos = ctx.enumerate_basis(root, 1, TAGS)
-        for real, letters in ((alt._alt_realisation(ctx, root), alt_letters),
-                              (alt._signed_realisation(ctx, root), signed_letters)):
-            for m in monos:
-                x = Element(ctx, {m: 1})
-                for g, G in letters:
-                    assert real.act(g, x) == G * x, (g, m)
+        # (letter of a word, letter it resolves to, odd kinds, generator)
+        cases = [(g, g, alt.ALT_ODD, G * eps) for g, G in gens]
+        cases += [(g, g, odd, G) for g, G in gens for odd in alt.SIGNED_ODD.values()]
+        for j in seqs:
+            e = ("e", j)
+            cases += [(letter, e, alt.ALT_ODD, signop.e_pair(ctx, j))
+                      for letter in (e, E, F, ("swap", 1))]
+            # in the rows of (i, a), E and SWAP read eps_a and F eps_-a
+            for a, odd in alt.SIGNED_ODD.items():
+                cases += [(E, e, odd, alt.signed_eps(ctx, j, a)),
+                          (("swap", 1), e, odd, alt.signed_eps(ctx, j, a)),
+                          (F, e, odd, alt.signed_eps(ctx, j, "-" if a == "+" else "+"))]
+        real = alt._two_copy(ctx, root)
+        for m in ctx.enumerate_basis(root, 1, TAGS):
+            x = Element(ctx, {m: 1})
+            for letter, g, odd, G in cases:
+                assert twisted(real.act(g, x), (letter,), odd) == G * x, (letter, m)
 
 
 def test_presentations_act_without_multiply(monkeypatch):

@@ -79,9 +79,9 @@ def test_braid_correction_sign():
 
 
 def test_relation_table_needs_the_sign_flip():
-    # the shared relation table driven by the signed realisation: with the
-    # correction idempotent left at eps_a(i) instead of eps_{-a}(i), the
-    # psi'^2 and braid rows must fail
+    # the shared relation table read in the signed rows: with F odd exactly
+    # where E is, the correction idempotent of eps_a(i) reads eps_a(i)
+    # instead of eps_{-a}(i), and the psi'^2 and braid rows must fail
     ctx = K.make_context(K.cycle(3), 3)
     root = K.make_root(ctx.quiver, {0: 2, 1: 1})
     real = alt._signed_realisation(ctx, root)
@@ -91,8 +91,11 @@ def test_relation_table_needs_the_sign_flip():
                 for family, *_, lhs, rhs in relation_instances(real, 3)
                 if lhs != rhs}
 
+    def unflipped(i):
+        return (((i, "+"), frozenset()), ((i, "-"), frozenset({"E", "F", "swap"})))
+
     assert failing(real) == set()
-    assert failing(real._replace(flip=lambda label: label)) == \
+    assert failing(real._replace(views=unflipped)) == \
         {"psi'_r^2 eps_a(i)", "braid psi' eps_a(i)"}
 
 
@@ -140,6 +143,22 @@ def test_full_signed_suite_passes(ctx2):
         bad = [r for r in rows if r["status"] != "pass"]
         assert not bad, bad[:3]
         assert any("braid correction" in n for n in notes)
+
+
+def test_signed_rows_share_one_evaluation(monkeypatch):
+    # the rows (i, +) and (i, -) are read off one evaluation of each word:
+    # evaluating the words once per row made 1,320 letter actions here, 1,234
+    # of them in the relation table; one evaluation per sequence halves those
+    calls = []
+    for name in ("_apply_y", "_apply_psi"):
+        action = getattr(K.KLR, name)
+        monkeypatch.setattr(K.KLR, name, lambda self, r, terms, _action=action:
+                            calls.append(r) or _action(self, r, terms))
+    ctx = K.make_context(K.cycle(3), 3)
+    for root in K.root_tau_classes(ctx.quiver, ctx.tau, 3).reps:
+        rows, _ = alt.verify_signed_relations(ctx, root, bound=1)
+        assert all(r["status"] == "pass" for r in rows)
+    assert len(calls) <= 1320 - 1234 // 2
 
 
 def test_roundtrips_present_only_on_asymmetric_blocks(ctx2):
