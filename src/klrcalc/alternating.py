@@ -239,7 +239,7 @@ def _alt_realisation(ctx: KLR, root: Root) -> Realisation:
 def _signed_realisation(ctx: KLR, root: Root) -> Realisation:
     """Rows (i, +) and (i, -), both read off one evaluation of i's words."""
     return _two_copy(ctx, root)._replace(
-        views=lambda i: tuple(((i, a), SIGNED_ODD[a]) for a in (PLUS, MINUS)))
+        views=lambda i: tuple(((i, a), odd) for a, odd in SIGNED_ODD.items()))
 
 
 def _table_instances(real: Realisation, n: int, names: dict, cls) -> list:
