@@ -35,8 +35,9 @@ Products x y are built from the same one-letter actions.
 The defining presentation is also written down as data, apart from the
 rewrite rules: `KLR_RELATIONS` lists the relation families once, and
 `relation_instances` evaluates them in any realisation of the generators,
-each word through `evaluate`: its letters act one by one, right to left, on
-a base element, and the products are memoised by suffix.
+each word through `evaluate`: its letters act one by one, right to left,
+through `KLR.act` on a base element, and the products are memoised by
+suffix.  The corrections read the quiver's arrows.
 """
 
 from __future__ import annotations
@@ -279,10 +280,6 @@ class KLR:
     def block_seqs(self, root: Root) -> tuple:
         return sequences(self.quiver, root)
 
-    def block_idempotent(self, root: Root, tags=(TAG_MAIN,)) -> Element:
-        """Sum of e(i) over I^beta: a central idempotent."""
-        return self.unit(self.block_seqs(root), tags)
-
     # --- structure of monomials --------------------------------------------
 
     def _check_y_index(self, r: int) -> None:
@@ -327,26 +324,36 @@ class KLR:
     # --- generator action ---------------------------------------------------
 
     def gen_left(self, gen, x: Element) -> Element:
-        """Left multiplication by one generator token.
+        """Left multiplication by one generator token, checked.
 
         Tokens: ("e", seq) or ("e", seq, tag), ("y", r), ("psi", r).
         """
         kind = gen[0]
         if kind == "e":
-            seq = self._check_seq(gen[1])
             tag = gen[2] if len(gen) > 2 else TAG_MAIN
-            return Element(self, self._apply_e(tag, seq, x.terms))
+            x = self.act(("e", self._check_seq(gen[1])), x)
+            return Element(self, {m: c for m, c in x.terms.items() if m.tag == tag})
         if kind == "y":
             self._check_y_index(gen[1])
-            return Element(self, self._apply_y(gen[1], x.terms))
-        if kind == "psi":
+        elif kind == "psi":
             self._check_psi_index(gen[1])
-            return Element(self, self._apply_psi(gen[1], x.terms))
-        raise BadGeneratorError(f"unknown generator token {gen!r}")
+        else:
+            raise BadGeneratorError(f"unknown generator token {gen!r}")
+        return self.act(gen, x)
 
-    def _apply_e(self, tag: str, seq: tuple, terms: dict) -> dict:
-        return {m: c for m, c in terms.items()
-                if m.tag == tag and self.mono_face(m) == seq}
+    def act(self, g, x: Element) -> Element:
+        """The product g x of one letter and an element, unchecked: g is
+        ("y", r), ("psi", r) or ("e", j), which keeps the terms of x with
+        face j on either tag."""
+        kind, k = g[0], g[1]
+        if kind == "e":
+            return Element(self, self._apply_e(k, x.terms))
+        if kind == "y":
+            return Element(self, self._apply_y(k, x.terms))
+        return Element(self, self._apply_psi(k, x.terms))
+
+    def _apply_e(self, seq: tuple, terms: dict) -> dict:
+        return {m: c for m, c in terms.items() if self.mono_face(m) == seq}
 
     def _apply_y(self, s: int, terms: dict) -> dict:
         dom = self.dom
@@ -635,25 +642,22 @@ def _correction(kind, r, i, arrow, f) -> list:
 class Realisation(NamedTuple):
     """The generators of one algebra, as the relation table reads them.
 
-    `act(g, x)` is the product g x of a letter and an element: g is ("y", r),
-    ("psi", r) or an idempotent letter resolved to ("e", j), E and F alike.
-    Every word of a label acts on base(label), right to left, and every
-    letter acts.  `views(label)` lists the rows read off one evaluation, as
-    (row label, odd): a row reads each word `twisted` by `odd`.  A family in
-    `bare` is checked once, with label None: its words leave E out and act
-    on base(None), the block unit.
+    Every word of a label acts on base(label), right to left, letter by
+    letter through `KLR.act`: an idempotent letter, E and F alike, is
+    resolved to ("e", j) first.  `views(label)` lists the rows read off one
+    evaluation, as (row label, odd): a row reads each word `twisted` by
+    `odd`.  A family in `bare` is checked once, with label None: its words
+    leave E out and act on base(None), the block unit.
     """
 
     labels: Sequence
     seq: Callable  # label -> residue sequence
-    arrow: Callable  # (label, u, v) -> is u -> v an arrow under this label
-    act: Callable  # (letter, Element) -> Element
     base: Callable  # label -> Element
     views: Callable = lambda label: ((label, frozenset()),)
     bare: frozenset = frozenset()
 
 
-def evaluate(real: Realisation, word: tuple, memo: dict, letters: dict):
+def evaluate(word: tuple, memo: dict, letters: dict):
     """The product of a word acting on a base, memoised by word suffix.
 
     `memo` maps each suffix already evaluated to its product, so words
@@ -668,10 +672,11 @@ def evaluate(real: Realisation, word: tuple, memo: dict, letters: dict):
         return x
     g, rest = word[0], word[1:]
     if g[0] == "ydiff":
-        x = (evaluate(real, (("y", g[1]),) + rest, memo, letters)
-             - evaluate(real, (("y", g[2]),) + rest, memo, letters))
+        x = (evaluate((("y", g[1]),) + rest, memo, letters)
+             - evaluate((("y", g[2]),) + rest, memo, letters))
     else:
-        x = real.act(letters.get(g, g), evaluate(real, rest, memo, letters))
+        x = evaluate(rest, memo, letters)
+        x = x.ctx.act(letters.get(g, g), x)
     memo[word] = x
     return x
 
@@ -714,16 +719,17 @@ def twisted(x: Element, word: tuple, odd) -> Element:
 
 
 def _instances(real, label, rows):
-    letters, memo = {}, {(): real.base(label)}
+    base = real.base(label)
+    letters, memo = {}, {(): base}
     i = None
     if label is not None:
         i = real.seq(label)
         letters = {E: ("e", i), F: ("e", i)}
         for r in range(1, len(i)):
             letters["swap", r] = ("e", i[:r - 1] + (i[r], i[r - 1]) + i[r + 1:])
-
-    def arrow(u, v):
-        return real.arrow(label, u, v)
+    # the corrections read the quiver's arrows, not the engine's `KLR.arrow`,
+    # so a fault in the engine's orientation shows in the rows
+    arrow = base.ctx.quiver.has_edge
 
     # the views read the label's words off one memo; F acts as E, and is
     # written as E (sharing its suffixes) unless the view tells them apart
@@ -731,13 +737,13 @@ def _instances(real, label, rows):
         f = E if (E[0] in odd) == (F[0] in odd) else F
         for family, words, correction in rows:
             for r, s, lhs, rhs in words:
-                left = evaluate(real, lhs, memo, letters)
-                right = evaluate(real, rhs, memo, letters) if rhs else left.ctx.zero()
+                left = evaluate(lhs, memo, letters)
+                right = evaluate(rhs, memo, letters) if rhs else left.ctx.zero()
                 if odd:
                     left, right = twisted(left, lhs, odd), twisted(right, rhs or (), odd)
                 if correction:
                     for sign, extra in _correction(correction, r, i, arrow, f):
-                        x = evaluate(real, extra, memo, letters)
+                        x = evaluate(extra, memo, letters)
                         if odd:
                             x = twisted(x, extra, odd)
                         right = right + x if sign > 0 else right - x

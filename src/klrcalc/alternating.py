@@ -17,9 +17,10 @@ Two pictures coexist and are translated between:
 The relation families of both presentations are the rows of one table,
 `algebra.KLR_RELATIONS`, which `algebra.relation_instances` evaluates in
 one plain two-copy realisation (`_two_copy`), word by word on e[i] or the
-block unit.  Every generator of both presentations keeps a term's tag, so a
-word's value in either is G + s G', the tag parts of its one plain value,
-with s = -1 when it has an odd number of odd letters (`algebra.twisted`).
+block unit, each letter through `KLR.act`.  Every generator of both
+presentations keeps a term's tag, so a word's value in either is G + s G',
+the tag parts of its one plain value, with s = -1 when it has an odd number
+of odd letters (`algebra.twisted`).
 
 The braid relation of the signed presentation is checked with the
 correction sign matching the underlying deformed braid relation (minus on
@@ -214,18 +215,8 @@ SIGNED_ODD = {PLUS: frozenset({"F"}), MINUS: frozenset({"E", "swap"})}
 def _two_copy(ctx: KLR, root: Root) -> Realisation:
     """The block's two-copy algebra: one label per sequence i, whose words act
     on e[i] (on the block unit for label None), every letter on both tags
-    alike, so a presentation's rows are views of these values.  The table's
-    letters are in range by construction, so they act unchecked."""
-
-    def act(g, x):
-        if g[0] == "e":
-            return Element(ctx, {m: c for m, c in x.terms.items()
-                                 if ctx.mono_face(m) == g[1]})
-        apply = ctx._apply_y if g[0] == "y" else ctx._apply_psi
-        return Element(ctx, apply(g[1], x.terms))
-
+    alike, so a presentation's rows are views of these values."""
     return Realisation(labels=list(ctx.block_seqs(root)), seq=lambda i: i,
-                       arrow=lambda i, u, v: ctx.quiver.has_edge(u, v), act=act,
                        base=lambda i: (ambient_unit(ctx, root) if i is None
                                        else e_pair(ctx, i)))
 
@@ -293,10 +284,10 @@ def verify_alt_presentation(ctx: KLR, root: Root):
     for i in seqs:
         for r in range(1, n):
             want = -ctx.quiver.cartan_entry(i[r - 1], i[r])
-            got = real.act(("psi", r), E(i)).degree()
+            got = ctx.act(("psi", r), E(i)).degree()
             out.append(_row("deg Psi_r e[i]", (i,), r, got, want, f"deg {got} != {want}"))
     for r in range(1, n + 1):
-        got = real.act(("y", r), one).degree()
+        got = ctx.act(("y", r), one).degree()
         out.append(_row("deg Y_r = 2", None, r, got, 2, f"deg {got}"))
     for i in seqs:
         got = E(i).degree()
@@ -309,11 +300,10 @@ def iter_express_coverage(ctx: KLR, root: Root, bound: int):
     word, yielding one instance row per element as it is evaluated; the
     basis is streamed (`iter_alt_basis`), and the words of the block share
     their suffixes' products.  Every word acts on the block unit."""
-    real = _two_copy(ctx, root)
-    memo = {(): real.base(None)}
+    memo = {(): ambient_unit(ctx, root)}
     for desc, el in iter_alt_basis(ctx, root, bound):
         word = tuple(express_alt(ctx, desc))
-        got = twisted(evaluate(real, word, memo, {}), word, ALT_ODD)
+        got = twisted(evaluate(word, memo, {}), word, ALT_ODD)
         yield _instance("express(alt basis element)", desc, lhs=got, rhs=el)
 
 
@@ -442,14 +432,14 @@ def verify_signed_relations(ctx: KLR, root: Root, bound: int = 1):
         deg2_inst("deg2 eps_+(i) = (0,+)", (i,), E[(i, PLUS)], (0, PLUS))
         deg2_inst("deg2 eps_-(i) = (0,-)", (i,), E[(i, MINUS)], (0, MINUS))
     for r in range(1, n + 1):
-        deg2_inst("deg2 y'_r = (2,-)", None, real.act(("y", r), one), (2, MINUS))
+        deg2_inst("deg2 y'_r = (2,-)", None, ctx.act(("y", r), one), (2, MINUS))
     for i in seqs:
         for r in range(1, n):
             c = ctx.quiver.cartan_entry(i[r - 1], i[r])
             deg2_inst("deg2 psi'_r eps_+(i)", (i,),
-                      real.act(("psi", r), E[(i, PLUS)]), (-c, MINUS))
+                      ctx.act(("psi", r), E[(i, PLUS)]), (-c, MINUS))
             deg2_inst("deg2 psi'_r eps_-(i)", (i,),
-                      real.act(("psi", r), E[(i, MINUS)]), (-c, PLUS))
+                      ctx.act(("psi", r), E[(i, MINUS)]), (-c, PLUS))
 
     # structure maps: round trips on generators, classes of two blocks only
     if not symmetric:

@@ -87,10 +87,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite", choices=sorted(suites.SUITES))
     p.add_argument("--bound", type=_count, default=None)
     p.add_argument("--block", default=None)
-    p.add_argument("--fuzz", type=_positive, default=100,
-                   help="fuzz count for the klr-relations suite")
-    p.add_argument("--max-pairs", type=_positive, default=400,
-                   help="product pairs sampled per parity combination (clifford)")
+    p.add_argument("--fuzz", type=_positive, default=None,
+                   help="fuzz count for the klr-relations suite (default 100)")
+    p.add_argument("--max-pairs", type=_positive, default=None,
+                   help="product pairs sampled per parity combination "
+                        "(clifford, default 400)")
     return ap
 
 
@@ -163,20 +164,23 @@ def _dispatch(args) -> int:
 
     # verify
     name = args.suite
-    if args.block is not None and name != "clifford":
-        raise ValueError(f"the {name} suite takes no --block")
+    for flag, value, suite in (("--block", args.block, "clifford"),
+                               ("--fuzz", args.fuzz, "klr-relations"),
+                               ("--max-pairs", args.max_pairs, "clifford")):
+        if value is not None and name != suite:
+            raise ValueError(f"the {name} suite takes no {flag}")
     kwargs = {"seed": args.seed, "tau_mapping": tau_mapping}
+    # an unset --bound, --fuzz or --max-pairs takes the suite's default
     if args.bound is not None:
         kwargs["bound"] = args.bound
-    if name == "klr-relations":
-        kwargs["fuzz_triples"] = args.fuzz
-        kwargs["fuzz_words"] = args.fuzz
-    elif name in ("alt-presentation", "signed-relations"):
-        kwargs["fmt"] = args.format  # a text report keeps no passing rows
-    elif name == "clifford":
+    if args.fuzz is not None:
+        kwargs["fuzz_triples"] = kwargs["fuzz_words"] = args.fuzz
+    if args.max_pairs is not None:
         kwargs["max_pairs"] = args.max_pairs
-        if args.block is not None:
-            kwargs["block"] = _parse_block(quiver, args.block)
+    if name in ("alt-presentation", "signed-relations"):
+        kwargs["fmt"] = args.format  # a text report keeps no passing rows
+    elif args.block is not None:
+        kwargs["block"] = _parse_block(quiver, args.block)
     report = suites.SUITES[name](quiver, args.n, dom, **kwargs)
     suites.write_report(report, args.format, sys.stdout)
     return report.exit_code

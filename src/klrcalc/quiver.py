@@ -120,18 +120,22 @@ def make_quiver(name: str, vertices: Iterable, edges: Iterable, tau: Mapping | N
     return Quiver(name, tuple(sorted(vs)), frozenset(es), tau_default=hint)
 
 
-def cycle(e: int, window: int = 3) -> Quiver:
+def cycle(e: int, window: int | None = None) -> Quiver:
     """The cyclic quiver on Z/eZ with arrows i -> i+1.
 
     e = 0 stands for the doubly infinite line, realised as the finite window
-    [-window, window] with arrows i -> i+1; all computations only ever touch
-    finitely many vertices.
+    [-window, window] (window 3 unless given) with arrows i -> i+1; all
+    computations only ever touch finitely many vertices.  Only e = 0 takes
+    a window.
     """
     if e in (1, 2):
         raise UnsupportedParameterError(f"cycle quiver needs e = 0 or e >= 3, got {e}")
     if e < 0:
         raise UnsupportedParameterError(f"cycle parameter must be nonnegative, got {e}")
+    if e > 0 and window is not None:
+        raise UnsupportedParameterError(f"cycle({e}) takes no window: only e = 0 does")
     if e == 0:
+        window = 3 if window is None else window
         if window < 1:
             raise UnsupportedParameterError("window must be >= 1")
         vs = range(-window, window + 1)
@@ -194,8 +198,8 @@ def build_quiver(spec) -> Quiver:
     if "family" in spec:
         fam = spec["family"]
         if fam == "cycle":
-            return cycle(_spec_field(spec, "e", int),
-                         window=_spec_field(spec, "window", int, 3))
+            window = _spec_field(spec, "window", int) if "window" in spec else None
+            return cycle(_spec_field(spec, "e", int), window)
         if fam == "path":
             return path(_spec_field(spec, "k", int))
         raise UnsupportedParameterError(f"unknown quiver family {fam!r}")

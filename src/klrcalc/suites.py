@@ -206,8 +206,7 @@ def _sweep_block(ctx: KLR, root: Root, bound: int):
     monomial of the block; returns aggregated rows."""
     seqs = ctx.block_seqs(root)
     monos = ctx.enumerate_basis(root, bound)
-    elems = [Element(ctx, {m: ctx.dom.one}) for m in monos]
-    unit = ctx.block_idempotent(root)
+    unit = ctx.unit(seqs)
     checked: dict = {}
     diffs: dict = {}
 
@@ -217,28 +216,20 @@ def _sweep_block(ctx: KLR, root: Root, bound: int):
             from .exprs import element_to_json_obj
             diffs[relation] = element_to_json_obj(lhs - rhs)
 
+    def base(m):
+        return Element(ctx, {m: ctx.dom.one})
+
     # idempotent relations on the block
     for i in seqs:
         for j in seqs:
             check("e(i)e(j) = delta e(i)", ctx.e(i) * ctx.e(j),
                   ctx.e(i) if i == j else ctx.zero())
-    for x in elems:
+    for x in map(base, monos):
         check("sum_i e(i) acts as identity", unit * x, x)
 
-    # labels are indices k into monos; every word of label k acts on the
-    # basis element elems[k], which is its own e(i).  The table's letters are
-    # in range by construction, so they act without `gen_left`'s checks.
-    def act(g, x):
-        if g[0] == "y":
-            return Element(ctx, ctx._apply_y(g[1], x.terms))
-        if g[0] == "psi":
-            return Element(ctx, ctx._apply_psi(g[1], x.terms))
-        return Element(ctx, ctx._apply_e(TAG_MAIN, g[1], x.terms))
-
-    real = Realisation(labels=range(len(monos)),
-                       seq=[ctx.mono_face(m) for m in monos].__getitem__,
-                       arrow=lambda k, u, v: ctx.arrow(monos[k].tag, u, v),
-                       act=act, base=elems.__getitem__)
+    # every word of a basis monomial's label acts on the monomial itself,
+    # which is its own e(i) for i its face
+    real = Realisation(labels=monos, seq=ctx.mono_face, base=base)
     for family, *_, lhs, rhs in relation_instances(real, ctx.n):
         check(SWEEP_NAMES[family], lhs, rhs)
     names = ["e(i)e(j) = delta e(i)", "sum_i e(i) acts as identity",

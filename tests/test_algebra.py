@@ -9,7 +9,7 @@ import pytest
 
 import klrcalc as K
 from klrcalc import suites
-from klrcalc.algebra import (KLR, TAGS_BOTH, E, Element, Mono, Realisation, _acc,
+from klrcalc.algebra import (KLR, TAGS_BOTH, E, Element, Mono, _acc,
                              _acc1, evaluate)
 from klrcalc.perms import act, all_perms, canonical_word, length
 from klrcalc.scalars import PrimeField
@@ -102,7 +102,7 @@ def test_multiply_shape_errors(c3):
 def test_block_idempotent_is_central(c3):
     q = K.cycle(3)
     root = K.make_root(q, {0: 1, 1: 1})
-    blk = c3.block_idempotent(root)
+    blk = c3.unit(c3.block_seqs(root))
     assert blk == c3.e((0, 1)) + c3.e((1, 0))
     rng = random.Random(11)
     seqs = c3.block_seqs(root)
@@ -449,37 +449,37 @@ def test_normal_monomial_invariants(c3):
         assert len(word) == length(w)
 
 
-def test_evaluate_computes_each_suffix_once(c3):
+def test_evaluate_computes_each_suffix_once(c3, monkeypatch):
     i = (0, 1)
-    calls = []
-
-    def act(g, x):
-        calls.append(g)
-        return c3.gen_left(g, x)
-
-    real = Realisation(labels=[i], seq=lambda label: label, arrow=None, act=act,
-                       base=c3.e)
-    memo, letters = {(): real.base(i)}, {E: ("e", i)}
     words = [(("y", 1), ("psi", 1)), (("psi", 1), ("y", 1), ("psi", 1)),
              (("y", 2), ("psi", 1)), (E, ("y", 1), ("psi", 1))]
-    got = [evaluate(real, w, memo, letters) for w in words]
+    # the oracle, multiplied out by `gen_left` before any action is counted
+    want = [c3.word_element([("e", i) if g == E else g for g in w], i)
+            for w in words]
+    want_y = c3.word_element([("y", 1)], i)
+    calls = []
+
+    def act(g, x, _act=c3.act):
+        calls.append(g)
+        return _act(g, x)
+
+    monkeypatch.setattr(c3, "act", act)
+    memo, letters = {(): c3.e(i)}, {E: ("e", i)}
+    got = [evaluate(w, memo, letters) for w in words]
     suffixes = {w[t:] for w in words for t in range(len(w))}
     assert len(calls) == len(suffixes) and set(memo) == suffixes | {()}
     assert ("e", i) in calls
-    for w, x in zip(words, got):
-        tokens = [("e", i) if g == E else g for g in w]
-        assert x == c3.word_element(tokens, i)
+    assert got == want
 
     # a ydiff letter is the difference of the two y-suffixes, already known
-    ydiff = evaluate(real, (("ydiff", 1, 2), ("psi", 1)), memo, letters)
+    ydiff = evaluate((("ydiff", 1, 2), ("psi", 1)), memo, letters)
     assert len(calls) == len(suffixes)
     assert ydiff == got[0] - got[2]
 
     # every letter acts on the base, a trailing E too
     calls.clear()
-    memo = {(): real.base(i)}
-    assert evaluate(real, (E,), memo, letters) == real.base(i)
-    assert evaluate(real, (("y", 1), E), memo, letters) == c3.word_element(
-        [("y", 1)], i)
+    memo = {(): c3.e(i)}
+    assert evaluate((E,), memo, letters) == c3.e(i)
+    assert evaluate((("y", 1), E), memo, letters) == want_y
     assert calls == [("e", i), ("y", 1)]
     assert set(memo) == {(), (E,), (("y", 1), E)}

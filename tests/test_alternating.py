@@ -23,13 +23,12 @@ def alt_gens(ctx, root):
 
 
 def acted_gens(ctx, root):
-    """The same generators, as one-letter words of the two-copy realisation
-    acting on the block unit, read as the alternating rows read them."""
-    real = alt._two_copy(ctx, root)
-    one = real.base(None)
+    """The same generators, as one-letter words acting on the two-copy block
+    unit through `KLR.act`, read as the alternating rows read them."""
+    one = signop.ambient_unit(ctx, root)
 
     def read(g):
-        return twisted(real.act(g, one), (g,), alt.ALT_ODD)
+        return twisted(ctx.act(g, one), (g,), alt.ALT_ODD)
 
     Psi = {r: read(("psi", r)) for r in range(1, ctx.n)}
     Y = {r: read(("y", r)) for r in range(1, ctx.n + 1)}
@@ -219,13 +218,12 @@ def test_express_word_shapes(ctx2, root01):
     for kind, index in reversed(word[:-1]):
         got = gens[kind][index] * got
     assert got == el
-    # and so do its letters, acting on the block unit, read with ALT_ODD
-    real = alt._two_copy(ctx2, root01)
 
+    # and so do its letters, acting on the block unit, read with ALT_ODD
     def read(word):
-        got = real.base(None)
+        got = signop.ambient_unit(ctx2, root01)
         for g in reversed(word):
-            got = real.act(g, got)
+            got = ctx2.act(g, got)
         return got, twisted(got, tuple(word), alt.ALT_ODD)
 
     assert read(word) == (el, el)
@@ -349,9 +347,8 @@ def test_generator_degrees(ctx2, root01):
     Psi, Y, E = acted_gens(ctx2, root01)
     assert Y[1].degree() == 2
     assert E[(0, 1)].degree() == 0
-    real = alt._two_copy(ctx2, root01)
     # cartan entry -1 on the edge
-    assert real.act(("psi", 1), E[(0, 1)]).degree() == 1
+    assert ctx2.act(("psi", 1), E[(0, 1)]).degree() == 1
     assert (Psi[1] * E[(0, 1)]).degree() == 1
 
 
@@ -378,11 +375,10 @@ def test_letters_act_as_their_generators(n):
                 cases += [(E, e, odd, alt.signed_eps(ctx, j, a)),
                           (("swap", 1), e, odd, alt.signed_eps(ctx, j, a)),
                           (F, e, odd, alt.signed_eps(ctx, j, "-" if a == "+" else "+"))]
-        real = alt._two_copy(ctx, root)
         for m in ctx.enumerate_basis(root, 1, TAGS):
             x = Element(ctx, {m: 1})
             for letter, g, odd, G in cases:
-                assert twisted(real.act(g, x), (letter,), odd) == G * x, (letter, m)
+                assert twisted(ctx.act(g, x), (letter,), odd) == G * x, (letter, m)
 
 
 def test_presentations_act_without_multiply(monkeypatch):

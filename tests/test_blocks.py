@@ -297,6 +297,25 @@ def test_presentations_read_the_opposite_orientation(suite, quiver, monkeypatch,
     assert failed and failed <= {names["psi psi"], names["braid"]}
 
 
+@pytest.mark.parametrize("quiver", ["cycle(3)", "path(3)"])
+def test_sweep_reads_the_quiver_not_the_engine(quiver, monkeypatch, capsys):
+    # a seeded fault: the engine reads both copies reversed.  Its products
+    # are those of the opposite quiver, so the fuzz still passes; the sweep's
+    # corrections read the quiver's arrows, so its psi^2 and braid rows fail
+    arrow = K.KLR.arrow
+    monkeypatch.setattr(K.KLR, "arrow", lambda self, tag, u, v:
+                        arrow(self, tag, v, u))
+    monkeypatch.setattr(suites, "POOL_MIN_WORK", 10**9)
+    argv = ["verify", "klr-relations", "--quiver", quiver, "--n", "3",
+            "--bound", "1", "--fuzz", "20", "--format", "json"]
+    assert main(argv) == 1
+    report = json.loads(capsys.readouterr().out)
+    failed = {row["relation"] for row in report["instances"]
+              if row["status"] == "fail"}
+    assert failed == {suites.SWEEP_NAMES["psi psi"], suites.SWEEP_NAMES["braid"]}
+    assert all(res["status"] == "pass" for res in report["fuzz"].values())
+
+
 def instance_rows(obj):
     """Every instance row (a dict with a "status") nested in `obj`."""
     if isinstance(obj, dict):

@@ -158,6 +158,14 @@ def test_prime_field_fraction(capsys, expr, coeff):
     ["quiver", "--quiver", '{"vertices":[0,1,2],"edges":[[0,1]],"tau":{"0":1}}'],
     # nesting past the interpreter's recursion limit
     ["nf", "--n", "1", "(" * 400 + "1" + ")" * 400],
+    # a flag the suite does not read
+    ["verify", "alt-presentation", "--n", "1", "--fuzz", "5"],
+    ["verify", "clifford", "--n", "1", "--fuzz", "5"],
+    ["verify", "klr-relations", "--n", "1", "--max-pairs", "5"],
+    ["verify", "signed-relations", "--n", "1", "--max-pairs", "5"],
+    # a window on a finite cycle
+    ["quiver", "--quiver", "cycle(3,0)"],
+    ["quiver", "--quiver", '{"family":"cycle","e":3,"window":-5}'],
 ])
 def test_malformed_input_exits2(capsys, argv):
     # argparse refuses a bad flag value by raising SystemExit(2)

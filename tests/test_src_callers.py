@@ -24,7 +24,6 @@ REVIEWED_SHADOWED = {
     "linalg.Echelon.add",
     "scalars.Rationals.add", "scalars.Rationals.format",
     "scalars.PrimeField.add", "scalars.PrimeField.format",
-    "algebra.KLR.arrow",
     "quiver.ReversalMap.seq",
 }
 
@@ -117,3 +116,17 @@ def test_every_public_name_has_a_src_caller():
 
 def test_shadowed_methods_are_reviewed():
     assert shadowed_methods() == REVIEWED_SHADOWED
+
+
+def test_only_the_engine_names_its_letter_actions():
+    # letters act through `KLR.act`: no other module reaches the engine's
+    # one-letter actions
+    actions = {"_apply_e", "_apply_y", "_apply_psi"}
+    named = set()
+    for path in sorted(SRC.glob("*.py")):
+        for sub in ast.walk(ast.parse(path.read_text(), str(path))):
+            name = getattr(sub, "attr", None) or getattr(sub, "id", None) \
+                or getattr(sub, "name", None)
+            if name in actions:
+                named.add(path.name)
+    assert named == {"algebra.py"}
