@@ -20,6 +20,9 @@ RUNS = {
                              "--n", "3", "--bound", "1", "--fuzz", "20"],
     "klr-relations-path3": ["verify", "klr-relations", "--quiver", "path(3)",
                             "--n", "3", "--bound", "1", "--fuzz", "20"],
+    # over F_5: every coefficient is an int in [0, 5), one of them 1
+    "klr-relations-F5": ["verify", "klr-relations", "--field", "Fp:5", "--n", "3",
+                         "--bound", "1", "--fuzz", "20"],
     "alt-presentation-Q": ["verify", "alt-presentation", "--n", "3",
                            "--bound", "1"],
     "alt-presentation-F5": ["verify", "alt-presentation", "--n", "3",
@@ -73,6 +76,10 @@ GOLDEN = {
         "3e98ba8387ef2bd14fe329e93b9023205077ac11a646fa060fb272324db4012f",
     ("klr-relations-path3", "json"):
         "c27c2bb8afbdb3d2eedc4f980e0e2a2466a19b64651f3bc3c6b34671be429591",
+    ("klr-relations-F5", "text"):
+        "b713d61808582417678b3d5a5f3dc1cd71d738f72aee2014482f509b37a29fe3",
+    ("klr-relations-F5", "json"):
+        "2c70bb83abbc8903bd7c34aebb2213fa92605e054cdaa82e9ae6480163d00924",
     ("alt-presentation-Q", "text"):
         "c54a4a00679adeae92834c88116f725633e7f4dd2af82d47259dab4b08b92632",
     ("alt-presentation-Q", "json"):
