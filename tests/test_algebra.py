@@ -388,6 +388,30 @@ def test_acc_matches_a_term_by_term_merge(dom):
     assert cancelled and zero_in_src
 
 
+class _ReversedSums(dict):
+    """A seeded fault for the exponent sums memo: every shift by y^a adds a
+    reversed, so y_1 shifts the last exponent and y_n the first."""
+
+    def get(self, key, default=None):
+        b, a = key
+        return tuple(map(add, b, a[::-1]))
+
+
+def test_sweep_sees_a_fault_in_the_shared_shift(monkeypatch):
+    # every y-exponent shift, the rewrite core's and the letter actions'
+    # alike, reads its sums through `_exp_sums`: seeded with reversed sums,
+    # the relation rows fail (the rows, not only a fuzz line) in the same
+    # number whichever path of the letter actions made the products
+    monkeypatch.setattr(K.algebra, "_exp_sums", _ReversedSums())
+    q = K.cycle(3)
+    failing = Counter(row["relation"] for root in K.all_roots(q, 3)
+                      for row in suites._sweep_block(K.make_context(q, 3), root, 1)
+                      if row["status"] == "fail")
+    assert failing == {suites.SWEEP_NAMES[family]: count for family, count in (
+        ("y y", 10), ("psi y", 10), ("y psi", 10), ("psi y far", 10),
+        ("psi psi", 7), ("braid", 6))}
+
+
 def test_element_arithmetic_and_equality(c3):
     x = c3.e((0, 1))
     y = c3.e((1, 0))
