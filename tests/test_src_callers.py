@@ -120,13 +120,20 @@ def test_shadowed_methods_are_reviewed():
 
 def test_only_the_engine_names_its_letter_actions():
     # letters act through `KLR.act`: no other module reaches the engine's
-    # one-letter actions
+    # one-letter actions.  Nor do the relation checks reach the rewrite memo
+    # tables or the exponent shift behind the actions: a fast path of their
+    # own would be a second letter action
     actions = {"_apply_e", "_apply_y", "_apply_psi"}
-    named = set()
+    internals = {"_y_cache", "_word_cache", "_y_mono", "_word_nf", "_acc",
+                 "_shifted", "_exp_sums"}
+    named, reached = set(), set()
     for path in sorted(SRC.glob("*.py")):
         for sub in ast.walk(ast.parse(path.read_text(), str(path))):
             name = getattr(sub, "attr", None) or getattr(sub, "id", None) \
                 or getattr(sub, "name", None)
             if name in actions:
                 named.add(path.name)
+            if name in internals:
+                reached.add(path.name)
     assert named == {"algebra.py"}
+    assert not reached & {"suites.py", "alternating.py"}
