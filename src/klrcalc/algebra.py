@@ -34,10 +34,13 @@ Products x y are built from the same one-letter actions.
 
 The defining presentation is also written down as data, apart from the
 rewrite rules: `KLR_RELATIONS` lists the relation families once, and
-`relation_instances` evaluates them in any realisation of the generators,
-each word through `evaluate`: its letters act one by one, right to left,
-through `KLR.act` on a base element, and the products are memoised by
-suffix.  The corrections read the quiver's arrows.
+`relation_instances` checks them in any realisation of the generators.  It
+compiles the table's words once into a `SuffixProgram`, one step (letter,
+source slot) per distinct suffix, and runs the program once per label on
+the terms of the label's base: each step's letter acts through
+`KLR.act_terms` on plain term dicts, and a row compares them, building an
+Element only for a failing row's diff.  The corrections read the quiver's
+arrows.
 """
 
 from __future__ import annotations
@@ -158,37 +161,63 @@ def _acc1(out: dict, m: Mono, c, dom) -> None:
         out[m] = s
 
 
-# b + a for the exponent shifts of `_acc`, keyed by (b, a).  Few pairs occur
-# (221 over `klr-relations --n 4 --bound 1`); past EXP_SUMS_LIMIT entries the
-# sums are computed and not kept.
-EXP_SUMS_LIMIT = 4096
+# The exponent sums of the shifts: _exp_sums[a] is the row b -> b + a.  Few
+# occur (34 rows, 221 sums over `klr-relations --n 4 --bound 1`); past
+# EXP_SUMS_LIMIT rows, or sums in a row, they are computed and not kept.
+EXP_SUMS_LIMIT = 256
 _exp_sums: dict = {}
 
 
-def _acc(out: dict, src: dict, scale, dom, a=None) -> None:
-    """out += scale src y^a: y^a, right of every psi letter, adds a to the
-    exponent of each term of src (no `a`: src as it is).
+class _Sums(dict):
+    """b -> b + a for one a, each sum computed when first read."""
 
-    Into an empty out with scale one, src's terms are copied, zeros left
-    out: a shift is injective, so no two of them meet.  Coefficients are
-    taken to be canonical, as every domain operation returns them."""
-    shift = a is not None and any(a)
-    copy = not out and scale == dom.one
-    is_zero, sums = dom.is_zero, _exp_sums
+    __slots__ = ("a",)
+
+    def __init__(self, a):
+        self.a = a
+
+    def __missing__(self, b):
+        s = tuple(map(add, b, self.a))
+        if len(self) < EXP_SUMS_LIMIT:
+            self[b] = s
+        return s
+
+
+def _exp_row(a) -> _Sums:
+    """The exponents b + a of y^b y^a, by b: the one exponent shift of the
+    engine, read by `_shifted` and `_acc`."""
+    row = _exp_sums.get(a)
+    if row is None:
+        row = _Sums(a)
+        if len(_exp_sums) < EXP_SUMS_LIMIT:
+            _exp_sums[a] = row
+    return row
+
+
+def _shifted(src: dict, a) -> dict:
+    """The terms of src y^a, a copy: y^a, right of every psi letter, adds a
+    to the exponent of each term."""
+    if not any(a):
+        return dict(src)
+    row = _exp_row(a)
+    out = {}
+    for (tag, w, b, seq), c in src.items():
+        # tuple.__new__ skips the namedtuple's Python-level __new__
+        out[tuple.__new__(Mono, (tag, w, row[b], seq))] = c
+    return out
+
+
+def _acc(out: dict, src: dict, scale, dom, a=None) -> None:
+    """out += scale src y^a (no `a`: src as it is), each term shifted as
+    `_shifted` shifts it and merged.  Coefficients are taken to be
+    canonical, as every domain operation returns them."""
+    row = _exp_row(a) if a is not None and any(a) else None
+    unit = scale == dom.one
     for m, c in src.items():
-        if shift:
+        if row is not None:
             tag, w, b, seq = m
-            s = sums.get((b, a))
-            if s is None:
-                s = tuple(map(add, b, a))
-                if len(sums) < EXP_SUMS_LIMIT:
-                    sums[b, a] = s
-            # tuple.__new__ skips the namedtuple's Python-level __new__
-            m = tuple.__new__(Mono, (tag, w, s, seq))
-        if not copy:
-            _acc1(out, m, dom.mul(scale, c), dom)
-        elif not is_zero(c):
-            out[m] = c
+            m = tuple.__new__(Mono, (tag, w, row[b], seq))
+        _acc1(out, m, c if unit else dom.mul(scale, c), dom)
 
 
 class KLR:
@@ -342,21 +371,34 @@ class KLR:
         return self.act(gen, x)
 
     def act(self, g, x: Element) -> Element:
-        """The product g x of one letter and an element, unchecked: g is
-        ("y", r), ("psi", r) or ("e", j), which keeps the terms of x with
-        face j on either tag."""
+        """The product g x of one letter and an element (see `act_terms`)."""
+        return Element(self, self.act_terms(g, x.terms))
+
+    def act_terms(self, g, terms: dict) -> dict:
+        """The terms of g x, for x with these terms: the one letter action,
+        unchecked.  g is ("y", r), ("psi", r) or ("e", j), which keeps the
+        terms with face j on either tag."""
         kind, k = g[0], g[1]
         if kind == "e":
-            return Element(self, self._apply_e(k, x.terms))
+            return self._apply_e(k, terms)
         if kind == "y":
-            return Element(self, self._apply_y(k, x.terms))
-        return Element(self, self._apply_psi(k, x.terms))
+            return self._apply_y(k, terms)
+        return self._apply_psi(k, terms)
+
+    # In `_apply_y` and `_apply_psi`, a single term with coefficient one, as
+    # a relation word's letters mostly meet, takes a copy of its memoised
+    # product shifted by its exponent, with nothing to merge; the shift
+    # reads the same `_exp_row` as `_acc`'s.
 
     def _apply_e(self, seq: tuple, terms: dict) -> dict:
         return {m: c for m, c in terms.items() if self.mono_face(m) == seq}
 
     def _apply_y(self, s: int, terms: dict) -> dict:
         dom = self.dom
+        if len(terms) == 1:
+            [((tag, w, a, seq), c)] = terms.items()
+            if c == dom.one:
+                return _shifted(self._y_mono(s, w, seq, tag), a)
         out: dict = {}
         for (tag, w, a, seq), c in terms.items():
             _acc(out, self._y_mono(s, w, seq, tag), c, dom, a)
@@ -364,6 +406,10 @@ class KLR:
 
     def _apply_psi(self, r: int, terms: dict) -> dict:
         dom = self.dom
+        if len(terms) == 1:
+            [((tag, w, a, seq), c)] = terms.items()
+            if c == dom.one:
+                return _shifted(self._word_nf((r,) + canonical_word(w), seq, tag), a)
         out: dict = {}
         for (tag, w, a, seq), c in terms.items():
             _acc(out, self._word_nf((r,) + canonical_word(w), seq, tag), c, dom, a)
@@ -620,34 +666,36 @@ _RANGES = {
 }
 
 
-def _correction(kind, r, i, arrow, f) -> list:
+def _correction(kind, r, i, arrow) -> list:
     """The signed words that a row's correction adds to its rhs, with their
-    generators placed at r and f standing for F."""
+    generators placed at r."""
     if kind == "delta" and i[r - 1] == i[r]:
         return [(1, (E,))]
     if kind == "square" and i[r - 1] != i[r]:
+        y_r, y_r1 = ("y", r), ("y", r + 1)
         if arrow(i[r - 1], i[r]):
-            return [(1, (("ydiff", r, r + 1), f))]
+            return [(1, (y_r, F)), (-1, (y_r1, F))]
         if arrow(i[r], i[r - 1]):
-            return [(1, (("ydiff", r + 1, r), f))]
+            return [(1, (y_r1, F)), (-1, (y_r, F))]
         return [(1, (E,))]
     if kind == "braid" and i[r - 1] == i[r + 1]:
         if arrow(i[r - 1], i[r]):
-            return [(-1, (f,))]
+            return [(-1, (F,))]
         if arrow(i[r], i[r - 1]):
-            return [(1, (f,))]
+            return [(1, (F,))]
     return []
 
 
 class Realisation(NamedTuple):
     """The generators of one algebra, as the relation table reads them.
 
-    Every word of a label acts on base(label), right to left, letter by
-    letter through `KLR.act`: an idempotent letter, E and F alike, is
-    resolved to ("e", j) first.  `views(label)` lists the rows read off one
-    evaluation, as (row label, odd): a row reads each word `twisted` by
-    `odd`.  A family in `bare` is checked once, with label None: its words
-    leave E out and act on base(None), the block unit.
+    Every word of a label acts on the terms of base(label), right to left,
+    letter by letter through `KLR.act_terms`: an idempotent letter is
+    resolved to ("e", j) first, and F acts as E.  `views(label)` lists the
+    rows read off one run of the words, as (row label, odd): a row reads
+    each word `twisted` by `odd`, F by its own kind.  A family in `bare` is
+    checked once, with label None: its words leave E out and act on
+    base(None), the block unit.
     """
 
     labels: Sequence
@@ -657,48 +705,116 @@ class Realisation(NamedTuple):
     bare: frozenset = frozenset()
 
 
-def evaluate(word: tuple, memo: dict, letters: dict):
-    """The product of a word acting on a base, memoised by word suffix.
+class SuffixProgram:
+    """Words compiled into one slot per distinct suffix.
 
-    `memo` maps each suffix already evaluated to its product, so words
-    sharing a suffix share its products; it is kept per label and seeded
-    with memo[()] = base(label), on which the last letter acts.  `letters`
-    resolves the label's idempotent letters E, F and ("swap", r) when a
-    suffix is computed; other letters pass as they are.  A ("ydiff", r, s)
-    letter is the difference of the two y-suffixes it expands to.
-    """
-    x = memo.get(word)
-    if x is not None:
-        return x
-    g, rest = word[0], word[1:]
-    if g[0] == "ydiff":
-        x = (evaluate((("y", g[1]),) + rest, memo, letters)
-             - evaluate((("y", g[2]),) + rest, memo, letters))
-    else:
-        x = evaluate(rest, memo, letters)
-        x = x.ctx.act(letters.get(g, g), x)
-    memo[word] = x
-    return x
+    Slot 0 holds the base; step k, a pair (letter, source slot), computes
+    slot k + 1 as the letter acting on the source slot's terms.  A run acts
+    every step once, in order, so words sharing a suffix share its product
+    and no word is looked up while the steps run."""
+
+    def __init__(self):
+        self.slots = {(): 0}
+        self.steps: list = []
+
+    def slot(self, word: tuple) -> int:
+        """The slot of `word`, appending a step for each of its suffixes
+        not compiled yet, shortest first."""
+        t = 0
+        while (k := self.slots.get(word[t:])) is None:
+            t += 1
+        for t in range(t - 1, -1, -1):
+            self.steps.append((word[t], k))
+            k = self.slots[word[t:]] = len(self.steps)
+        return k
+
+    def run(self, ctx: KLR, values: list, letters: dict) -> list:
+        """Extend `values`, a run's slot terms from the base's on, by the
+        steps it has not run yet: each letter acts through `KLR.act_terms`,
+        an idempotent one resolved by `letters` first."""
+        act = ctx.act_terms
+        for g, src in self.steps[len(values) - 1:]:
+            values.append(act(letters.get(g, g), values[src]))
+        return values
 
 
 def relation_instances(real: Realisation, n: int):
     """Every instance of KLR_RELATIONS in a realisation: yields (family,
-    row label, r, s, lhs, rhs), with s None in rows of one index.  The
-    instances come label by label (the bare families last), view by view
-    within a label and, within a view, in table order, so each family's
-    instances are in row-label-major order."""
+    row label, r, s, diff), with s None in rows of one index and diff None
+    where the row holds, else the Element lhs - rhs.  The instances come
+    label by label (the bare families last), view by view within a label
+    and, within a view, in table order, so each family's instances are in
+    row-label-major order.
+
+    The table's words are compiled into a `SuffixProgram` (the bare
+    families' into one of their own), which runs once per label on the
+    terms of its base; a row compares term dicts.  A row's check depends on
+    its label only through the label's sequence, so the checks are cached
+    by (sequence, odd), within the context's `cache_limit`."""
     labelled, bare = [], []
     for family, indices, lhs, rhs, correction in KLR_RELATIONS:
         if family in real.bare:
             lhs, rhs = (tuple(g for g in word if g != E) for word in (lhs, rhs))
-        words = [(r, s, _place(lhs, r, s), rhs and _place(rhs, r, s))
-                 for r, s in _RANGES[indices](n)]
-        (bare if family in real.bare else labelled).append(
-            (family, words, correction))
-    for label in real.labels:
-        yield from _instances(real, label, labelled)
-    if bare:
-        yield from _instances(real, None, bare)
+        (bare if family in real.bare else labelled).extend(
+            (family, r, s, _place(lhs, r, s), rhs and _place(rhs, r, s), correction)
+            for r, s in _RANGES[indices](n))
+    for rows, labels in ((labelled, real.labels), (bare, [None] if bare else [])):
+        program, cache = SuffixProgram(), {}
+        for label in labels:
+            base = real.base(label)
+            ctx, dom = base.ctx, base.ctx.dom
+            i = None if label is None else real.seq(label)
+            values = [base.terms]
+            for row_label, odd in real.views(label):
+                cached = cache.get((i, odd))
+                if cached is None:
+                    cached = _checks(program, rows, ctx, i, odd)
+                    if len(cache) < ctx.cache_limit:
+                        cache[i, odd] = cached
+                letters, checks = cached
+                # the steps not run yet for this label: all of them in its
+                # first view, those a new check compiled in a later one
+                program.run(ctx, values, letters)
+                for family, r, s, lhs, lhs_odd, rhs in checks:
+                    left = values[lhs]
+                    right = values[rhs] if type(rhs) is int else _signed_sum(
+                        ((sign, values[k], flip) for sign, k, flip in rhs), dom)
+                    diff = None if left == right else Element(ctx, _signed_sum(
+                        ((1, left, lhs_odd), (-1, right, lhs_odd)), dom))
+                    yield family, row_label, r, s, diff
+
+
+def _checks(program: SuffixProgram, rows, ctx: KLR, i, odd):
+    """(letters, checks) for sequence i in view `odd`.  letters resolves the
+    idempotent letters for i.  A check is (family, r, s, lhs slot, lhs odd,
+    rhs): the rhs is the slot of a word read as the lhs is, else its (sign,
+    slot, flip) parts, flipped where a word's parity differs from the
+    lhs's.  A word is compiled with F written E, and its parity counted on
+    its own letters."""
+    letters = {}
+    if i is not None:
+        letters[E] = ("e", i)
+        for r in range(1, len(i)):
+            letters["swap", r] = ("e", i[:r - 1] + (i[r], i[r - 1]) + i[r + 1:])
+
+    def parity(word):
+        return sum(g[0] in odd for g in word) % 2
+
+    # the corrections read the quiver's arrows, not the engine's
+    # `KLR.arrow`, so a fault in the engine's orientation shows in the rows
+    arrow = ctx.quiver.has_edge
+    checks = []
+    for family, r, s, lhs, rhs, correction in rows:
+        p, left = parity(lhs), program.slot(lhs)
+        words = [(1, rhs)] if rhs else []
+        if correction:
+            words += _correction(correction, r, i, arrow)
+        parts = [(sign, program.slot(tuple(E if g == F else g for g in word)),
+                  parity(word) != p) for sign, word in words]
+        if len(parts) == 1 and parts[0][0] == 1 and not parts[0][2]:
+            parts = parts[0][1]
+        checks.append((family, r, s, left, p, parts))
+    return letters, checks
 
 
 def _place(word, r, s) -> tuple:
@@ -709,42 +825,21 @@ def _place(word, r, s) -> tuple:
                  for g in word)
 
 
+def _signed_sum(parts, dom) -> dict:
+    """The sum of sign * terms over the (sign, terms, flip) of `parts`, the
+    G' terms of a flipped part negated."""
+    out: dict = {}
+    for sign, terms, flip in parts:
+        for m, c in terms.items():
+            if (sign < 0) != (flip and m.tag == TAG_OPP):
+                c = dom.neg(c)
+            _acc1(out, m, c, dom)
+    return out
+
+
 def twisted(x: Element, word: tuple, odd) -> Element:
     """x, the value of `word` under tag-preserving letters, with its G' terms
     negated when an odd number of the word's letters are of a kind in `odd`."""
     if sum(g[0] in odd for g in word) % 2 == 0:
         return x
-    return Element(x.ctx, {m: x.ctx.dom.neg(c) if m.tag == TAG_OPP else c
-                           for m, c in x.terms.items()})
-
-
-def _instances(real, label, rows):
-    base = real.base(label)
-    letters, memo = {}, {(): base}
-    i = None
-    if label is not None:
-        i = real.seq(label)
-        letters = {E: ("e", i), F: ("e", i)}
-        for r in range(1, len(i)):
-            letters["swap", r] = ("e", i[:r - 1] + (i[r], i[r - 1]) + i[r + 1:])
-    # the corrections read the quiver's arrows, not the engine's `KLR.arrow`,
-    # so a fault in the engine's orientation shows in the rows
-    arrow = base.ctx.quiver.has_edge
-
-    # the views read the label's words off one memo; F acts as E, and is
-    # written as E (sharing its suffixes) unless the view tells them apart
-    for row_label, odd in real.views(label):
-        f = E if (E[0] in odd) == (F[0] in odd) else F
-        for family, words, correction in rows:
-            for r, s, lhs, rhs in words:
-                left = evaluate(lhs, memo, letters)
-                right = evaluate(rhs, memo, letters) if rhs else left.ctx.zero()
-                if odd:
-                    left, right = twisted(left, lhs, odd), twisted(right, rhs or (), odd)
-                if correction:
-                    for sign, extra in _correction(correction, r, i, arrow, f):
-                        x = evaluate(extra, memo, letters)
-                        if odd:
-                            x = twisted(x, extra, odd)
-                        right = right + x if sign > 0 else right - x
-                yield family, row_label, r, s, left, right
+    return Element(x.ctx, _signed_sum(((1, x.terms, True),), x.ctx.dom))

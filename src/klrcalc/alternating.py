@@ -15,12 +15,13 @@ Two pictures coexist and are translated between:
   at one strand.
 
 The relation families of both presentations are the rows of one table,
-`algebra.KLR_RELATIONS`, which `algebra.relation_instances` evaluates in
-one plain two-copy realisation (`_two_copy`), word by word on e[i] or the
-block unit, each letter through `KLR.act`.  Every generator of both
-presentations keeps a term's tag, so a word's value in either is G + s G',
-the tag parts of its one plain value, with s = -1 when it has an odd number
-of odd letters (`algebra.twisted`).
+`algebra.KLR_RELATIONS`, which `algebra.relation_instances` checks in one
+plain two-copy realisation (`_two_copy`): its compiled suffix program runs
+on the terms of e[i] or of the block unit, each letter through
+`KLR.act_terms`.  Every generator of both presentations keeps a term's tag,
+so a word's value in either is G + s G', the tag parts of its one plain
+value, with s = -1 when it has an odd number of odd letters
+(`algebra.twisted`).
 
 The braid relation of the signed presentation is checked with the
 correction sign matching the underlying deformed braid relation (minus on
@@ -33,8 +34,8 @@ import math
 
 from . import linalg, perms
 from .algebra import (TAG_MAIN, TAG_OPP, TAGS_BOTH, Element, KLR, Mono,
-                      NotHomogeneousError, Realisation, ShapeError, evaluate,
-                      relation_instances, twisted)
+                      NotHomogeneousError, Realisation, ShapeError,
+                      SuffixProgram, relation_instances, twisted)
 from .perms import canonical_word, length
 from .quiver import Root, all_seqs, root_tau_classes, sequences, tau_classes
 from .signop import (ambient_unit, e_pair, eps_pair, sgn, sgn_eigenvalue,
@@ -171,12 +172,19 @@ def _row(relation, cls, r, got, want, diff) -> dict:
 
 def _instance(relation, cls, r=None, s=None, lhs=None, rhs=None):
     """The row for lhs == rhs, whose diff is the element lhs - rhs."""
-    inst = _row(relation, cls, r, lhs, rhs, None)
+    return _diff_row(relation, cls, r, s, None if lhs == rhs else lhs - rhs)
+
+
+def _diff_row(relation, cls, r, s, diff):
+    """The row of an equation whose sides differ by the element `diff`, None
+    where they agree."""
+    inst = {"relation": relation, "class": list(cls) if cls else None, "r": r,
+            "status": "pass", "diff": None}
     if s is not None:
         inst["s"] = s
-    if inst["status"] == "fail":
+    if diff is not None:
         from .exprs import element_to_json_obj
-        inst["diff"] = element_to_json_obj(lhs - rhs)
+        inst["status"], inst["diff"] = "fail", element_to_json_obj(diff)
     return inst
 
 
@@ -207,8 +215,10 @@ SIGNED_NAMES = {
 
 # The kinds of the odd letters, those that negate G' terms: Psi_r = psi_r eps
 # and Y_r = y_r eps, and the idempotents that read eps_- in the signed rows
-# of (i, a): F = eps_-a(i) under a = +, E and SWAP under a = -.
-ALT_ODD = frozenset({"psi", "y", "ydiff"})
+# of (i, a): F = eps_-a(i) under a = +, E and SWAP under a = -.  F acts as E
+# in both, so the correction words share E's products and only their
+# parities tell them apart.
+ALT_ODD = frozenset({"psi", "y"})
 SIGNED_ODD = {PLUS: frozenset({"F"}), MINUS: frozenset({"E", "swap"})}
 
 
@@ -237,9 +247,8 @@ def _table_instances(real: Realisation, n: int, names: dict, cls) -> list:
     """The instances of the relation table as report rows, family by family
     in table order; cls(label) is the row's "class"."""
     found = {family: [] for family in names}
-    for family, label, r, s, lhs, rhs in relation_instances(real, n):
-        found[family].append(_instance(names[family], cls(label), r=r, s=s,
-                                       lhs=lhs, rhs=rhs))
+    for family, label, r, s, diff in relation_instances(real, n):
+        found[family].append(_diff_row(names[family], cls(label), r, s, diff))
     return [inst for instances in found.values() for inst in instances]
 
 
@@ -298,13 +307,20 @@ def verify_alt_presentation(ctx: KLR, root: Root):
 def iter_express_coverage(ctx: KLR, root: Root, bound: int):
     """Reproduce every truncated parity-basis element from its generator
     word, yielding one instance row per element as it is evaluated; the
-    basis is streamed (`iter_alt_basis`), and the words of the block share
-    their suffixes' products.  Every word acts on the block unit."""
-    memo = {(): ambient_unit(ctx, root)}
+    basis is streamed (`iter_alt_basis`).  Every word acts on the block
+    unit, and its missing suffixes are appended to one `SuffixProgram`, so
+    the words of the block share their suffixes' products; past the
+    context's `cache_limit` steps, a fresh program starts."""
+    unit = ambient_unit(ctx, root).terms
+    program, values = SuffixProgram(), [unit]
     for desc, el in iter_alt_basis(ctx, root, bound):
+        if len(program.steps) >= ctx.cache_limit:
+            program, values = SuffixProgram(), [unit]
         word = tuple(express_alt(ctx, desc))
-        got = twisted(evaluate(word, memo, {}), word, ALT_ODD)
-        yield _instance("express(alt basis element)", desc, lhs=got, rhs=el)
+        slot = program.slot(word)
+        got = Element(ctx, program.run(ctx, values, {})[slot])
+        yield _instance("express(alt basis element)", desc,
+                        lhs=twisted(got, word, ALT_ODD), rhs=el)
 
 
 def express_coverage(ctx: KLR, root: Root, bound: int) -> list:

@@ -210,11 +210,15 @@ def _sweep_block(ctx: KLR, root: Root, bound: int):
     checked: dict = {}
     diffs: dict = {}
 
-    def check(relation, lhs, rhs):
+    def check(relation, diff):
+        # diff: lhs - rhs, or None where the row holds
         checked[relation] = checked.get(relation, 0) + 1
-        if lhs != rhs and relation not in diffs:
+        if diff is not None and relation not in diffs:
             from .exprs import element_to_json_obj
-            diffs[relation] = element_to_json_obj(lhs - rhs)
+            diffs[relation] = element_to_json_obj(diff)
+
+    def differ(lhs, rhs):
+        return None if lhs == rhs else lhs - rhs
 
     def base(m):
         return Element(ctx, {m: ctx.dom.one})
@@ -222,16 +226,16 @@ def _sweep_block(ctx: KLR, root: Root, bound: int):
     # idempotent relations on the block
     for i in seqs:
         for j in seqs:
-            check("e(i)e(j) = delta e(i)", ctx.e(i) * ctx.e(j),
-                  ctx.e(i) if i == j else ctx.zero())
+            check("e(i)e(j) = delta e(i)",
+                  differ(ctx.e(i) * ctx.e(j), ctx.e(i) if i == j else ctx.zero()))
     for x in map(base, monos):
-        check("sum_i e(i) acts as identity", unit * x, x)
+        check("sum_i e(i) acts as identity", differ(unit * x, x))
 
     # every word of a basis monomial's label acts on the monomial itself,
     # which is its own e(i) for i its face
     real = Realisation(labels=monos, seq=ctx.mono_face, base=base)
-    for family, *_, lhs, rhs in relation_instances(real, ctx.n):
-        check(SWEEP_NAMES[family], lhs, rhs)
+    for family, _, _, _, diff in relation_instances(real, ctx.n):
+        check(SWEEP_NAMES[family], diff)
     names = ["e(i)e(j) = delta e(i)", "sum_i e(i) acts as identity",
              *SWEEP_NAMES.values()]
     return [{"relation": name, "block": str(root),

@@ -9,8 +9,8 @@ import pytest
 
 import klrcalc as K
 from klrcalc import suites
-from klrcalc.algebra import (KLR, TAGS_BOTH, E, Element, Mono, _acc,
-                             _acc1, evaluate)
+from klrcalc.algebra import (KLR, TAGS_BOTH, E, Element, Mono, SuffixProgram,
+                             _acc, _acc1)
 from klrcalc.perms import act, all_perms, canonical_word, length
 from klrcalc.scalars import PrimeField
 from klrcalc.suites import random_element
@@ -392,14 +392,13 @@ class _ReversedSums(dict):
     """A seeded fault for the exponent sums memo: every shift by y^a adds a
     reversed, so y_1 shifts the last exponent and y_n the first."""
 
-    def get(self, key, default=None):
-        b, a = key
-        return tuple(map(add, b, a[::-1]))
+    def get(self, a, default=None):
+        return K.algebra._Sums(a[::-1])
 
 
 def test_sweep_sees_a_fault_in_the_shared_shift(monkeypatch):
     # every y-exponent shift, the rewrite core's and the letter actions'
-    # alike, reads its sums through `_exp_sums`: seeded with reversed sums,
+    # alike, reads its sums through `_exp_row`: seeded with reversed rows,
     # the relation rows fail (the rows, not only a fuzz line) in the same
     # number whichever path of the letter actions made the products
     monkeypatch.setattr(K.algebra, "_exp_sums", _ReversedSums())
@@ -483,27 +482,34 @@ def test_evaluate_computes_each_suffix_once(c3, monkeypatch):
     want_y = c3.word_element([("y", 1)], i)
     calls = []
 
-    def act(g, x, _act=c3.act):
+    def act_terms(g, terms, _act=c3.act_terms):
         calls.append(g)
-        return _act(g, x)
+        return _act(g, terms)
 
-    monkeypatch.setattr(c3, "act", act)
-    memo, letters = {(): c3.e(i)}, {E: ("e", i)}
-    got = [evaluate(w, memo, letters) for w in words]
+    monkeypatch.setattr(c3, "act_terms", act_terms)
+    program, letters = SuffixProgram(), {E: ("e", i)}
+    slots = [program.slot(w) for w in words]
+    values = program.run(c3, [c3.e(i).terms], letters)
     suffixes = {w[t:] for w in words for t in range(len(w))}
-    assert len(calls) == len(suffixes) and set(memo) == suffixes | {()}
+    # one step, and one action, per distinct suffix
+    assert len(calls) == len(program.steps) == len(suffixes)
+    assert set(program.slots) == suffixes | {()}
     assert ("e", i) in calls
-    assert got == want
+    assert [Element(c3, values[k]) for k in slots] == want
 
-    # a ydiff letter is the difference of the two y-suffixes, already known
-    ydiff = evaluate((("ydiff", 1, 2), ("psi", 1)), memo, letters)
-    assert len(calls) == len(suffixes)
-    assert ydiff == got[0] - got[2]
+    # a compiled suffix adds no step, and a run that holds every step acts
+    # no letter
+    assert program.slot((("y", 1), ("psi", 1))) == slots[0]
+    assert program.run(c3, values, letters) is values
+    assert len(calls) == len(program.steps) == len(suffixes)
 
-    # every letter acts on the base, a trailing E too
+    # a word appended after a run is computed by running again, its new
+    # suffixes only; every letter acts on the base, a trailing E too
     calls.clear()
-    memo = {(): c3.e(i)}
-    assert evaluate((E,), memo, letters) == c3.e(i)
-    assert evaluate((("y", 1), E), memo, letters) == want_y
+    program = SuffixProgram()
+    values = program.run(c3, [c3.e(i).terms], letters)
+    assert program.slot((E,)) == 1 and program.slot((("y", 1), E)) == 2
+    program.run(c3, values, letters)
+    assert [Element(c3, x) for x in values[1:]] == [c3.e(i), want_y]
     assert calls == [("e", i), ("y", 1)]
-    assert set(memo) == {(), (E,), (("y", 1), E)}
+    assert program.steps == [(E, 0), (("y", 1), 1)]

@@ -125,7 +125,7 @@ def test_only_the_engine_names_its_letter_actions():
     # own would be a second letter action
     actions = {"_apply_e", "_apply_y", "_apply_psi"}
     internals = {"_y_cache", "_word_cache", "_y_mono", "_word_nf", "_acc",
-                 "_shifted", "_exp_sums"}
+                 "_shifted", "_exp_row", "_exp_sums"}
     named, reached = set(), set()
     for path in sorted(SRC.glob("*.py")):
         for sub in ast.walk(ast.parse(path.read_text(), str(path))):
