@@ -827,9 +827,13 @@ def _place(word, r, s) -> tuple:
 
 def _signed_sum(parts, dom) -> dict:
     """The sum of sign * terms over the (sign, terms, flip) of `parts`, the
-    G' terms of a flipped part negated."""
+    G' terms of a flipped part negated.  No terms hold a zero, so a first
+    part taken as it is is copied whole."""
     out: dict = {}
     for sign, terms, flip in parts:
+        if not out and sign > 0 and not flip:
+            out.update(terms)
+            continue
         for m, c in terms.items():
             if (sign < 0) != (flip and m.tag == TAG_OPP):
                 c = dom.neg(c)

@@ -20,7 +20,8 @@ RUNS = {
                              "--n", "3", "--bound", "1", "--fuzz", "20"],
     "klr-relations-path3": ["verify", "klr-relations", "--quiver", "path(3)",
                             "--n", "3", "--bound", "1", "--fuzz", "20"],
-    # over F_5: every coefficient is an int in [0, 5), one of them 1
+    # over F_5, whose coefficients are ints in [0, 5): the letter actions
+    # compare a term's coefficient with the field's one
     "klr-relations-F5": ["verify", "klr-relations", "--field", "Fp:5", "--n", "3",
                          "--bound", "1", "--fuzz", "20"],
     "alt-presentation-Q": ["verify", "alt-presentation", "--n", "3",
