@@ -209,8 +209,7 @@ def _shifted(src: dict, a) -> dict:
 
 def _acc(out: dict, src: dict, scale, dom, a=None) -> None:
     """out += scale src y^a (no `a`: src as it is), each term shifted as
-    `_shifted` shifts it and merged.  Coefficients are taken to be
-    canonical, as every domain operation returns them."""
+    `_shifted` shifts it and merged."""
     row = _exp_row(a) if a is not None and any(a) else None
     unit = scale == dom.one
     for m, c in src.items():
