@@ -32,13 +32,19 @@ term's exponent.  The memo tables therefore hold exponent-free products,
 and a caller's exponent is added to each term as the terms are accumulated.
 Products x y are built from the same one-letter actions.
 
+Inside the engine a term is keyed by one int, (exponent id << 32) | stem
+id, where a stem is the exponent-free part (tag, w, seq); both are interned
+per context (see `KLR`), so adding an exponent is adding an int to the key.
+`Mono` stays the only key of `Element.terms`: terms are packed where they
+enter the engine and unpacked where they leave it.
+
 The defining presentation is also written down as data, apart from the
 rewrite rules: `KLR_RELATIONS` lists the relation families once, and
 `relation_instances` checks them in any realisation of the generators.  It
 compiles the table's words once into a `SuffixProgram`, one step (letter,
 source slot) per distinct suffix, and runs the program once per label on
-the terms of the label's base: each step's letter acts through
-`KLR.act_terms` on plain term dicts, and a row compares them, building an
+the packed terms of the label's base: each step's letter acts through
+`KLR.act_terms`, and a row compares packed term dicts, building an
 Element only for a failing row's diff.  The corrections read the quiver's
 arrows.
 """
@@ -148,7 +154,7 @@ class Element:
         return element_to_text(self)
 
 
-def _acc1(out: dict, m: Mono, c, dom) -> None:
+def _acc1(out: dict, m, c, dom) -> None:
     cur = out.get(m)
     if cur is None:
         if not dom.is_zero(c):
@@ -161,62 +167,33 @@ def _acc1(out: dict, m: Mono, c, dom) -> None:
         out[m] = s
 
 
-# The exponent sums of the shifts: _exp_sums[a] is the row b -> b + a.  Few
-# occur (34 rows, 221 sums over `klr-relations --n 4 --bound 1`); past
-# EXP_SUMS_LIMIT rows, or sums in a row, they are computed and not kept.
-EXP_SUMS_LIMIT = 256
-_exp_sums: dict = {}
+# A term inside the engine is keyed by one int, (exponent id << 32) | stem
+# id, both interned by its context (see `KLR`).
+_STEM = (1 << 32) - 1
 
 
-class _Sums(dict):
-    """b -> b + a for one a, each sum computed when first read."""
-
-    __slots__ = ("a",)
-
-    def __init__(self, a):
-        self.a = a
-
-    def __missing__(self, b):
-        s = tuple(map(add, b, self.a))
-        if len(self) < EXP_SUMS_LIMIT:
-            self[b] = s
-        return s
-
-
-def _exp_row(a) -> _Sums:
-    """The exponents b + a of y^b y^a, by b: the one exponent shift of the
-    engine, read by `_shifted` and `_acc`."""
-    row = _exp_sums.get(a)
-    if row is None:
-        row = _Sums(a)
-        if len(_exp_sums) < EXP_SUMS_LIMIT:
-            _exp_sums[a] = row
-    return row
-
-
-def _shifted(src: dict, a) -> dict:
-    """The terms of src y^a, a copy: y^a, right of every psi letter, adds a
-    to the exponent of each term."""
-    if not any(a):
-        return dict(src)
-    row = _exp_row(a)
-    out = {}
-    for (tag, w, b, seq), c in src.items():
-        # tuple.__new__ skips the namedtuple's Python-level __new__
-        out[tuple.__new__(Mono, (tag, w, row[b], seq))] = c
-    return out
-
-
-def _acc(out: dict, src: dict, scale, dom, a=None) -> None:
-    """out += scale src y^a (no `a`: src as it is), each term shifted as
-    `_shifted` shifts it and merged."""
-    row = _exp_row(a) if a is not None and any(a) else None
+def _acc(out: dict, src: dict, scale, dom, row=None) -> None:
+    """out += scale src on packed keys; with a shift row (`KLR._shift`), src
+    y^a: each key k moves to k + row[k >> 32]."""
     unit = scale == dom.one
-    for m, c in src.items():
+    for k, c in src.items():
         if row is not None:
-            tag, w, b, seq = m
-            m = tuple.__new__(Mono, (tag, w, row[b], seq))
-        _acc1(out, m, c if unit else dom.mul(scale, c), dom)
+            k += row[k >> 32]
+        _acc1(out, k, c if unit else dom.mul(scale, c), dom)
+
+
+class _Shift(dict):
+    """The key offsets of y^a for a of id `by`: exponent id f -> (the id of
+    f + a, less f) << 32, each computed when first read."""
+
+    __slots__ = ("ctx", "by")
+
+    def __init__(self, ctx: "KLR", by: int):
+        self.ctx, self.by = ctx, by
+
+    def __missing__(self, f):
+        d = self[f] = (self.ctx._exp_sum(f, self.by) - f) << 32
+        return d
 
 
 class KLR:
@@ -226,11 +203,18 @@ class KLR:
     validated reversal map, and all rewrite memo tables.  Elements are tied
     to their context; contexts with equal (quiver, n, domain) are compatible.
 
-    The two rewrite memo tables hold exponent-free products, reached one
-    letter at a time: psi_word e(seq) by (word, seq, tag), y_s psi_w e(seq)
-    by (s, w, seq, tag).  A term's y^a is right of every psi letter and
-    commutes with e(seq) and the other y's, so its product is the memoised
-    one times y^a, and the rewriting never reads a.
+    Inside the engine a term is keyed by one int, (exponent id << 32) | stem
+    id.  The stem is the exponent-free part (tag, w, seq), interned with its
+    face w.seq and the canonical word of w; the exponent vectors are
+    interned apart, id 0 the zero vector.  Keys are encoded from `Mono`s
+    and decoded back only where terms enter or leave the engine.
+
+    The memo tables hold exponent-free products: the one-letter products
+    psi_r psi_w e(seq) and y_s psi_w e(seq) by (letter, stem), and the
+    rewriting's psi_word e(seq) by (word, seq, tag).  A term's y^a is right
+    of every psi letter and commutes with e(seq) and the other y's, so its
+    product is the memoised one times y^a, and the rewriting never reads a:
+    y^a adds a per-context offset (`_shift`) to each key.
     """
 
     def __init__(self, quiver: Quiver, n: int, domain=None, tau=None):
@@ -244,7 +228,17 @@ class KLR:
         self._zero_a = (0,) * n
         self._unit_a = tuple(tuple(int(k == r) for k in range(n)) for r in range(n))
         self._id_perm = perms.identity(n)
+        self._stem_ids: dict = {}
+        self._stems: list = []  # (tag, w, seq)
+        self._faces: list = []
+        self._words: list = []  # canonical words
+        self._exp_ids: dict = {}
+        self._exps: list = []
+        self._shifts: dict = {}
+        self._exp_id(self._zero_a)
+        self._unit_e = [self._exp_id(a) for a in self._unit_a]
         self._y_cache: dict = {}
+        self._psi_cache: dict = {}
         self._word_cache: dict = {}
         self._psi_deg_cache: dict = {}
         # memo tables stop growing past this many entries apiece; results are
@@ -349,6 +343,64 @@ class KLR:
         word = canonical_word(m.w)
         return (m.tag, len(word), word, m.a, self.quiver.seq_key(m.seq))
 
+    # --- packed term keys -----------------------------------------------------
+
+    def _stem(self, tag: str, w: tuple, seq: tuple) -> int:
+        """The id of the stem (tag, w, seq), interned when first seen."""
+        key = (tag, w, seq)
+        k = self._stem_ids.get(key)
+        if k is None:
+            k = self._stem_ids[key] = len(self._stems)
+            self._stems.append(key)
+            self._faces.append(act(w, seq))
+            self._words.append(canonical_word(w))
+        return k
+
+    def _exp_id(self, a: tuple) -> int:
+        """The id of the exponent vector a, interned when first seen."""
+        e = self._exp_ids.get(a)
+        if e is None:
+            e = self._exp_ids[a] = len(self._exps)
+            self._exps.append(a)
+        return e
+
+    def _exp_sum(self, f: int, e: int) -> int:
+        """The id of the exponent sum f + e."""
+        return self._exp_id(tuple(map(add, self._exps[f], self._exps[e])))
+
+    def _shift(self, e: int) -> _Shift:
+        """The key offsets of y^a for a of id e, by exponent id: the one
+        exponent shift of the engine."""
+        try:
+            return self._shifts[e]
+        except KeyError:
+            row = self._shifts[e] = _Shift(self, e)
+            return row
+
+    def _key(self, m: Mono) -> int:
+        """The packed key of a monomial."""
+        return (self._exp_id(m.a) << 32) | self._stem(m.tag, m.w, m.seq)
+
+    def _encode(self, terms: dict) -> dict:
+        """Mono-keyed terms, packed."""
+        return {self._key(m): c for m, c in terms.items()}
+
+    def _decode(self, terms: dict, known: dict | None = None) -> dict:
+        """Packed terms, keyed by `Mono`s again, in their order; a key of
+        `known` takes its `Mono` from there, so an input's monomials are
+        shared by the output, not copied."""
+        stems, exps, new = self._stems, self._exps, tuple.__new__
+        known = known or {}
+        out = {}
+        for k, c in terms.items():
+            m = known.get(k)
+            if m is None:
+                tag, w, seq = stems[k & _STEM]
+                # tuple.__new__ skips the namedtuple's Python-level __new__
+                m = new(Mono, (tag, w, exps[k >> 32], seq))
+            out[m] = c
+        return out
+
     # --- generator action ---------------------------------------------------
 
     def gen_left(self, gen, x: Element) -> Element:
@@ -371,12 +423,12 @@ class KLR:
 
     def act(self, g, x: Element) -> Element:
         """The product g x of one letter and an element (see `act_terms`)."""
-        return Element(self, self.act_terms(g, x.terms))
+        return Element(self, self._decode(self.act_terms(g, self._encode(x.terms))))
 
     def act_terms(self, g, terms: dict) -> dict:
-        """The terms of g x, for x with these terms: the one letter action,
-        unchecked.  g is ("y", r), ("psi", r) or ("e", j), which keeps the
-        terms with face j on either tag."""
+        """The packed terms of g x, for x with these packed terms: the one
+        letter action, unchecked.  g is ("y", r), ("psi", r) or ("e", j),
+        which keeps the terms with face j on either tag."""
         kind, k = g[0], g[1]
         if kind == "e":
             return self._apply_e(k, terms)
@@ -384,47 +436,61 @@ class KLR:
             return self._apply_y(k, terms)
         return self._apply_psi(k, terms)
 
-    # In `_apply_y` and `_apply_psi`, a single term with coefficient one, as
-    # a relation word's letters mostly meet, takes a copy of its memoised
-    # product shifted by its exponent, with nothing to merge; the shift
-    # reads the same `_exp_row` as `_acc`'s.
-
     def _apply_e(self, seq: tuple, terms: dict) -> dict:
-        return {m: c for m, c in terms.items() if self.mono_face(m) == seq}
+        faces = self._faces
+        return {k: c for k, c in terms.items() if faces[k & _STEM] == seq}
 
     def _apply_y(self, s: int, terms: dict) -> dict:
-        dom = self.dom
-        if len(terms) == 1:
-            [((tag, w, a, seq), c)] = terms.items()
-            if c == dom.one:
-                return _shifted(self._y_mono(s, w, seq, tag), a)
-        out: dict = {}
-        for (tag, w, a, seq), c in terms.items():
-            _acc(out, self._y_mono(s, w, seq, tag), c, dom, a)
-        return out
+        return self._act_memo(s, terms, self._y_cache, self._y_stem)
 
     def _apply_psi(self, r: int, terms: dict) -> dict:
+        return self._act_memo(r, terms, self._psi_cache, self._psi_stem)
+
+    def _act_memo(self, g: int, terms: dict, table: dict, product) -> dict:
+        """Letter g on packed terms: each term's product g psi_w e(seq) is
+        read from `table` by (g, stem), else computed by `product`, and
+        shifted by the term's y^a.  A single term with coefficient one, as a
+        relation word's letters mostly meet, takes a shifted copy with
+        nothing to merge."""
         dom = self.dom
+        g <<= 32
         if len(terms) == 1:
-            [((tag, w, a, seq), c)] = terms.items()
+            [(k, c)] = terms.items()
             if c == dom.one:
-                return _shifted(self._word_nf((r,) + canonical_word(w), seq, tag), a)
+                src = table.get(g | (k & _STEM))
+                if src is None:
+                    src = product(g, k & _STEM)
+                if k <= _STEM:
+                    return dict(src)
+                row = self._shift(k >> 32)
+                return {t + row[t >> 32]: v for t, v in src.items()}
         out: dict = {}
-        for (tag, w, a, seq), c in terms.items():
-            _acc(out, self._word_nf((r,) + canonical_word(w), seq, tag), c, dom, a)
+        shift = self._shift
+        for k, c in terms.items():
+            src = table.get(g | (k & _STEM))
+            if src is None:
+                src = product(g, k & _STEM)
+            _acc(out, src, c, dom, shift(k >> 32) if k > _STEM else None)
         return out
 
     # --- the rewrite core ----------------------------------------------------
 
-    def _y_mono(self, s: int, w: tuple, seq: tuple, tag: str) -> dict:
-        """Normal form of y_s psi_w e(seq)."""
-        key = (s, w, seq, tag)
-        cached = self._y_cache.get(key)
-        if cached is not None:
-            return cached
-        out = self._insert_y((), s, canonical_word(w), seq, tag)
+    def _y_stem(self, g: int, stem: int) -> dict:
+        """Normal form of y_s psi_w e(seq), kept in `_y_cache` by g = s << 32
+        and the stem (tag, w, seq)."""
+        tag, _, seq = self._stems[stem]
+        out = self._insert_y((), g >> 32, self._words[stem], seq, tag)
         if len(self._y_cache) < self.cache_limit:
-            self._y_cache[key] = out
+            self._y_cache[g | stem] = out
+        return out
+
+    def _psi_stem(self, g: int, stem: int) -> dict:
+        """Normal form of psi_r psi_w e(seq), kept in `_psi_cache` by
+        g = r << 32 and the stem (tag, w, seq)."""
+        tag, _, seq = self._stems[stem]
+        out = self._word_nf((g >> 32,) + self._words[stem], seq, tag)
+        if len(self._psi_cache) < self.cache_limit:
+            self._psi_cache[g | stem] = out
         return out
 
     def _y_through(self, s: int, word: tuple, seq: tuple):
@@ -465,17 +531,16 @@ class KLR:
     def _word_nf_uncached(self, word: tuple, seq: tuple, tag: str) -> dict:
         dom = self.dom
         n = self.n
-        a = self._zero_a
         if not word:
-            return {Mono(tag, self._id_perm, a, seq): dom.one}
+            return {self._stem(tag, self._id_perm, seq): dom.one}
         v = word_perm(word, n)
         if perms.length(v) == len(word):
             cw = canonical_word(v)
             if word == cw:
-                return {Mono(tag, v, a, seq): dom.one}
+                return {self._stem(tag, v, seq): dom.one}
             out: dict = {}
             self._walk_moves(list(word), perms.move_path(word, cw, n), seq, tag, out)
-            _acc1(out, Mono(tag, v, a, seq), dom.one, dom)
+            _acc1(out, self._stem(tag, v, seq), dom.one, dom)
             return out
         # shortest non-reduced prefix: word[:k] drops length at letter k-1
         k = self._first_drop(word)
@@ -551,7 +616,7 @@ class KLR:
         final_s, corrections = self._y_through(s, rest, seq)
         out: dict = {}
         _acc(out, self._word_nf(prefix + rest, seq, tag), dom.one, dom,
-             self._unit_a[final_s - 1])
+             self._shift(self._unit_e[final_s - 1]))
         for rest2, sign in corrections:
             _acc(out, self._word_nf(prefix + rest2, seq, tag), dom.from_int(sign), dom)
         return out
@@ -564,13 +629,16 @@ class KLR:
 
         The algebra is the sum of its pieces e(i) R e(j), so m1 m2 is zero
         unless m2's face carries m1's tag and sequence; y's terms are
-        grouped by (tag, face), in their order.
+        packed and grouped by (tag, face), in their order.
         """
         self._check_same(x.ctx)
         self._check_same(y.ctx)
         by_face: dict = {}
+        known: dict = {}
         for m2, c2 in y.terms.items():
-            by_face.setdefault((m2.tag, self.mono_face(m2)), {})[m2] = c2
+            k = self._key(m2)
+            known[k] = m2
+            by_face.setdefault((m2.tag, self._faces[k & _STEM]), {})[k] = c2
         out: dict = {}
         for m1, c1 in x.terms.items():
             terms = by_face.get((m1.tag, m1.seq))
@@ -582,7 +650,7 @@ class KLR:
             for c in reversed(canonical_word(m1.w)):
                 terms = self._apply_psi(c, terms)
             _acc(out, terms, c1, self.dom)
-        return Element(self, out)
+        return Element(self, self._decode(out, known))
 
     def word_element(self, tokens, seq, tag: str = TAG_MAIN) -> Element:
         """Right-fold evaluation of a generator word onto e(seq)."""
@@ -728,13 +796,33 @@ class SuffixProgram:
         return k
 
     def run(self, ctx: KLR, values: list, letters: dict) -> list:
-        """Extend `values`, a run's slot terms from the base's on, by the
-        steps it has not run yet: each letter acts through `KLR.act_terms`,
-        an idempotent one resolved by `letters` first."""
+        """Extend `values`, a run's packed slot terms from the base's on, by
+        the steps it has not run yet: each letter acts through
+        `KLR.act_terms`, an idempotent one resolved by `letters` first."""
         act = ctx.act_terms
         for g, src in self.steps[len(values) - 1:]:
             values.append(act(letters.get(g, g), values[src]))
         return values
+
+
+class WordValues:
+    """The values of words on one base element, read right to left in the
+    letters `KLR.act_terms` takes.  A word's missing suffixes are appended
+    to one `SuffixProgram`, so the words share their suffixes' products;
+    past the context's `cache_limit` steps a fresh program starts."""
+
+    def __init__(self, base: Element):
+        self.ctx = base.ctx
+        self.base = self.ctx._encode(base.terms)
+        self.program, self.slot_terms = SuffixProgram(), [self.base]
+
+    def __call__(self, word: tuple) -> Element:
+        ctx = self.ctx
+        if len(self.program.steps) >= ctx.cache_limit:
+            self.program, self.slot_terms = SuffixProgram(), [self.base]
+        slot = self.program.slot(word)
+        terms = self.program.run(ctx, self.slot_terms, {})[slot]
+        return Element(ctx, ctx._decode(terms))
 
 
 def relation_instances(real: Realisation, n: int):
@@ -761,9 +849,9 @@ def relation_instances(real: Realisation, n: int):
         program, cache = SuffixProgram(), {}
         for label in labels:
             base = real.base(label)
-            ctx, dom = base.ctx, base.ctx.dom
+            ctx = base.ctx
             i = None if label is None else real.seq(label)
-            values = [base.terms]
+            values = [ctx._encode(base.terms)]
             for row_label, odd in real.views(label):
                 cached = cache.get((i, odd))
                 if cached is None:
@@ -777,9 +865,9 @@ def relation_instances(real: Realisation, n: int):
                 for family, r, s, lhs, lhs_odd, rhs in checks:
                     left = values[lhs]
                     right = values[rhs] if type(rhs) is int else _signed_sum(
-                        ((sign, values[k], flip) for sign, k, flip in rhs), dom)
-                    diff = None if left == right else Element(ctx, _signed_sum(
-                        ((1, left, lhs_odd), (-1, right, lhs_odd)), dom))
+                        ((sign, values[k], flip) for sign, k, flip in rhs), ctx)
+                    diff = None if left == right else Element(ctx, ctx._decode(
+                        _signed_sum(((1, left, lhs_odd), (-1, right, lhs_odd)), ctx)))
                     yield family, row_label, r, s, diff
 
 
@@ -824,19 +912,21 @@ def _place(word, r, s) -> tuple:
                  for g in word)
 
 
-def _signed_sum(parts, dom) -> dict:
-    """The sum of sign * terms over the (sign, terms, flip) of `parts`, the
-    G' terms of a flipped part negated.  No terms hold a zero, so a first
-    part taken as it is is copied whole."""
+def _signed_sum(parts, ctx: KLR) -> dict:
+    """The sum of sign * terms over the (sign, packed terms, flip) of
+    `parts`, the G' terms of a flipped part negated, a term's tag read from
+    its stem.  No terms hold a zero, so a first part taken as it is is
+    copied whole."""
+    dom, stems = ctx.dom, ctx._stems
     out: dict = {}
     for sign, terms, flip in parts:
         if not out and sign > 0 and not flip:
             out.update(terms)
             continue
-        for m, c in terms.items():
-            if (sign < 0) != (flip and m.tag == TAG_OPP):
+        for k, c in terms.items():
+            if (sign < 0) != (flip and stems[k & _STEM][0] == TAG_OPP):
                 c = dom.neg(c)
-            _acc1(out, m, c, dom)
+            _acc1(out, k, c, dom)
     return out
 
 
@@ -845,4 +935,6 @@ def twisted(x: Element, word: tuple, odd) -> Element:
     negated when an odd number of the word's letters are of a kind in `odd`."""
     if sum(g[0] in odd for g in word) % 2 == 0:
         return x
-    return Element(x.ctx, _signed_sum(((1, x.terms, True),), x.ctx.dom))
+    ctx = x.ctx
+    return Element(ctx, ctx._decode(_signed_sum(((1, ctx._encode(x.terms), True),),
+                                                ctx)))

@@ -34,8 +34,8 @@ import math
 
 from . import linalg, perms
 from .algebra import (TAG_MAIN, TAG_OPP, TAGS_BOTH, Element, KLR, Mono,
-                      NotHomogeneousError, Realisation, ShapeError,
-                      SuffixProgram, relation_instances, twisted)
+                      NotHomogeneousError, Realisation, ShapeError, WordValues,
+                      relation_instances, twisted)
 from .perms import canonical_word, length
 from .quiver import Root, all_seqs, root_tau_classes, sequences, tau_classes
 from .signop import (ambient_unit, e_pair, eps_pair, sgn, sgn_eigenvalue,
@@ -308,17 +308,12 @@ def iter_express_coverage(ctx: KLR, root: Root, bound: int):
     """Reproduce every truncated parity-basis element from its generator
     word, yielding one instance row per element as it is evaluated; the
     basis is streamed (`iter_alt_basis`).  Every word acts on the block
-    unit, and its missing suffixes are appended to one `SuffixProgram`, so
-    the words of the block share their suffixes' products; past the
-    context's `cache_limit` steps, a fresh program starts."""
-    unit = ambient_unit(ctx, root).terms
-    program, values = SuffixProgram(), [unit]
+    unit through one `algebra.WordValues`, so the words of the block share
+    their suffixes' products."""
+    value = WordValues(ambient_unit(ctx, root))
     for desc, el in iter_alt_basis(ctx, root, bound):
-        if len(program.steps) >= ctx.cache_limit:
-            program, values = SuffixProgram(), [unit]
         word = tuple(express_alt(ctx, desc))
-        slot = program.slot(word)
-        got = Element(ctx, program.run(ctx, values, {})[slot])
+        got = value(word)
         yield _instance("express(alt basis element)", desc,
                         lhs=twisted(got, word, ALT_ODD), rhs=el)
 

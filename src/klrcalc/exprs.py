@@ -18,7 +18,8 @@ is unchanged.  Untagged e(...) means the main copy '@G'.
 
 Errors carry 1-based line and column of the offending token; a column
 counts characters from the start of its line.  Nesting past the
-interpreter's recursion limit is refused as an error at the token reached.
+interpreter's recursion limit is refused as an error at the token reached,
+and so is a power above MAX_POWER, nested powers multiplied.
 """
 
 from __future__ import annotations
@@ -32,6 +33,13 @@ from .algebra import (TAG_MAIN, TAG_OPP, TAGS_BOTH, BadGeneratorError,
                       Element, KLR, Mono, ShapeError)
 from .perms import canonical_word
 from .quiver import all_seqs, labels_by_text
+
+
+# The largest power an expression may take, nested powers multiplied, so a
+# power's work is bounded before it starts: psi_r^{2k} e(i) has k + 1 terms
+# when i_r and i_{r+1} are joined, and squaring it costs about k^3 letter
+# actions.
+MAX_POWER = 64
 
 
 class ExprError(ValueError):
@@ -128,7 +136,13 @@ class Parser:
         node = self.parse_atom()
         if self.at_sym("^"):
             self.next()
-            node = ("pow", node, int(self.expect("INT").text))
+            tok = self.expect("INT")
+            digits = tok.text.lstrip("0")
+            if len(digits) > len(str(MAX_POWER)) or \
+                    int(digits or "0") * _power(node) > MAX_POWER:
+                raise ExprError(f"power above the cap of {MAX_POWER} (nested powers "
+                                "multiplied)", tok.line, tok.col)
+            node = ("pow", node, int(tok.text))
         return ("neg", node) if negate else node
 
     def parse_atom(self):
@@ -177,6 +191,20 @@ class Parser:
         raise ExprError(f"bad sequence entry {tok.text!r}", tok.line, tok.col)
 
 
+def _power(node) -> int:
+    """The largest power in an AST, nested powers multiplied; 1 with none."""
+    kind = node[0]
+    if kind == "pow":
+        return node[2] * _power(node[1])
+    if kind == "add":
+        return max(_power(term) for _, term in node[1])
+    if kind == "mul":
+        return max(map(_power, node[1]))
+    if kind == "neg":
+        return _power(node[1])
+    return 1
+
+
 def parse_element(src: str) -> tuple:
     """Parse to an AST; evaluation is separate so contexts can vary."""
     return Parser(src).parse()
@@ -218,9 +246,12 @@ def eval_ast(node, ctx: KLR, seqs=None) -> Element:
         if kind == "neg":
             return -ev(node[1])
         if kind == "pow":
+            # square-and-multiply, high bit first
             base, out = ev(node[1]), unit()
-            for _ in range(node[2]):
-                out = out * base
+            for bit in bin(node[2])[2:]:
+                out = out * out
+                if bit == "1":
+                    out = out * base
             return out
         raise ValueError(f"unknown AST node {kind!r}")
 

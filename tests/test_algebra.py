@@ -10,7 +10,7 @@ import pytest
 import klrcalc as K
 from klrcalc import suites
 from klrcalc.algebra import (KLR, TAGS_BOTH, E, Element, Mono, SuffixProgram,
-                             _acc, _acc1)
+                             _acc, _acc1, _STEM)
 from klrcalc.perms import act, all_perms, canonical_word, length
 from klrcalc.scalars import PrimeField
 from klrcalc.suites import random_element
@@ -214,16 +214,23 @@ def test_rewrite_memo_is_exponent_free():
     suites._sweep_block(ctx, root, 2)
     seqs = set(ctx.block_seqs(root))
     perm_set = set(all_perms(3))
-    assert ctx._word_cache and ctx._y_cache
+    assert ctx._word_cache and ctx._y_cache and ctx._psi_cache
     # one entry per (word, seq, tag): no exponent in the key
     triples = {(k[0], k[-2], k[-1]) for k in ctx._word_cache}
     assert len(triples) == len(ctx._word_cache)
     for word, seq, tag in ctx._word_cache:
         assert all(1 <= c < 3 for c in word) and seq in seqs and tag in TAGS_BOTH
-    for s, w, seq, tag in ctx._y_cache:
-        assert 1 <= s <= 3 and w in perm_set and seq in seqs and tag in TAGS_BOTH
+    # the one-letter tables are keyed by (letter << 32) | stem, and a stem
+    # is the exponent-free part (tag, w, seq) of a monomial
+    for table, letters in ((ctx._y_cache, range(1, 4)), (ctx._psi_cache, range(1, 3))):
+        for key in table:
+            assert key >> 32 in letters
+            tag, w, seq = ctx._stems[key & _STEM]
+            assert w in perm_set and seq in seqs and tag in TAGS_BOTH
     # the exponents live in the memoised products
-    assert any(any(m.a) for out in ctx._word_cache.values() for m in out)
+    assert any(k >> 32 and any(ctx._exps[k >> 32])
+               for table in (ctx._word_cache, ctx._y_cache, ctx._psi_cache)
+               for out in table.values() for k in out)
 
 
 def shifted(x, b) -> list:
@@ -345,6 +352,9 @@ def _acc_by_terms(out, src, scale, dom, a=None):
 
 @pytest.mark.parametrize("dom", [K.Rationals(), PrimeField(5)], ids=["Q", "F5"])
 def test_acc_matches_a_term_by_term_merge(dom):
+    # `_acc` merges packed terms; both sides are Mono dicts, encoded for it
+    # and decoded after
+    ctx = K.KLR(K.cycle(3), 3, dom)
     rng = random.Random(11)
     perms3 = list(all_perms(3))
 
@@ -374,12 +384,15 @@ def test_acc_matches_a_term_by_term_merge(dom):
                                     else coefficient())
                 start = {m: c for m, c in start.items() if not dom.is_zero(c)}
                 for out in ({}, start):
-                    got, want = dict(out), dict(out)
-                    before = dict(src)
-                    _acc(got, src, scale, dom, a)
+                    got, want = ctx._encode(out), dict(out)
+                    packed = ctx._encode(src)
+                    before = dict(packed)
+                    row = None if a is None else ctx._shift(ctx._exp_id(a))
+                    _acc(got, packed, scale, dom, row)
+                    got = ctx._decode(got)
                     _acc_by_terms(want, src, scale, dom, a)
                     assert list(got.items()) == list(want.items())
-                    assert src == before
+                    assert packed == before
                     assert not any(dom.is_zero(c) for c in got.values())
                     cases += 1
                     cancelled += any(m not in got for m in out)
@@ -388,20 +401,19 @@ def test_acc_matches_a_term_by_term_merge(dom):
     assert cancelled and zero_in_src
 
 
-class _ReversedSums(dict):
-    """A seeded fault for the exponent sums memo: every shift by y^a adds a
+def _reversed_exp_sum(self, f, e):
+    """A seeded fault for the exponent-sum table: every shift by y^a adds a
     reversed, so y_1 shifts the last exponent and y_n the first."""
-
-    def get(self, a, default=None):
-        return K.algebra._Sums(a[::-1])
+    return self._exp_id(tuple(map(add, self._exps[f], self._exps[e][::-1])))
 
 
 def test_sweep_sees_a_fault_in_the_shared_shift(monkeypatch):
     # every y-exponent shift, the rewrite core's and the letter actions'
-    # alike, reads its sums through `_exp_row`: seeded with reversed rows,
-    # the relation rows fail (the rows, not only a fuzz line) in the same
-    # number whichever path of the letter actions made the products
-    monkeypatch.setattr(K.algebra, "_exp_sums", _ReversedSums())
+    # alike, reads its offsets from the context's exponent-sum table: seeded
+    # with reversed sums, the relation rows fail (the rows, not only a fuzz
+    # line) in the same number whichever path of the letter actions made
+    # the products
+    monkeypatch.setattr(KLR, "_exp_sum", _reversed_exp_sum)
     q = K.cycle(3)
     failing = Counter(row["relation"] for root in K.all_roots(q, 3)
                       for row in suites._sweep_block(K.make_context(q, 3), root, 1)
@@ -409,6 +421,76 @@ def test_sweep_sees_a_fault_in_the_shared_shift(monkeypatch):
     assert failing == {suites.SWEEP_NAMES[family]: count for family, count in (
         ("y y", 10), ("psi y", 10), ("y psi", 10), ("psi y far", 10),
         ("psi psi", 7), ("braid", 6))}
+
+
+def _keyed_by_mono(x: Element) -> bool:
+    return all(type(m) is Mono and m.tag in TAGS_BOTH and len(m.w) == len(m.a)
+               == len(m.seq) == x.ctx.n and type(m.a) is tuple for m in x.terms)
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp:5"])
+def test_public_results_are_keyed_by_mono(field, monkeypatch):
+    # packed term keys never leave the engine: every Element that `act`,
+    # `gen_left`, `multiply`, the relation rows' diffs and express coverage
+    # hand out is keyed by `Mono`s, on both tags, also where a product's
+    # terms cancel
+    from klrcalc import alternating as alt
+    dom = K.domain_from_flag(field)
+    q = K.cycle(3)
+    ctx = K.make_context(q, 3, dom)
+    root = K.make_root(q, {0: 2, 1: 1})
+    seqs = ctx.block_seqs(root)
+    rng = random.Random(7)
+    gens = [("psi", 1), ("psi", 2), ("y", 1), ("y", 3)]
+    for _ in range(20):
+        x = random_element(ctx, rng, seqs, TAGS_BOTH, max_terms=6)
+        y = random_element(ctx, rng, seqs, TAGS_BOTH, max_terms=6)
+        for g in gens:
+            assert _keyed_by_mono(ctx.act(g, x)) and ctx.act(g, x) == ctx.gen_left(g, x)
+        for tag in TAGS_BOTH:
+            assert _keyed_by_mono(ctx.gen_left(("e", rng.choice(seqs), tag), x))
+        assert _keyed_by_mono(x * y) and _keyed_by_mono(ctx.multiply(x - y, x + y))
+    # x = m1 - (c1 / c2) m2, for basis monomials whose products by g share a
+    # term, with coefficients c1 and c2 there: that term cancels in g x
+    monos = ctx.enumerate_basis(root, 1, TAGS_BOTH)
+    cancelled = set()
+    for g in gens:
+        products = [(m, ctx.act(g, Element(ctx, {m: dom.one})).terms) for m in monos]
+        for k, (m1, p1) in enumerate(products):
+            for m2, p2 in products[k + 1:]:
+                shared = p1.keys() & p2.keys()
+                if not shared:
+                    continue
+                t = min(shared, key=ctx.mono_sort_key)
+                ratio = dom.mul(p1[t], dom.inv(p2[t]))
+                x = ctx.elem({m1: dom.one, m2: dom.neg(ratio)})
+                got = ctx.act(g, x)
+                assert t not in got.terms and _keyed_by_mono(got)
+                kind, r = g
+                gen = ctx.psi_element(r, seqs, TAGS_BOTH) if kind == "psi" else \
+                    ctx.y_element(r, seqs, TAGS_BOTH)
+                assert got == ctx.gen_left(g, x) == gen * x
+                cancelled.add(m1.tag)
+    assert cancelled == set(TAGS_BOTH)
+
+    # failing rows, with the braid correction dropped, hand out their diffs
+    correction = K.algebra._correction
+    monkeypatch.setattr(K.algebra, "_correction", lambda kind, *args: []
+                        if kind == "braid" else correction(kind, *args))
+    root3 = K.make_root(q, {0: 2, 1: 1})
+    diffs = [diff for *_, diff in K.algebra.relation_instances(
+        alt._signed_realisation(ctx, root3), 3) if diff is not None]
+    assert diffs and all(map(_keyed_by_mono, diffs))
+    assert {m.tag for d in diffs for m in d.terms} == set(TAGS_BOTH)
+    monkeypatch.undo()
+
+    seen = []
+    instance = alt._instance
+    monkeypatch.setattr(alt, "_instance", lambda *args, **kw:
+                        seen.extend((kw["lhs"], kw["rhs"])) or instance(*args, **kw))
+    rows = list(alt.iter_express_coverage(ctx, root, 1))
+    assert rows and all(r["status"] == "pass" for r in rows)
+    assert len(seen) == 2 * len(rows) and all(map(_keyed_by_mono, seen))
 
 
 def test_element_arithmetic_and_equality(c3):
@@ -489,13 +571,13 @@ def test_evaluate_computes_each_suffix_once(c3, monkeypatch):
     monkeypatch.setattr(c3, "act_terms", act_terms)
     program, letters = SuffixProgram(), {E: ("e", i)}
     slots = [program.slot(w) for w in words]
-    values = program.run(c3, [c3.e(i).terms], letters)
+    values = program.run(c3, [c3._encode(c3.e(i).terms)], letters)
     suffixes = {w[t:] for w in words for t in range(len(w))}
     # one step, and one action, per distinct suffix
     assert len(calls) == len(program.steps) == len(suffixes)
     assert set(program.slots) == suffixes | {()}
     assert ("e", i) in calls
-    assert [Element(c3, values[k]) for k in slots] == want
+    assert [Element(c3, c3._decode(values[k])) for k in slots] == want
 
     # a compiled suffix adds no step, and a run that holds every step acts
     # no letter
@@ -507,9 +589,9 @@ def test_evaluate_computes_each_suffix_once(c3, monkeypatch):
     # suffixes only; every letter acts on the base, a trailing E too
     calls.clear()
     program = SuffixProgram()
-    values = program.run(c3, [c3.e(i).terms], letters)
+    values = program.run(c3, [c3._encode(c3.e(i).terms)], letters)
     assert program.slot((E,)) == 1 and program.slot((("y", 1), E)) == 2
     program.run(c3, values, letters)
-    assert [Element(c3, x) for x in values[1:]] == [c3.e(i), want_y]
+    assert [Element(c3, c3._decode(x)) for x in values[1:]] == [c3.e(i), want_y]
     assert calls == [("e", i), ("y", 1)]
     assert program.steps == [(E, 0), (("y", 1), 1)]

@@ -166,6 +166,10 @@ def test_prime_field_fraction(capsys, expr, coeff):
     # a window on a finite cycle
     ["quiver", "--quiver", "cycle(3,0)"],
     ["quiver", "--quiver", '{"family":"cycle","e":3,"window":-5}'],
+    # powers past the cap, alone, nested or with 5,000 digits
+    ["nf", "--n", "2", "psi[1]^100000*e(0,1)"],
+    ["nf", "--n", "2", "(psi[1]^8)^9"],
+    ["nf", "--n", "2", "y[1]^" + "9" * 5000],
 ])
 def test_malformed_input_exits2(capsys, argv):
     # argparse refuses a bad flag value by raising SystemExit(2)

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 import klrcalc as K
 from klrcalc.algebra import Mono
-from klrcalc.exprs import (ExprError, element_to_json_obj, element_to_text,
-                           eval_ast, normal_form, parse_element)
+from klrcalc.exprs import (MAX_POWER, ExprError, element_to_json_obj,
+                           element_to_text, eval_ast, normal_form, parse_element)
 from klrcalc.perms import canonical_word, word_perm
 from klrcalc.scalars import PrimeField
 from klrcalc.suites import random_element
@@ -88,6 +88,25 @@ def test_scalars_eps_and_pow(ctx):
     assert normal_form("-3*e(0,1)", ctx) == ctx.e((0, 1)).scale(-3)
     assert normal_form("0", ctx).is_zero()
     assert element_to_text(normal_form("0", ctx)) == "0"
+
+
+def test_powers_match_repeated_products(ctx):
+    # square-and-multiply gives the left-to-right product of k copies
+    base = normal_form("psi[1]+y[2]+2", ctx)
+    want = normal_form("1", ctx)
+    for k in range(10):
+        assert normal_form(f"(psi[1]+y[2]+2)^{k}", ctx) == want
+        want = want * base
+    # at the cap, nested or not, and refused past it, where the error names it
+    square, want = normal_form("psi[1]^2", ctx), ctx.e((0, 1))
+    for _ in range(MAX_POWER // 2):
+        want = square * want
+    assert len(want.terms) == MAX_POWER // 2 + 1
+    assert normal_form(f"psi[1]^{MAX_POWER}*e(0,1)", ctx) == want
+    assert normal_form("(psi[1]^8)^8*e(0,1)", ctx) == want
+    for text in (f"psi[1]^{MAX_POWER + 1}", "((y[1]^2)^4)^9", "(e(0,1)+psi[1]^9)^8"):
+        with pytest.raises(ExprError, match=f"cap of {MAX_POWER}"):
+            parse_element(text)
 
 
 def test_tagged_atoms(ctx):

@@ -121,11 +121,15 @@ def test_shadowed_methods_are_reviewed():
 def test_only_the_engine_names_its_letter_actions():
     # letters act through `KLR.act`: no other module reaches the engine's
     # one-letter actions.  Nor do the relation checks reach the rewrite memo
-    # tables or the exponent shift behind the actions: a fast path of their
-    # own would be a second letter action
-    actions = {"_apply_e", "_apply_y", "_apply_psi"}
-    internals = {"_y_cache", "_word_cache", "_y_mono", "_word_nf", "_acc",
-                 "_shifted", "_exp_row", "_exp_sums"}
+    # tables, the exponent shift behind the actions, or the packed term keys
+    # (their stems, exponent ids, encoding and decoding): a fast path of
+    # their own would be a second letter action
+    actions = {"_apply_e", "_apply_y", "_apply_psi", "_act_memo", "act_terms"}
+    internals = {"_y_cache", "_psi_cache", "_word_cache", "_y_stem", "_psi_stem",
+                 "_word_nf", "_acc", "_STEM", "_stem", "_stems", "_stem_ids",
+                 "_faces", "_words", "_exp_id", "_exp_ids", "_exps", "_exp_sum",
+                 "_shift", "_shifts", "_Shift", "_encode", "_decode",
+                 "SuffixProgram", "_signed_sum"}
     named, reached = set(), set()
     for path in sorted(SRC.glob("*.py")):
         for sub in ast.walk(ast.parse(path.read_text(), str(path))):
