@@ -184,7 +184,9 @@ def _acc(out: dict, src: dict, scale, dom, row=None) -> None:
 
 class _Shift(dict):
     """The key offsets of y^a for a of id `by`: exponent id f -> (the id of
-    f + a, less f) << 32, each computed when first read."""
+    f + a, less f) << 32, each computed when first read.  An offset is kept
+    while the context's rows hold fewer than its `cache_limit` offsets in
+    all, so the table stays bounded however many exponents meet."""
 
     __slots__ = ("ctx", "by")
 
@@ -192,7 +194,11 @@ class _Shift(dict):
         self.ctx, self.by = ctx, by
 
     def __missing__(self, f):
-        d = self[f] = (self.ctx._exp_sum(f, self.by) - f) << 32
+        ctx = self.ctx
+        d = (ctx._exp_sum(f, self.by) - f) << 32
+        if ctx._shift_size < ctx.cache_limit:
+            ctx._shift_size += 1
+            self[f] = d
         return d
 
 
@@ -235,6 +241,7 @@ class KLR:
         self._exp_ids: dict = {}
         self._exps: list = []
         self._shifts: dict = {}
+        self._shift_size = 0  # offsets kept over all rows of _shifts
         self._exp_id(self._zero_a)
         self._unit_e = [self._exp_id(a) for a in self._unit_a]
         self._y_cache: dict = {}
@@ -374,7 +381,9 @@ class KLR:
         try:
             return self._shifts[e]
         except KeyError:
-            row = self._shifts[e] = _Shift(self, e)
+            row = _Shift(self, e)
+            if len(self._shifts) < self.cache_limit:
+                self._shifts[e] = row
             return row
 
     def _key(self, m: Mono) -> int:
@@ -385,20 +394,14 @@ class KLR:
         """Mono-keyed terms, packed."""
         return {self._key(m): c for m, c in terms.items()}
 
-    def _decode(self, terms: dict, known: dict | None = None) -> dict:
-        """Packed terms, keyed by `Mono`s again, in their order; a key of
-        `known` takes its `Mono` from there, so an input's monomials are
-        shared by the output, not copied."""
+    def _decode(self, terms: dict) -> dict:
+        """Packed terms, keyed by `Mono`s again, in their order."""
         stems, exps, new = self._stems, self._exps, tuple.__new__
-        known = known or {}
         out = {}
         for k, c in terms.items():
-            m = known.get(k)
-            if m is None:
-                tag, w, seq = stems[k & _STEM]
-                # tuple.__new__ skips the namedtuple's Python-level __new__
-                m = new(Mono, (tag, w, exps[k >> 32], seq))
-            out[m] = c
+            tag, w, seq = stems[k & _STEM]
+            # tuple.__new__ skips the namedtuple's Python-level __new__
+            out[new(Mono, (tag, w, exps[k >> 32], seq))] = c
         return out
 
     # --- generator action ---------------------------------------------------
@@ -634,10 +637,8 @@ class KLR:
         self._check_same(x.ctx)
         self._check_same(y.ctx)
         by_face: dict = {}
-        known: dict = {}
         for m2, c2 in y.terms.items():
             k = self._key(m2)
-            known[k] = m2
             by_face.setdefault((m2.tag, self._faces[k & _STEM]), {})[k] = c2
         out: dict = {}
         for m1, c1 in x.terms.items():
@@ -650,7 +651,7 @@ class KLR:
             for c in reversed(canonical_word(m1.w)):
                 terms = self._apply_psi(c, terms)
             _acc(out, terms, c1, self.dom)
-        return Element(self, self._decode(out, known))
+        return Element(self, self._decode(out))
 
     def word_element(self, tokens, seq, tag: str = TAG_MAIN) -> Element:
         """Right-fold evaluation of a generator word onto e(seq)."""

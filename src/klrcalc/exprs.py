@@ -19,7 +19,7 @@ is unchanged.  Untagged e(...) means the main copy '@G'.
 Errors carry 1-based line and column of the offending token; a column
 counts characters from the start of its line.  Nesting past the
 interpreter's recursion limit is refused as an error at the token reached,
-and so is a power above MAX_POWER, nested powers multiplied.
+and so is an expression longer than MAX_LENGTH letters (see there).
 """
 
 from __future__ import annotations
@@ -35,11 +35,16 @@ from .perms import canonical_word
 from .quiver import all_seqs, labels_by_text
 
 
-# The largest power an expression may take, nested powers multiplied, so a
-# power's work is bounded before it starts: psi_r^{2k} e(i) has k + 1 terms
-# when i_r and i_{r+1} are joined, and squaring it costs about k^3 letter
-# actions.
-MAX_POWER = 64
+# The longest expression admitted, in letters: psi[r] and y[r] count one,
+# e(...), eps and scalars none, a product adds up its factors, a sum takes
+# its longest term, and a power k of a base of length L counts k * max(L, 1),
+# so a scalar's power, whose exact value grows with k, is bounded too.  The
+# cap bounds a power's work before it starts: psi_r^{2k} e(i) has k + 1
+# terms when i_r and i_{r+1} are joined, and squaring it costs about k^3
+# letter actions.  No rewrite step lengthens a term, so no term of a normal
+# form is longer than its expression, and the printed normal form of an
+# admitted expression is admitted again.
+MAX_LENGTH = 64
 
 
 class ExprError(ValueError):
@@ -123,9 +128,15 @@ class Parser:
 
     def parse_term(self):
         factors = [self.parse_factor()]
+        length = _length(factors[0])
         while self.at_sym("*"):
             self.next()
+            tok = self.peek()
             factors.append(self.parse_factor())
+            length += _length(factors[-1])
+            if length > MAX_LENGTH:
+                raise ExprError(f"product longer than the cap of {MAX_LENGTH} "
+                                "letters", tok.line, tok.col)
         return ("mul", factors) if len(factors) > 1 else factors[0]
 
     def parse_factor(self):
@@ -138,10 +149,10 @@ class Parser:
             self.next()
             tok = self.expect("INT")
             digits = tok.text.lstrip("0")
-            if len(digits) > len(str(MAX_POWER)) or \
-                    int(digits or "0") * _power(node) > MAX_POWER:
-                raise ExprError(f"power above the cap of {MAX_POWER} (nested powers "
-                                "multiplied)", tok.line, tok.col)
+            if len(digits) > len(str(MAX_LENGTH)) or \
+                    int(digits or "0") * max(_length(node), 1) > MAX_LENGTH:
+                raise ExprError(f"power longer than the cap of {MAX_LENGTH} "
+                                "letters", tok.line, tok.col)
             node = ("pow", node, int(tok.text))
         return ("neg", node) if negate else node
 
@@ -191,18 +202,18 @@ class Parser:
         raise ExprError(f"bad sequence entry {tok.text!r}", tok.line, tok.col)
 
 
-def _power(node) -> int:
-    """The largest power in an AST, nested powers multiplied; 1 with none."""
+def _length(node) -> int:
+    """The length of an AST in letters, as `MAX_LENGTH` counts it."""
     kind = node[0]
     if kind == "pow":
-        return node[2] * _power(node[1])
+        return node[2] * max(_length(node[1]), 1)
     if kind == "add":
-        return max(_power(term) for _, term in node[1])
+        return max(_length(term) for _, term in node[1])
     if kind == "mul":
-        return max(map(_power, node[1]))
+        return sum(map(_length, node[1]))
     if kind == "neg":
-        return _power(node[1])
-    return 1
+        return _length(node[1])
+    return 1 if kind in ("y", "psi") else 0
 
 
 def parse_element(src: str) -> tuple:

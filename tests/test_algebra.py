@@ -49,6 +49,21 @@ def test_psi_degree_memo_keeps_cache_limit():
         assert len(capped._psi_deg_cache) == capped.cache_limit
 
 
+def test_exponent_sums_keep_cache_limit():
+    # the shift rows keep at most `cache_limit` offsets in all, and rows
+    # computed past it give the same products
+    q = K.cycle(3)
+    root = K.make_root(q, {0: 2, 1: 1})
+    capped, fresh = K.make_context(q, 3), K.make_context(q, 3)
+    capped.cache_limit = 10
+    want = suites._sweep_block(fresh, root, 2)
+    assert fresh._shift_size > capped.cache_limit
+    assert suites._sweep_block(capped, root, 2) == want
+    assert len(capped._shifts) == capped.cache_limit
+    assert capped._shift_size == capped.cache_limit == sum(
+        map(len, capped._shifts.values()))
+
+
 def test_left_mul_examples(c3, c3n3):
     psi1 = c3.psi_element(1)
     assert psi1 * (psi1 * c3.e((0, 0))) == c3.zero()
@@ -227,10 +242,12 @@ def test_rewrite_memo_is_exponent_free():
             assert key >> 32 in letters
             tag, w, seq = ctx._stems[key & _STEM]
             assert w in perm_set and seq in seqs and tag in TAGS_BOTH
-    # the exponents live in the memoised products
-    assert any(k >> 32 and any(ctx._exps[k >> 32])
-               for table in (ctx._word_cache, ctx._y_cache, ctx._psi_cache)
-               for out in table.values() for k in out)
+    # the exponents live in the memoised products: exponent id 0 is the
+    # zero vector
+    assert not any(ctx._exps[0])
+    assert any(k >> 32 for out in ctx._word_cache.values() for k in out)
+    for table in (ctx._y_cache, ctx._psi_cache):
+        assert any(k >> 32 for out in table.values() for k in out)
 
 
 def shifted(x, b) -> list:

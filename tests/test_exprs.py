@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import klrcalc as K
 from klrcalc.algebra import Mono
-from klrcalc.exprs import (MAX_POWER, ExprError, element_to_json_obj,
+from klrcalc.exprs import (MAX_LENGTH, ExprError, element_to_json_obj,
                            element_to_text, eval_ast, normal_form, parse_element)
 from klrcalc.perms import canonical_word, word_perm
 from klrcalc.scalars import PrimeField
@@ -99,14 +99,32 @@ def test_powers_match_repeated_products(ctx):
         want = want * base
     # at the cap, nested or not, and refused past it, where the error names it
     square, want = normal_form("psi[1]^2", ctx), ctx.e((0, 1))
-    for _ in range(MAX_POWER // 2):
+    for _ in range(MAX_LENGTH // 2):
         want = square * want
-    assert len(want.terms) == MAX_POWER // 2 + 1
-    assert normal_form(f"psi[1]^{MAX_POWER}*e(0,1)", ctx) == want
+    assert len(want.terms) == MAX_LENGTH // 2 + 1
+    assert normal_form(f"psi[1]^{MAX_LENGTH}*e(0,1)", ctx) == want
     assert normal_form("(psi[1]^8)^8*e(0,1)", ctx) == want
-    for text in (f"psi[1]^{MAX_POWER + 1}", "((y[1]^2)^4)^9", "(e(0,1)+psi[1]^9)^8"):
-        with pytest.raises(ExprError, match=f"cap of {MAX_POWER}"):
+    assert normal_form("psi[1]^32*(y[1]+e(0,1))^16*psi[1]^16*e(0,1)", ctx) == \
+        normal_form("psi[1]^32*(y[1]+e(0,1))^16*psi[1]^16", ctx) * ctx.e((0, 1))
+    assert normal_form("2^64", ctx) == normal_form("1", ctx).scale(2 ** 64)
+    for text in (f"psi[1]^{MAX_LENGTH + 1}", "((y[1]^2)^4)^9", "(e(0,1)+psi[1]^9)^8",
+                 "y[1]^32*psi[1]^33", "e(0,1)^65", "2^65", "(2+e(0,1))^65"):
+        with pytest.raises(ExprError, match=f"cap of {MAX_LENGTH}"):
             parse_element(text)
+
+
+def test_printed_normal_forms_stay_within_the_cap(ctx):
+    # no term of a normal form is longer than its expression, so the printed
+    # normal form of an admitted expression parses back to itself; a product
+    # that would print a longer term is refused where it crosses the cap
+    for text in ("y[1]^32*y[1]^32*e(0,1)", "y[2]^30*psi[1]^34*e(0,1)",
+                 "(psi[1]+y[2]+2)^21*y[1]*e(1,0)@G'", "psi[1]^64*e(0,0)"):
+        x = normal_form(text, ctx)
+        assert normal_form(element_to_text(x), ctx) == x
+    for text, col in (("y[1]^64*y[1]^64*e(0,1)", 9), ("y[1]*" * 64 + "y[2]", 321)):
+        with pytest.raises(ExprError, match=f"cap of {MAX_LENGTH}") as exc:
+            normal_form(text, ctx)
+        assert exc.value.col == col
 
 
 def test_tagged_atoms(ctx):

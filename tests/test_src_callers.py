@@ -128,7 +128,7 @@ def test_only_the_engine_names_its_letter_actions():
     internals = {"_y_cache", "_psi_cache", "_word_cache", "_y_stem", "_psi_stem",
                  "_word_nf", "_acc", "_STEM", "_stem", "_stems", "_stem_ids",
                  "_faces", "_words", "_exp_id", "_exp_ids", "_exps", "_exp_sum",
-                 "_shift", "_shifts", "_Shift", "_encode", "_decode",
+                 "_shift", "_shifts", "_shift_size", "_Shift", "_encode", "_decode",
                  "SuffixProgram", "_signed_sum"}
     named, reached = set(), set()
     for path in sorted(SRC.glob("*.py")):
