@@ -277,6 +277,45 @@ def test_failing_presentation_report(name, fmt, pooled, monkeypatch, capsys):
         FAILING_GOLDEN[(name, fmt)]
 
 
+# A seeded fault in the rewrite core: a three-letter psi word whose normal
+# form is a single term comes out negated.  Express coverage reaches such
+# words, so its rows fail beside the braid rows.  sha256 of the raw stdout of
+# `verify alt-presentation --n 3 --bound 1`, instance order included.
+EXPRESS_FAILING_GOLDEN = {
+    "text": "a30e205af777c24560c80975172a10be5f4126510e9fe3fb8875f20e0a063582",
+    "json": "f8a42913e7afdcc8e5e95f545d87d691a5b14eae564c06bd45e23dda7966243e",
+}
+
+
+def negate_three_letter_words(monkeypatch):
+    word_nf = K.KLR._word_nf_uncached
+
+    def negated(self, word, seq, tag):
+        out = word_nf(self, word, seq, tag)
+        if len(word) == 3 and len(out) == 1:
+            return {k: self.dom.neg(c) for k, c in out.items()}
+        return out
+
+    monkeypatch.setattr(K.KLR, "_word_nf_uncached", negated)
+
+
+@pytest.mark.parametrize("pooled", [False, True], ids=["in-process", "pool"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_failing_express_report(fmt, pooled, monkeypatch, capsys):
+    negate_three_letter_words(monkeypatch)
+    if pooled:
+        usable_cpus(monkeypatch, 2)
+    else:
+        monkeypatch.setattr(suites, "POOL_MIN_WORK", 10**9)
+    argv = ["verify", "alt-presentation", "--n", "3", "--bound", "1"]
+    assert main(argv + ["--format", fmt]) == 1
+    out = capsys.readouterr().out
+    if fmt == "text":
+        assert ("FAIL [2*a[0]+a[1]] express(alt basis element) "
+                "(72 instances, 12 failing)") in out
+    assert hashlib.sha256(out.encode()).hexdigest() == EXPRESS_FAILING_GOLDEN[fmt]
+
+
 @pytest.mark.parametrize("quiver", ["cycle(3)", "path(3)"])
 @pytest.mark.parametrize("suite", ["alt-presentation", "signed-relations"])
 def test_presentations_read_the_opposite_orientation(suite, quiver, monkeypatch,

@@ -4,7 +4,7 @@ Any change to report bytes shows here.  The JSON `instances` list of
 alt-presentation and signed-relations is compared as a sorted list (by its
 canonical JSON text), since its order follows the checker's evaluation
 order; the rest of those payloads, and every other output, is compared
-byte for byte.  `RAW_GOLDEN` pins the raw bytes of four such JSON runs as
+byte for byte.  `RAW_GOLDEN` pins the raw bytes of five such JSON runs as
 well, instance order included.
 """
 
@@ -45,6 +45,10 @@ RUNS = {
     "alt-presentation-n4": ["verify", "alt-presentation", "--n", "4",
                             "--bound", "0"],
     "signed-relations-n4": ["verify", "signed-relations", "--n", "4",
+                            "--bound", "0"],
+    # n = 5: canonical words of up to ten letters, the rows' (w, a, i) order
+    # at that depth
+    "alt-presentation-n5": ["verify", "alt-presentation", "--n", "5",
                             "--bound", "0"],
     "clifford": ["verify", "clifford", "--n", "2"],
     "clifford-n3": ["verify", "clifford", "--n", "3"],
@@ -97,6 +101,8 @@ GOLDEN = {
         "02956d82dce1789c6a8f868ad7eca689bed179a72fffdb5c91667ccbdb8cc3f7",
     ("alt-presentation-n4", "json"):
         "29f426a8f66ec4e6af83e22922813cf416f13b92fce70cc266929122ae2ee844",
+    ("alt-presentation-n5", "text"):
+        "4bb5b995bc7bc8a12e7bcfd73bd328b8df6a4cbdea87ca179225658c07b26e0d",
     ("signed-relations-n4", "text"):
         "1f36ab092d74b824119bcf247e7555c819079653b57bedc37d63212161be036e",
     ("signed-relations-n4", "json"):
@@ -159,6 +165,8 @@ RAW_GOLDEN = {
         "3dec07f498c7b4e1b12955d41c3ecfce94a9e4b764070ac951857dfea10405fd",
     "alt-presentation-n4":
         "a4512e1095f646e5d11e2a72ec0a39fc06c28d9c21dcc89ff08898f6f6ab1efc",
+    "alt-presentation-n5":
+        "d6e6e1439a35ca1db3ec772eb2943899c636fd9efae93189134343789c4f1092",
     "signed-relations-n4":
         "2fbea0b7f200817cc55c3468a92a059025f344f407bf3aa08de00843f8667635",
 }
