@@ -51,6 +51,7 @@ arrows.
 
 from __future__ import annotations
 
+import weakref
 from operator import add
 from typing import Callable, NamedTuple, Sequence
 
@@ -186,15 +187,16 @@ class _Shift(dict):
     """The key offsets of y^a for a of id `by`: exponent id f -> (the id of
     f + a, less f) << 32, each computed when first read.  An offset is kept
     while the context's rows hold fewer than its `cache_limit` offsets in
-    all, so the table stays bounded however many exponents meet."""
+    all, so the table stays bounded however many exponents meet.  A row
+    refers to its context weakly, so that the two form no cycle."""
 
     __slots__ = ("ctx", "by")
 
     def __init__(self, ctx: "KLR", by: int):
-        self.ctx, self.by = ctx, by
+        self.ctx, self.by = weakref.ref(ctx), by
 
     def __missing__(self, f):
-        ctx = self.ctx
+        ctx = self.ctx()
         d = (ctx._exp_sum(f, self.by) - f) << 32
         if ctx._shift_size < ctx.cache_limit:
             ctx._shift_size += 1
@@ -664,14 +666,10 @@ class KLR:
 
     def exponents_upto(self, bound: int) -> tuple:
         """All a in N^n with |a| <= bound, lexicographic."""
-        def rec(k, left):
-            if k == self.n:
-                yield ()
-                return
-            for v in range(left + 1):
-                for tail in rec(k + 1, left - v):
-                    yield (v,) + tail
-        return tuple(rec(0, bound))
+        out = [()]
+        for _ in range(self.n):
+            out = [a + (v,) for a in out for v in range(bound + 1 - sum(a))]
+        return tuple(out)
 
     def enumerate_basis(self, root: Root, bound: int, tags=(TAG_MAIN,)):
         """All basis monomials over I^beta with |a| <= bound, in the canonical
@@ -804,26 +802,6 @@ class SuffixProgram:
         for g, src in self.steps[len(values) - 1:]:
             values.append(act(letters.get(g, g), values[src]))
         return values
-
-
-class WordValues:
-    """The values of words on one base element, read right to left in the
-    letters `KLR.act_terms` takes.  A word's missing suffixes are appended
-    to one `SuffixProgram`, so the words share their suffixes' products;
-    past the context's `cache_limit` steps a fresh program starts."""
-
-    def __init__(self, base: Element):
-        self.ctx = base.ctx
-        self.base = self.ctx._encode(base.terms)
-        self.program, self.slot_terms = SuffixProgram(), [self.base]
-
-    def __call__(self, word: tuple) -> Element:
-        ctx = self.ctx
-        if len(self.program.steps) >= ctx.cache_limit:
-            self.program, self.slot_terms = SuffixProgram(), [self.base]
-        slot = self.program.slot(word)
-        terms = self.program.run(ctx, self.slot_terms, {})[slot]
-        return Element(ctx, ctx._decode(terms))
 
 
 def relation_instances(real: Realisation, n: int):

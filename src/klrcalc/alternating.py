@@ -21,7 +21,8 @@ on the terms of e[i] or of the block unit, each letter through
 `KLR.act_terms`.  Every generator of both presentations keeps a term's tag,
 so a word's value in either is G + s G', the tag parts of its one plain
 value, with s = -1 when it has an odd number of odd letters
-(`algebra.twisted`).
+(`algebra.twisted`).  The basis words of the expression check are
+evaluated as one walk of the tree of canonical words, through `KLR.act`.
 
 The braid relation of the signed presentation is checked with the
 correction sign matching the underlying deformed braid relation (minus on
@@ -34,7 +35,7 @@ import math
 
 from . import linalg, perms
 from .algebra import (TAG_MAIN, TAG_OPP, TAGS_BOTH, Element, KLR, Mono,
-                      NotHomogeneousError, Realisation, ShapeError, WordValues,
+                      NotHomogeneousError, Realisation, ShapeError,
                       relation_instances, twisted)
 from .perms import canonical_word, length
 from .quiver import Root, all_seqs, root_tau_classes, sequences, tau_classes
@@ -77,15 +78,6 @@ def alt_basis(ctx: KLR, root: Root, bound: int):
     return [desc for desc, _ in rows], [el for _, el in rows]
 
 
-# The letters of the basis words, one object per letter: a word's memoised
-# suffixes keep its letters alive, so the words of a block share theirs.
-_LETTERS: dict = {}
-
-
-def _letter(*g) -> tuple:
-    return _LETTERS.setdefault(g, g)
-
-
 def express_alt(ctx: KLR, desc) -> list:
     """Write a parity-basis element as a word in the alternating generators.
 
@@ -94,10 +86,10 @@ def express_alt(ctx: KLR, desc) -> list:
     leftover power matches the parity constraint.
     """
     w, a, s, _b = desc
-    word = [_letter("psi", c) for c in canonical_word(w)]
+    word = [("psi", c) for c in canonical_word(w)]
     for r, k in enumerate(a, start=1):
-        word.extend([_letter("y", r)] * k)
-    word.append(_letter("e", s))
+        word.extend([("y", r)] * k)
+    word.append(("e", s))
     return word
 
 
@@ -305,17 +297,45 @@ def verify_alt_presentation(ctx: KLR, root: Root):
 
 
 def iter_express_coverage(ctx: KLR, root: Root, bound: int):
-    """Reproduce every truncated parity-basis element from its generator
-    word, yielding one instance row per element as it is evaluated; the
-    basis is streamed (`iter_alt_basis`).  Every word acts on the block
-    unit through one `algebra.WordValues`, so the words of the block share
-    their suffixes' products."""
-    value = WordValues(ambient_unit(ctx, root))
+    """Reproduce every truncated parity-basis element of `iter_alt_basis`
+    from its generator word (`express_alt`), one row each, in its order.
+    The words form a tree, w's parent having cw(w) less its first letter c:
+    a depth-first walk acts ("psi", c) on the parent's values, one per root
+    y^a e[i] (the identity's words on the block unit), holding only those
+    on its path.  Letters keep tags, so a row holds when its plain value is
+    m@G + m@G' and the element is that read with the word's parity."""
+    dom, unit, identity = ctx.dom, ambient_unit(ctx, root), perms.identity(ctx.n)
+
+    def reading(w, a, s, odd):
+        return {Mono(TAG_MAIN, w, a, s): dom.one,
+                Mono(TAG_OPP, w, a, s): dom.from_int(-1) if odd else dom.one}
+
+    keys = [(a, s) for a in ctx.exponents_upto(bound) for s in ctx.block_seqs(root)]
+    roots = []
+    for a, s in keys:
+        x = unit
+        for g in reversed(express_alt(ctx, (identity, a, s, None))):
+            x = ctx.act(g, x)
+        roots.append(x)
+    path, failing = [roots], {}
+    # in reversed-word order, a node's parent is the last node one level up
+    for w in sorted(perms.all_perms(ctx.n), key=lambda w: canonical_word(w)[::-1]):
+        word = canonical_word(w)
+        if word:
+            del path[len(word):]
+            path.append([ctx.act(("psi", word[0]), x) for x in path[-1]])
+        for (a, s), got in zip(keys, path[-1]):
+            if got.terms != reading(w, a, s, False):
+                failing[w, a, s] = got
     for desc, el in iter_alt_basis(ctx, root, bound):
-        word = tuple(express_alt(ctx, desc))
-        got = value(word)
-        yield _instance("express(alt basis element)", desc,
-                        lhs=twisted(got, word, ALT_ODD), rhs=el)
+        w, a, s, _b = desc
+        got = failing.get((w, a, s))
+        if got is None and el.terms == reading(w, a, s, (length(w) + sum(a)) % 2):
+            got = el  # m@G + m@G' read with the word's parity
+        else:
+            got = twisted(Element(ctx, reading(w, a, s, False)) if got is None else got,
+                          express_alt(ctx, desc), ALT_ODD)
+        yield _instance("express(alt basis element)", desc, lhs=got, rhs=el)
 
 
 def express_coverage(ctx: KLR, root: Root, bound: int) -> list:

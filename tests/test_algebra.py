@@ -14,6 +14,7 @@ from klrcalc.algebra import (KLR, TAGS_BOTH, E, Element, Mono, SuffixProgram,
 from klrcalc.perms import act, all_perms, canonical_word, length
 from klrcalc.scalars import PrimeField
 from klrcalc.suites import random_element
+from test_blocks import negate_three_letter_words
 
 
 @pytest.fixture(scope="module")
@@ -448,8 +449,8 @@ def _keyed_by_mono(x: Element) -> bool:
 @pytest.mark.parametrize("field", ["Q", "Fp:5"])
 def test_public_results_are_keyed_by_mono(field, monkeypatch):
     # packed term keys never leave the engine: every Element that `act`,
-    # `gen_left`, `multiply`, the relation rows' diffs and express coverage
-    # hand out is keyed by `Mono`s, on both tags, also where a product's
+    # `gen_left`, `multiply`, the relation rows' diffs and express coverage's
+    # diffs hand out is keyed by `Mono`s, on both tags, also where a product's
     # terms cancel
     from klrcalc import alternating as alt
     dom = K.domain_from_flag(field)
@@ -501,13 +502,19 @@ def test_public_results_are_keyed_by_mono(field, monkeypatch):
     assert {m.tag for d in diffs for m in d.terms} == set(TAGS_BOTH)
     monkeypatch.undo()
 
+    # express coverage builds a diff only for a failing row: with the
+    # three-letter psi words of one term negated, on fresh memo tables, its
+    # failing rows hand out theirs
+    negate_three_letter_words(monkeypatch)
     seen = []
-    instance = alt._instance
-    monkeypatch.setattr(alt, "_instance", lambda *args, **kw:
-                        seen.extend((kw["lhs"], kw["rhs"])) or instance(*args, **kw))
-    rows = list(alt.iter_express_coverage(ctx, root, 1))
-    assert rows and all(r["status"] == "pass" for r in rows)
-    assert len(seen) == 2 * len(rows) and all(map(_keyed_by_mono, seen))
+    diff_row = alt._diff_row
+    monkeypatch.setattr(alt, "_diff_row", lambda *args:
+                        seen.append(args[4]) or diff_row(*args))
+    rows = list(alt.iter_express_coverage(K.KLR(q, 3, dom), root, 1))
+    diffs = [diff for diff in seen if diff is not None]
+    assert len(seen) == len(rows) and diffs and all(map(_keyed_by_mono, diffs))
+    assert len(diffs) == sum(r["status"] == "fail" for r in rows)
+    assert {m.tag for d in diffs for m in d.terms} == set(TAGS_BOTH)
 
 
 def test_element_arithmetic_and_equality(c3):

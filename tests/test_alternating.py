@@ -5,8 +5,7 @@ import pytest
 import klrcalc as K
 from klrcalc import alternating as alt
 from klrcalc import linalg, signop
-from klrcalc.algebra import (E, F, Element, Mono, SuffixProgram, relation_instances,
-                             twisted)
+from klrcalc.algebra import E, F, Element, Mono, relation_instances, twisted
 from klrcalc.perms import all_perms, length
 
 TAGS = ("G", "G'")
@@ -275,43 +274,31 @@ def test_express_coverage_small(ctx2, root01):
     assert rows and all(r["status"] == "pass" for r in rows)
 
 
-def test_express_coverage_shares_suffixes(ctx2, root01, monkeypatch):
-    # one psi or y letter action per distinct word suffix of two or more
-    # letters, one step each of the words' suffix program: the last letter
-    # e[i] only keeps the unit's terms of face i
+def test_express_coverage_shares_suffixes(monkeypatch):
+    # one psi action per non-identity permutation w and per root y^a e[i]:
+    # each canonical word extends its parent's by one letter, so a word's
+    # value is one letter on the value of its suffix
+    ctx = K.make_context(K.cycle(3), 3)
+    root = K.make_root(ctx.quiver, {0: 1, 1: 1, 2: 1})
     calls = []
-    for name in ("_apply_y", "_apply_psi"):
-        action = getattr(ctx2, name)
-        monkeypatch.setattr(ctx2, name, lambda r, terms, _action=action:
-                            calls.append(r) or _action(r, terms))
-    rows = alt.express_coverage(ctx2, root01, 1)
-    words = [tuple(alt.express_alt(ctx2, desc))
-             for desc in alt.alt_basis(ctx2, root01, 1)[0]]
-    suffixes = {w[t:] for w in words for t in range(len(w) - 1)}
-    program = SuffixProgram()
-    for word in words:
-        program.slot(word)
-    steps = [g for g, _ in program.steps if g[0] != "e"]
-    assert all(r["status"] == "pass" for r in rows)
-    assert len(calls) == len(steps) == len(suffixes) < sum(len(w) - 1 for w in words)
+    action = ctx._apply_psi
+    monkeypatch.setattr(ctx, "_apply_psi", lambda r, terms:
+                        calls.append(r) or action(r, terms))
+    rows = alt.express_coverage(ctx, root, 1)
+    assert rows and all(r["status"] == "pass" for r in rows)
+    assert len(calls) == (6 - 1) * len(ctx.exponents_upto(1)) \
+        * len(ctx.block_seqs(root)) == 120
 
 
-def test_express_coverage_restarts_past_the_cache_limit():
-    # past `cache_limit` steps the suffix program starts afresh: the words
-    # act again from the unit, and every row still passes
+def test_express_coverage_keeps_cache_limit():
+    # memo tables capped at eight entries leave every row as it was
     ctx = K.make_context(K.cycle(3), 3)
     root = K.make_root(ctx.quiver, {0: 1, 1: 1, 2: 1})
     want = alt.express_coverage(ctx, root, 1)
     small = K.make_context(K.cycle(3), 3)
     small.cache_limit = 8
-    calls = []
-    action = small.act_terms
-    small.act_terms = lambda g, terms: calls.append(g) or action(g, terms)
     got = alt.express_coverage(small, root, 1)
     assert got == want and all(r["status"] == "pass" for r in got)
-    words = [alt.express_alt(ctx, desc) for desc in alt.alt_basis(ctx, root, 1)[0]]
-    suffixes = {tuple(w[t:]) for w in words for t in range(len(w))}
-    assert len(calls) > len(suffixes)
 
 
 def test_presentation_paper_instances(ctx2, root01):

@@ -1,6 +1,7 @@
 """Per-block checks: the worker pool of `suites._map_blocks` and the
 in-process path give the same results and the same report bytes."""
 
+import gc
 import hashlib
 import io
 import json
@@ -12,11 +13,12 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import weakref
 
 import pytest
 
 import klrcalc as K
-from klrcalc import alternating, linalg, suites
+from klrcalc import alternating, linalg, signop, suites
 from klrcalc.cli import main
 from test_golden import GOLDEN, RUNS, canonical_stdout
 
@@ -465,3 +467,25 @@ def test_largest_block_memory(check):
         tracemalloc.stop()
     assert counts and not fails and rows is None
     assert peak < 2**20, f"peak {peak / 2**20:.3f} MiB"
+
+
+@pytest.mark.parametrize("check", [
+    lambda ctx, root: suites._sweep_block(ctx, root, 1),
+    lambda ctx, root: list(suites._alt_block(ctx, root, 1)[0]),
+    lambda ctx, root: alternating.verify_signed_relations(ctx, root, 1),
+    lambda ctx, root: signop.clifford_axioms_check(ctx, root, None, 1, 0, 20),
+], ids=["sweep", "alt", "signed", "clifford"])
+def test_finished_block_frees_its_context(check):
+    # with the cyclic collector off, a context is freed when its last
+    # reference goes: nothing it keeps refers back to it
+    q = K.cycle(3)
+    root = K.make_root(q, {0: 1, 1: 1, 2: 1})
+    gc.disable()
+    try:
+        ctx = suites.make_context(q, 3)
+        check(ctx, root)
+        ref = weakref.ref(ctx)
+        del ctx
+        assert ref() is None
+    finally:
+        gc.enable()
