@@ -14,7 +14,7 @@ from klrcalc.algebra import (KLR, TAGS_BOTH, E, Element, Mono, SuffixProgram,
 from klrcalc.perms import act, all_perms, canonical_word, length
 from klrcalc.scalars import PrimeField
 from klrcalc.suites import random_element
-from test_blocks import negate_three_letter_words
+from test_blocks import negate_three_letter_products
 
 
 @pytest.fixture(scope="module")
@@ -502,10 +502,10 @@ def test_public_results_are_keyed_by_mono(field, monkeypatch):
     assert {m.tag for d in diffs for m in d.terms} == set(TAGS_BOTH)
     monkeypatch.undo()
 
-    # express coverage builds a diff only for a failing row: with the
-    # three-letter psi words of one term negated, on fresh memo tables, its
-    # failing rows hand out theirs
-    negate_three_letter_words(monkeypatch)
+    # express coverage builds a diff only for a failing row: with the psi
+    # products' terms of three-letter words negated, its failing rows hand
+    # out theirs
+    negate_three_letter_products(monkeypatch)
     seen = []
     diff_row = alt._diff_row
     monkeypatch.setattr(alt, "_diff_row", lambda *args:

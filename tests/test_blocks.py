@@ -18,7 +18,7 @@ import weakref
 import pytest
 
 import klrcalc as K
-from klrcalc import alternating, linalg, signop, suites
+from klrcalc import alternating, linalg, perms, signop, suites
 from klrcalc.cli import main
 from test_golden import GOLDEN, RUNS, canonical_stdout
 
@@ -279,32 +279,35 @@ def test_failing_presentation_report(name, fmt, pooled, monkeypatch, capsys):
         FAILING_GOLDEN[(name, fmt)]
 
 
-# A seeded fault in the rewrite core: a three-letter psi word whose normal
-# form is a single term comes out negated.  Express coverage reaches such
-# words, so its rows fail beside the braid rows.  sha256 of the raw stdout of
-# `verify alt-presentation --n 3 --bound 1`, instance order included.
+# A seeded fault in the letter action: a psi letter's product comes out with
+# its terms of three-letter words negated, on both tags.  Express coverage
+# walks the canonical-word tree through `KLR.act`, so its rows of the longest
+# word fail; the relation rows act through `KLR.act_terms` and pass.  sha256
+# of the raw stdout of `verify alt-presentation --n 3 --bound 1`, instance
+# order included.
 EXPRESS_FAILING_GOLDEN = {
-    "text": "a30e205af777c24560c80975172a10be5f4126510e9fe3fb8875f20e0a063582",
-    "json": "f8a42913e7afdcc8e5e95f545d87d691a5b14eae564c06bd45e23dda7966243e",
+    "text": "53361e0e171cc96da5637afc07bf5ae6de4e515168946610563af2c6ca9aa0a7",
+    "json": "20513e9400ad92f164d2b662a1f9aae9048a031388e7f917423702be8af48d87",
 }
 
 
-def negate_three_letter_words(monkeypatch):
-    word_nf = K.KLR._word_nf_uncached
+def negate_three_letter_products(monkeypatch):
+    act = K.KLR.act
 
-    def negated(self, word, seq, tag):
-        out = word_nf(self, word, seq, tag)
-        if len(word) == 3 and len(out) == 1:
-            return {k: self.dom.neg(c) for k, c in out.items()}
-        return out
+    def negated(self, g, x):
+        out = act(self, g, x)
+        if g[0] != "psi":
+            return out
+        return K.Element(self, {m: self.dom.neg(c) if perms.length(m.w) == 3 else c
+                                for m, c in out.terms.items()})
 
-    monkeypatch.setattr(K.KLR, "_word_nf_uncached", negated)
+    monkeypatch.setattr(K.KLR, "act", negated)
 
 
 @pytest.mark.parametrize("pooled", [False, True], ids=["in-process", "pool"])
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_failing_express_report(fmt, pooled, monkeypatch, capsys):
-    negate_three_letter_words(monkeypatch)
+    negate_three_letter_products(monkeypatch)
     if pooled:
         usable_cpus(monkeypatch, 2)
     else:

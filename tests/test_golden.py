@@ -67,6 +67,29 @@ RUNS = {
               "psi[1]*y[1]*e(0,1,0) - eps*psi[2]"],
     "mul-F5": ["mul", "--n", "3", "--field", "Fp:5", "psi[2]*psi[1]*y[3]^2 + 3*eps*y[1]",
                "psi[1]*psi[2]*e(0,1,0)@G + psi[1]*e(1,1,2)@G'"],
+    # n = 4: braid corrections inside words of five and six letters, and
+    # psi^2 on joined, unjoined (path(3) only) and equal residues
+    "nf-n4-cycle3": ["nf", "--quiver", "cycle(3)", "--n", "4",
+                     "psi[2]*psi[3]*psi[1]*psi[2]*psi[1]*psi[3]*e(0,1,0,1)"
+                     " + eps*psi[3]*psi[2]*psi[3]*psi[1]*psi[2]*psi[3]*y[1]*e(1,0,2,1)"
+                     " + psi[1]*psi[2]*psi[1]*psi[2]*psi[3]*psi[2]*e(0,1,0,2)@G'"
+                     " + psi[3]*psi[2]*psi[2]*psi[3]*y[2]*e(0,1,1,0)"
+                     " + psi[2]*psi[1]*psi[1]*psi[3]*e(0,0,1,2)"],
+    "nf-n4-path3": ["nf", "--quiver", "path(3)", "--n", "4",
+                    "psi[2]*psi[3]*psi[1]*psi[2]*psi[1]*psi[3]*e(0,1,0,1)"
+                    " + psi[1]*psi[2]*psi[1]*psi[2]*psi[3]*psi[2]*e(1,0,1,2)"
+                    " + eps*psi[3]*psi[2]*psi[1]*psi[1]*psi[2]*y[3]*e(1,0,2,1)"
+                    " + psi[3]*psi[2]*psi[2]*psi[3]*e(1,0,1,1)"
+                    " + psi[1]*psi[1]*psi[3]*psi[2]*e(2,1,0,1)@G'"
+                    " + psi[2]*psi[1]*psi[1]*psi[3]*e(0,0,1,2)"],
+    "mul-n4-cycle3": ["mul", "--quiver", "cycle(3)", "--n", "4",
+                      "psi[1]*psi[2]*psi[3]*y[2] + eps*psi[2]*psi[1]*psi[2]",
+                      "psi[3]*psi[2]*psi[1]*psi[3]*e(0,1,2,0)"
+                      " + psi[2]*psi[3]*y[4]*e(1,0,1,0)@G'"],
+    "mul-n4-path3": ["mul", "--quiver", "path(3)", "--n", "4",
+                     "(psi[2]*psi[1] + y[3])*psi[3]*psi[2]*psi[3]",
+                     "psi[1]*psi[2]*psi[3]*psi[1]*e(1,0,1,2) + psi[2]*psi[1]*e(0,2,1,0)@G'"
+                     " + 2*psi[3]*psi[2]*e(2,1,0,1)"],
 }
 
 # instance order in these suites' JSON follows the checker, not the report
@@ -155,6 +178,22 @@ GOLDEN = {
         "329815418595ce8171a71de8bcf16c36693f883798c1a7a21454a2630f331972",
     ("mul-F5", "json"):
         "2a83b886d31c6e39f1d811f3448b7e72821cdb48fb97fd7ddc2b8f8a342af525",
+    ("nf-n4-cycle3", "text"):
+        "4144304802017e832b1f3865261ecd5ac3fa955f0b8840eea6676b979c3b689c",
+    ("nf-n4-cycle3", "json"):
+        "dc09181223a90dcd9a219355c342f8a91604056e7585a5c3acd71e223be21227",
+    ("nf-n4-path3", "text"):
+        "5e54f7174632423b6267d81bd68cfc8096f6a06bfe7681876e6d989afe634d8d",
+    ("nf-n4-path3", "json"):
+        "3269c8a296bd371b13522c179da3397205ff73fd330e47903432c5ab28120e0f",
+    ("mul-n4-cycle3", "text"):
+        "98d77f9bc37c9dc9c54fab95725ed0fe6f2bbce95b944059dbbe0e2c266f3898",
+    ("mul-n4-cycle3", "json"):
+        "cd05afa910df288f882185b389f6accfe8bf18763313a6f817e3a5bc49f32892",
+    ("mul-n4-path3", "text"):
+        "556300ed52ad1ce70730fe7f57a0f2f5a064ca1ee91abbec61eb64fd0321caf1",
+    ("mul-n4-path3", "json"):
+        "c9ef4474c33dab81f7403ee37796d58ec197d119087c24699d79c22515358ec0",
 }
 
 # the raw stdout of JSON runs, instance order included
