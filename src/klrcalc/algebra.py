@@ -8,20 +8,23 @@ reversed).  psi_w multiplies the psi generators along the lex-least reduced
 word of w, fixed once and for all; these monomials form a free basis and
 every product rewrites back onto them.
 
-Rewriting orientation: psi letters move left, y letters move right.
+The rewrite core is two one-letter products on the canonical word cw(w):
+psi_r psi_w e(seq) and y_s psi_w e(seq).  Any other product is folded from
+them, its letters acting one at a time, right to left.
 
-* y past psi uses the two dot-slide relations; the delta correction drops
-  one psi and one y, so recursions shrink.
-* a word that is not reduced gets its shortest bad prefix straightened until
-  the repeated letter is adjacent, then the psi^2 relation fires; the psi
-  count drops by two (or the term dies).
-* a reduced but non-canonical word walks an elementary move path to the
-  canonical word; every long braid move emits a correction three letters
-  shorter, with the sign and the edge condition read off the residue
-  sequence visible at that position.
+* y_s psi_w e(seq): y_s slides right through cw(w) by the dot-slide
+  relations; each delta correction drops one psi letter.
+* psi_r psi_w e(seq), r not a left descent of w: (r,) + cw(w) is reduced
+  and walks an elementary move path to cw(s_r w).
+* r a left descent of w: cw(w) walks to (r,) + cw(s_r w), psi_r acts on the
+  walk's corrections, and psi^2 fires on psi_{s_r w} e(seq) through the y
+  products.
+* each long braid move of a walk emits a correction three letters shorter,
+  with the sign and the edge condition read off the residue sequence
+  visible at that position.
 
-Every recursive call strictly reduces the psi letter count, except the move
-walks themselves, which are finite precomputed paths, so the rewrite
+Each nested product acts on a strictly shorter stem than the product that
+calls it, and the walks are finite precomputed paths, so the rewrite
 terminates.  Uniqueness of the resulting expansion is a theorem about the
 algebra, not the code; the test suite checks it by confluence fuzzing.
 
@@ -217,12 +220,13 @@ class KLR:
     interned apart, id 0 the zero vector.  Keys are encoded from `Mono`s
     and decoded back only where terms enter or leave the engine.
 
-    The memo tables hold exponent-free products: the one-letter products
-    psi_r psi_w e(seq) and y_s psi_w e(seq) by (letter, stem), and the
-    rewriting's psi_word e(seq) by (word, seq, tag).  A term's y^a is right
-    of every psi letter and commutes with e(seq) and the other y's, so its
-    product is the memoised one times y^a, and the rewriting never reads a:
-    y^a adds a per-context offset (`_shift`) to each key.
+    The rewrite core is two memo tables of exponent-free products,
+    `_psi_cache` of psi_r psi_w e(seq) and `_y_cache` of y_s psi_w e(seq),
+    by (letter, stem).  Each product is computed from products on strictly
+    shorter stems, so the recursion ends.  A term's y^a is right of every
+    psi letter and commutes with e(seq) and the other y's, so its product is
+    the memoised one times y^a, and the rewriting never reads a: y^a adds a
+    per-context offset (`_shift`) to each key.
     """
 
     def __init__(self, quiver: Quiver, n: int, domain=None, tau=None):
@@ -248,8 +252,6 @@ class KLR:
         self._unit_e = [self._exp_id(a) for a in self._unit_a]
         self._y_cache: dict = {}
         self._psi_cache: dict = {}
-        self._word_cache: dict = {}
-        self._psi_deg_cache: dict = {}
         # memo tables stop growing past this many entries apiece; results are
         # still computed, just not retained, so memory stays bounded under
         # adversarial workloads
@@ -335,17 +337,11 @@ class KLR:
         return 2 * sum(m.a) + self._psi_degree(m.w, m.seq)
 
     def _psi_degree(self, w: tuple, seq: tuple) -> int:
-        key = (w, seq)
-        cached = self._psi_deg_cache.get(key)
-        if cached is not None:
-            return cached
         total = 0
         face = list(seq)
         for c in reversed(canonical_word(w)):
             total -= self.quiver.cartan_entry(face[c - 1], face[c])
             face[c - 1], face[c] = face[c], face[c - 1]
-        if len(self._psi_deg_cache) < self.cache_limit:
-            self._psi_deg_cache[key] = total
         return total
 
     def mono_sort_key(self, m: Mono):
@@ -482,21 +478,65 @@ class KLR:
 
     def _y_stem(self, g: int, stem: int) -> dict:
         """Normal form of y_s psi_w e(seq), kept in `_y_cache` by g = s << 32
-        and the stem (tag, w, seq)."""
+        and the stem (tag, w, seq): y_s slides through cw(w) to the right,
+        and each delta correction is folded onto e(seq)."""
+        dom = self.dom
         tag, _, seq = self._stems[stem]
-        out = self._insert_y((), g >> 32, self._words[stem], seq, tag)
+        t, corrections = self._y_through(g >> 32, self._words[stem], seq)
+        # psi_w y_t e(seq): y_t read from the exponent-sum table like any shift
+        out = {stem + self._shift(self._unit_e[t - 1])[0]: dom.one}
+        for word, sign in corrections:
+            _acc(out, self._fold(word, seq, tag), dom.from_int(sign), dom)
         if len(self._y_cache) < self.cache_limit:
             self._y_cache[g | stem] = out
         return out
 
     def _psi_stem(self, g: int, stem: int) -> dict:
         """Normal form of psi_r psi_w e(seq), kept in `_psi_cache` by
-        g = r << 32 and the stem (tag, w, seq)."""
-        tag, _, seq = self._stems[stem]
-        out = self._word_nf((g >> 32,) + self._words[stem], seq, tag)
+        g = r << 32 and the stem (tag, w, seq).
+
+        If r is not a left descent of w, (r,) + cw(w) is a reduced word of
+        s_r w, walked to cw(s_r w).  If it is, cw(w) is walked to (r,) +
+        cw(s_r w), psi_r acts on the walk's corrections, and psi_r^2 fires on
+        psi_{s_r w} e(seq) through the y products."""
+        dom, r = self.dom, g >> 32
+        tag, w, seq = self._stems[stem]
+        word = self._words[stem]
+        v = self._stem(tag, perms.left_mul_s(r, w), seq)
+        out: dict = {}
+        if not perms.is_left_descent(w, r):
+            if self._words[v] != (r,) + word:
+                self._walk_moves([r, *word], perms.move_path(
+                    (r,) + word, self._words[v], self.n), seq, tag, out)
+            _acc1(out, v, dom.one, dom)
+        else:
+            self._walk_moves(list(word), perms.move_path(
+                word, (r,) + self._words[v], self.n), seq, tag, out, (r,))
+            # psi_r^2 e(j) at the face j of psi_{s_r w} e(seq)
+            jr, js = self._faces[v][r - 1:r + 1]
+            ys = ()
+            if jr == js:
+                pass  # psi_r^2 e(j) = 0
+            elif self.arrow(tag, jr, js):
+                ys = ((r, 1), (r + 1, -1))
+            elif self.arrow(tag, js, jr):
+                ys = ((r + 1, 1), (r, -1))
+            else:
+                _acc1(out, v, dom.one, dom)
+            for s, sign in ys:
+                _acc(out, self._act_memo(s, {v: dom.one}, self._y_cache, self._y_stem),
+                     dom.from_int(sign), dom)
         if len(self._psi_cache) < self.cache_limit:
             self._psi_cache[g | stem] = out
         return out
+
+    def _fold(self, word: tuple, seq: tuple, tag: str) -> dict:
+        """Normal form of psi_word e(seq) for any psi word: its letters act on
+        e(seq) one at a time, right to left, through the psi products."""
+        terms = {self._stem(tag, self._id_perm, seq): self.dom.one}
+        for c in reversed(word):
+            terms = self._act_memo(c, terms, self._psi_cache, self._psi_stem)
+        return terms
 
     def _y_through(self, s: int, word: tuple, seq: tuple):
         """Push y_s from the left of psi_word e(seq) to the right.
@@ -522,74 +562,15 @@ class KLR:
                     cur = c
         return cur, corrections
 
-    def _word_nf(self, word: tuple, seq: tuple, tag: str) -> dict:
-        """Normal form of psi_word e(seq) for an arbitrary psi word."""
-        key = (word, seq, tag)
-        cached = self._word_cache.get(key)
-        if cached is not None:
-            return cached
-        out = self._word_nf_uncached(word, seq, tag)
-        if len(self._word_cache) < self.cache_limit:
-            self._word_cache[key] = out
-        return out
-
-    def _word_nf_uncached(self, word: tuple, seq: tuple, tag: str) -> dict:
-        dom = self.dom
-        n = self.n
-        if not word:
-            return {self._stem(tag, self._id_perm, seq): dom.one}
-        v = word_perm(word, n)
-        if perms.length(v) == len(word):
-            cw = canonical_word(v)
-            if word == cw:
-                return {self._stem(tag, v, seq): dom.one}
-            out: dict = {}
-            self._walk_moves(list(word), perms.move_path(word, cw, n), seq, tag, out)
-            _acc1(out, self._stem(tag, v, seq), dom.one, dom)
-            return out
-        # shortest non-reduced prefix: word[:k] drops length at letter k-1
-        k = self._first_drop(word)
-        prefix, c, rest = word[:k - 1], word[k - 1], word[k:]
-        p = word_perm(prefix, n)
-        target = canonical_word(perms.right_mul_s(p, c)) + (c,)
-        out = {}
-        cur = list(word)
-        self._walk_moves(cur, perms.move_path(prefix, target, n), seq, tag, out)
-        # cur is now Q + (c, c) + rest; fire the psi^2 relation at the face
-        q_word = tuple(cur[:k - 2])
-        rest = tuple(cur[k:])
-        face = act(word_perm(rest, n), seq)
-        jr, js = face[c - 1], face[c]
-        if jr == js:
-            pass  # psi_c^2 e = 0
-        elif self.arrow(tag, jr, js):
-            _acc(out, self._insert_y(q_word, c, rest, seq, tag), dom.one, dom)
-            _acc(out, self._insert_y(q_word, c + 1, rest, seq, tag),
-                 dom.from_int(-1), dom)
-        elif self.arrow(tag, js, jr):
-            _acc(out, self._insert_y(q_word, c + 1, rest, seq, tag), dom.one, dom)
-            _acc(out, self._insert_y(q_word, c, rest, seq, tag),
-                 dom.from_int(-1), dom)
-        else:
-            _acc(out, self._word_nf(q_word + rest, seq, tag), dom.one, dom)
-        return out
-
-    def _first_drop(self, word: tuple) -> int:
-        """Smallest k with word[:k] not reduced."""
-        p = list(range(self.n))
-        for k, c in enumerate(word, start=1):
-            # right descent test before the swap: does s_c shorten p?
-            if p[c - 1] > p[c]:
-                return k
-            p[c - 1], p[c] = p[c], p[c - 1]
-        raise ValueError("word is reduced")
-
-    def _walk_moves(self, cur: list, moves, seq: tuple, tag: str, out: dict) -> None:
+    def _walk_moves(self, cur: list, moves, seq: tuple, tag: str, out: dict,
+                    lead: tuple = ()) -> None:
         """Apply elementary moves in place, accumulating braid corrections.
 
         After a braid move at position t the element picks up a correction
         term with those three letters deleted; its sign depends on the move
-        direction and the edge between the residues at the face.
+        direction and the edge between the residues at the face.  The
+        correction, `lead` followed by the shortened word, is folded onto
+        e(seq).
         """
         dom = self.dom
         n = self.n
@@ -610,21 +591,9 @@ class KLR:
             if p > q:
                 sign = -sign
             if sign:
-                deleted = tuple(cur[:t] + cur[t + 3:])
-                _acc(out, self._word_nf(deleted, seq, tag), dom.from_int(sign), dom)
+                deleted = lead + tuple(cur[:t] + cur[t + 3:])
+                _acc(out, self._fold(deleted, seq, tag), dom.from_int(sign), dom)
             cur[t], cur[t + 1], cur[t + 2] = q, p, q
-
-    def _insert_y(self, prefix: tuple, s: int, rest: tuple, seq: tuple,
-                  tag: str) -> dict:
-        """Normal form of psi_prefix y_s psi_rest e(seq)."""
-        dom = self.dom
-        final_s, corrections = self._y_through(s, rest, seq)
-        out: dict = {}
-        _acc(out, self._word_nf(prefix + rest, seq, tag), dom.one, dom,
-             self._shift(self._unit_e[final_s - 1]))
-        for rest2, sign in corrections:
-            _acc(out, self._word_nf(prefix + rest2, seq, tag), dom.from_int(sign), dom)
-        return out
 
     # --- products ------------------------------------------------------------
 

@@ -38,18 +38,6 @@ def test_degree_examples():
     assert ctx2.mono_degree(Mono("G", s1, (2, 1), (0, 1))) == 1 + 6
 
 
-def test_psi_degree_memo_keeps_cache_limit():
-    quiver = K.cycle(3)
-    capped, fresh = K.KLR(quiver, 3), K.KLR(quiver, 3)
-    capped.cache_limit = 10
-    monos = [Mono("G", w, (0, 0, 0), seq) for w in all_perms(3)
-             for seq in K.all_seqs(quiver, 3)]
-    want = [fresh.mono_degree(m) for m in monos]
-    for _ in range(2):  # the second pass reads the kept entries back
-        assert [capped.mono_degree(m) for m in monos] == want
-        assert len(capped._psi_deg_cache) == capped.cache_limit
-
-
 def test_exponent_sums_keep_cache_limit():
     # the shift rows keep at most `cache_limit` offsets in all, and rows
     # computed past it give the same products
@@ -230,12 +218,7 @@ def test_rewrite_memo_is_exponent_free():
     suites._sweep_block(ctx, root, 2)
     seqs = set(ctx.block_seqs(root))
     perm_set = set(all_perms(3))
-    assert ctx._word_cache and ctx._y_cache and ctx._psi_cache
-    # one entry per (word, seq, tag): no exponent in the key
-    triples = {(k[0], k[-2], k[-1]) for k in ctx._word_cache}
-    assert len(triples) == len(ctx._word_cache)
-    for word, seq, tag in ctx._word_cache:
-        assert all(1 <= c < 3 for c in word) and seq in seqs and tag in TAGS_BOTH
+    assert ctx._y_cache and ctx._psi_cache
     # the one-letter tables are keyed by (letter << 32) | stem, and a stem
     # is the exponent-free part (tag, w, seq) of a monomial
     for table, letters in ((ctx._y_cache, range(1, 4)), (ctx._psi_cache, range(1, 3))):
@@ -246,9 +229,21 @@ def test_rewrite_memo_is_exponent_free():
     # the exponents live in the memoised products: exponent id 0 is the
     # zero vector
     assert not any(ctx._exps[0])
-    assert any(k >> 32 for out in ctx._word_cache.values() for k in out)
     for table in (ctx._y_cache, ctx._psi_cache):
         assert any(k >> 32 for out in table.values() for k in out)
+
+
+def test_rewrite_memo_is_the_one_letter_products():
+    # the rewrite core keeps no table beside its two one-letter products: a
+    # product of longer words is folded from them, letter by letter
+    q = K.cycle(3)
+    ctx = K.make_context(q, 3)
+    suites._sweep_block(ctx, K.make_root(q, {0: 2, 1: 1}), 2)
+    tables = {name: table for name, table in vars(ctx).items()
+              if name.endswith("_cache")}
+    assert set(tables) == {"_y_cache", "_psi_cache"}
+    assert sum(map(len, tables.values())) == \
+        len(ctx._y_cache) + len(ctx._psi_cache) > 0
 
 
 def shifted(x, b) -> list:
