@@ -239,11 +239,9 @@ def test_rewrite_memo_is_the_one_letter_products():
     q = K.cycle(3)
     ctx = K.make_context(q, 3)
     suites._sweep_block(ctx, K.make_root(q, {0: 2, 1: 1}), 2)
-    tables = {name: table for name, table in vars(ctx).items()
-              if name.endswith("_cache")}
-    assert set(tables) == {"_y_cache", "_psi_cache"}
-    assert sum(map(len, tables.values())) == \
-        len(ctx._y_cache) + len(ctx._psi_cache) > 0
+    entries = sum(len(table) for name, table in vars(ctx).items()
+                  if name.endswith("_cache"))
+    assert entries == len(ctx._y_cache) + len(ctx._psi_cache) > 0
 
 
 def shifted(x, b) -> list:

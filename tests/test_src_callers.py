@@ -127,8 +127,8 @@ def test_only_the_engine_names_its_letter_actions():
     actions = {"_apply_e", "_apply_y", "_apply_psi", "_act_memo", "act_terms"}
     internals = {"_y_cache", "_psi_cache", "_y_stem", "_psi_stem", "_fold",
                  "_walk_moves", "_y_through", "_acc", "_STEM", "_stem", "_stems",
-                 "_stem_ids", "_faces", "_words", "_exp_id", "_exp_ids", "_exps", "_exp_sum",
-                 "_shift", "_shifts", "_shift_size", "_Shift", "_encode", "_decode",
+                 "_stem_ids", "_faces", "_words", "_exp_id", "_exp_ids", "_exps",
+                 "_exp_sum", "_shift", "_shifts", "_shift_size", "_Shift", "_encode", "_decode",
                  "SuffixProgram", "_signed_sum"}
     named, reached = set(), set()
     for path in sorted(SRC.glob("*.py")):
