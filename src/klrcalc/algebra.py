@@ -32,22 +32,17 @@ The rewriting never reads an exponent.  y^a sits right of every psi letter,
 and the y's commute with each other and with e(seq), so psi_word y^a e(seq)
 = (psi_word e(seq)) y^a, and right multiplication by y^a adds a to each
 term's exponent.  The memo tables therefore hold exponent-free products,
-and a caller's exponent is added to each term as the terms are accumulated.
-Products x y are built from the same one-letter actions.
-
-Inside the engine a term is keyed by one int, (exponent id << 32) | stem
-id, where a stem is the exponent-free part (tag, w, seq); both are interned
-per context (see `KLR`), so adding an exponent is adding an int to the key.
-`Mono` stays the only key of `Element.terms`: terms are packed where they
-enter the engine and unpacked where they leave it.
+and a caller's exponent is added to each term as the terms are accumulated,
+on packed int keys (see `KLR`), in the one step loop that every letter,
+product and word acts through, `KLR._run_steps`.
 
 The defining presentation is also written down as data, apart from the
 rewrite rules: `KLR_RELATIONS` lists the relation families once, and
 `relation_instances` checks them in any realisation of the generators.  It
 compiles the table's words once into a `SuffixProgram`, one step (letter,
-source slot) per distinct suffix, and runs the program once per label on
-the packed terms of the label's base: each step's letter acts through
-`KLR.act_terms`, and a row compares packed term dicts, building an
+source slot) per distinct suffix, resolves its steps once per sequence
+and view, and runs them once per label on the packed terms of the label's
+base through `KLR._run_steps`; a row compares packed term dicts, building an
 Element only for a failing row's diff.  The corrections read the quiver's
 arrows.
 """
@@ -171,18 +166,14 @@ def _acc1(out: dict, m, c, dom) -> None:
         out[m] = s
 
 
-# A term inside the engine is keyed by one int, (exponent id << 32) | stem
-# id, both interned by its context (see `KLR`).
+# the stem id bits of a packed term key (see `KLR`)
 _STEM = (1 << 32) - 1
 
 
-def _acc(out: dict, src: dict, scale, dom, row=None) -> None:
-    """out += scale src on packed keys; with a shift row (`KLR._shift`), src
-    y^a: each key k moves to k + row[k >> 32]."""
+def _acc(out: dict, src: dict, scale, dom) -> None:
+    """out += scale src."""
     unit = scale == dom.one
     for k, c in src.items():
-        if row is not None:
-            k += row[k >> 32]
         _acc1(out, k, c if unit else dom.mul(scale, c), dom)
 
 
@@ -217,16 +208,14 @@ class KLR:
     Inside the engine a term is keyed by one int, (exponent id << 32) | stem
     id.  The stem is the exponent-free part (tag, w, seq), interned with its
     face w.seq and the canonical word of w; the exponent vectors are
-    interned apart, id 0 the zero vector.  Keys are encoded from `Mono`s
-    and decoded back only where terms enter or leave the engine.
+    interned apart, id 0 the zero vector, so adding an exponent is adding
+    an int to the key (`_shift`).  `Mono` stays the only key of
+    `Element.terms`: keys are encoded where terms enter the engine and
+    decoded where they leave it.
 
     The rewrite core is two memo tables of exponent-free products,
     `_psi_cache` of psi_r psi_w e(seq) and `_y_cache` of y_s psi_w e(seq),
-    by (letter, stem).  Each product is computed from products on strictly
-    shorter stems, so the recursion ends.  A term's y^a is right of every
-    psi letter and commutes with e(seq) and the other y's, so its product is
-    the memoised one times y^a, and the rewriting never reads a: y^a adds a
-    per-context offset (`_shift`) to each key.
+    by (letter, stem), each computed from products on shorter stems.
     """
 
     def __init__(self, quiver: Quiver, n: int, domain=None, tau=None):
@@ -236,6 +225,7 @@ class KLR:
         self.n = n
         self.dom = domain if domain is not None else Rationals()
         self.tau = tau
+        self._ops = (self.dom.one, self.dom.add, self.dom.mul, self.dom.is_zero)
         self.key = (quiver, n, self.dom)
         self._zero_a = (0,) * n
         self._unit_a = tuple(tuple(int(k == r) for k in range(n)) for r in range(n))
@@ -252,6 +242,11 @@ class KLR:
         self._unit_e = [self._exp_id(a) for a in self._unit_a]
         self._y_cache: dict = {}
         self._psi_cache: dict = {}
+        # the steps of y_s and psi_r on the value before them, by s and r
+        self._y_steps = [(self._y_cache, KLR._y_stem, s << 32, -1)
+                         for s in range(n + 1)]
+        self._psi_steps = [(self._psi_cache, KLR._psi_stem, r << 32, -1)
+                           for r in range(n + 1)]
         # memo tables stop growing past this many entries apiece; results are
         # still computed, just not retained, so memory stays bounded under
         # adversarial workloads
@@ -423,56 +418,66 @@ class KLR:
         return self.act(gen, x)
 
     def act(self, g, x: Element) -> Element:
-        """The product g x of one letter and an element (see `act_terms`)."""
-        return Element(self, self._decode(self.act_terms(g, self._encode(x.terms))))
-
-    def act_terms(self, g, terms: dict) -> dict:
-        """The packed terms of g x, for x with these packed terms: the one
-        letter action, unchecked.  g is ("y", r), ("psi", r) or ("e", j),
+        """The product g x of one letter and an element: one step of
+        `_run_steps`, unchecked.  g is ("y", r), ("psi", r) or ("e", j),
         which keeps the terms with face j on either tag."""
-        kind, k = g[0], g[1]
-        if kind == "e":
-            return self._apply_e(k, terms)
-        if kind == "y":
-            return self._apply_y(k, terms)
-        return self._apply_psi(k, terms)
+        terms = self._run_steps([self._resolve(g)], [self._encode(x.terms)])[1]
+        return Element(self, self._decode(terms))
 
-    def _apply_e(self, seq: tuple, terms: dict) -> dict:
-        faces = self._faces
-        return {k: c for k, c in terms.items() if faces[k & _STEM] == seq}
+    def _resolve(self, g, src: int = -1) -> tuple:
+        """Letter g as a step of `_run_steps` on slot src: (memo table,
+        product, key s << 32, src) for ("y", s) and likewise ("psi", r);
+        (None, None, j, src) for ("e", j)."""
+        if g[0] == "e":
+            return None, None, g[1], src
+        return (self._y_steps if g[0] == "y" else self._psi_steps)[g[1]][:3] + (src,)
 
-    def _apply_y(self, s: int, terms: dict) -> dict:
-        return self._act_memo(s, terms, self._y_cache, self._y_stem)
-
-    def _apply_psi(self, r: int, terms: dict) -> dict:
-        return self._act_memo(r, terms, self._psi_cache, self._psi_stem)
-
-    def _act_memo(self, g: int, terms: dict, table: dict, product) -> dict:
-        """Letter g on packed terms: each term's product g psi_w e(seq) is
-        read from `table` by (g, stem), else computed by `product`, and
-        shifted by the term's y^a.  A single term with coefficient one, as a
-        relation word's letters mostly meet, takes a shifted copy with
-        nothing to merge."""
-        dom = self.dom
-        g <<= 32
-        if len(terms) == 1:
-            [(k, c)] = terms.items()
-            if c == dom.one:
-                src = table.get(g | (k & _STEM))
-                if src is None:
-                    src = product(g, k & _STEM)
-                if k <= _STEM:
-                    return dict(src)
-                row = self._shift(k >> 32)
-                return {t + row[t >> 32]: v for t, v in src.items()}
-        out: dict = {}
-        shift = self._shift
-        for k, c in terms.items():
-            src = table.get(g | (k & _STEM))
-            if src is None:
-                src = product(g, k & _STEM)
-            _acc(out, src, c, dom, shift(k >> 32) if k > _STEM else None)
-        return out
+    def _run_steps(self, steps: list, values: list) -> list:
+        """Extend `values`, packed slot terms from the base's on, by the
+        `steps` (see `_resolve`) it holds no value of yet: the one letter
+        action.  An idempotent step keeps its face's terms; otherwise each
+        term's product, memoised by (g, stem), is shifted by its y^a: a term
+        with coefficient one that meets no terms yet, as relation words
+        mostly do, is copied in, and every other term merged in place, in
+        `_acc1`'s order."""
+        faces, shifts, (one, add, mul, is_zero) = self._faces, self._shifts, self._ops
+        for table, product, g, src in steps[len(values) - 1:]:
+            terms = values[src]
+            if table is None:
+                values.append({k: c for k, c in terms.items()
+                               if faces[k & _STEM] == g})
+                continue
+            out: dict = {}
+            for k, c in terms.items():
+                p = table.get(g | (k & _STEM))
+                if p is None:
+                    p = product(self, g, k & _STEM)
+                row = None if k <= _STEM else \
+                    shifts.get(k >> 32) or self._shift(k >> 32)
+                if not out and c == one:
+                    # a shift is injective and no product holds a zero
+                    if row is None:
+                        out.update(p)
+                    else:
+                        for t, v in p.items():
+                            out[t + row[t >> 32]] = v
+                    continue
+                unit = c == one
+                for t, v in p.items():
+                    if row is not None:
+                        t += row[t >> 32]
+                    if not unit:
+                        v = mul(c, v)
+                    # in a field only a sum of nonzero terms can vanish
+                    cur = out.get(t)
+                    if cur is None:
+                        out[t] = v
+                    elif is_zero(v := add(cur, v)):
+                        del out[t]
+                    else:
+                        out[t] = v
+            values.append(out)
+        return values
 
     # --- the rewrite core ----------------------------------------------------
 
@@ -524,7 +529,7 @@ class KLR:
             else:
                 _acc1(out, v, dom.one, dom)
             for s, sign in ys:
-                _acc(out, self._act_memo(s, {v: dom.one}, self._y_cache, self._y_stem),
+                _acc(out, self._run_steps([self._y_steps[s]], [{v: dom.one}])[1],
                      dom.from_int(sign), dom)
         if len(self._psi_cache) < self.cache_limit:
             self._psi_cache[g | stem] = out
@@ -533,10 +538,9 @@ class KLR:
     def _fold(self, word: tuple, seq: tuple, tag: str) -> dict:
         """Normal form of psi_word e(seq) for any psi word: its letters act on
         e(seq) one at a time, right to left, through the psi products."""
-        terms = {self._stem(tag, self._id_perm, seq): self.dom.one}
-        for c in reversed(word):
-            terms = self._act_memo(c, terms, self._psi_cache, self._psi_stem)
-        return terms
+        base = {self._stem(tag, self._id_perm, seq): self.dom.one}
+        return self._run_steps(list(map(self._psi_steps.__getitem__, reversed(word))),
+                               [base])[-1]
 
     def _y_through(self, s: int, word: tuple, seq: tuple):
         """Push y_s from the left of psi_word e(seq) to the right.
@@ -611,17 +615,15 @@ class KLR:
         for m2, c2 in y.terms.items():
             k = self._key(m2)
             by_face.setdefault((m2.tag, self._faces[k & _STEM]), {})[k] = c2
+        y, psi = self._y_steps, self._psi_steps
         out: dict = {}
         for m1, c1 in x.terms.items():
             terms = by_face.get((m1.tag, m1.seq))
             if terms is None:
                 continue
-            for s, k in enumerate(m1.a, start=1):
-                for _ in range(k):
-                    terms = self._apply_y(s, terms)
-            for c in reversed(canonical_word(m1.w)):
-                terms = self._apply_psi(c, terms)
-            _acc(out, terms, c1, self.dom)
+            steps = [y[s] for s, k in enumerate(m1.a, start=1) for _ in range(k)]
+            steps += [psi[c] for c in reversed(canonical_word(m1.w))]
+            _acc(out, self._run_steps(steps, [terms])[-1], c1, self.dom)
         return Element(self, self._decode(out))
 
     def word_element(self, tokens, seq, tag: str = TAG_MAIN) -> Element:
@@ -725,7 +727,7 @@ class Realisation(NamedTuple):
     """The generators of one algebra, as the relation table reads them.
 
     Every word of a label acts on the terms of base(label), right to left,
-    letter by letter through `KLR.act_terms`: an idempotent letter is
+    letter by letter through `KLR._run_steps`: an idempotent letter is
     resolved to ("e", j) first, and F acts as E.  `views(label)` lists the
     rows read off one run of the words, as (row label, odd): a row reads
     each word `twisted` by `odd`, F by its own kind.  A family in `bare` is
@@ -744,9 +746,9 @@ class SuffixProgram:
     """Words compiled into one slot per distinct suffix.
 
     Slot 0 holds the base; step k, a pair (letter, source slot), computes
-    slot k + 1 as the letter acting on the source slot's terms.  A run acts
-    every step once, in order, so words sharing a suffix share its product
-    and no word is looked up while the steps run."""
+    slot k + 1 as the letter acting on the source slot's terms.  A run of
+    the steps, resolved for a sequence, acts each once, in order, so words
+    sharing a suffix share its product and no word is looked up."""
 
     def __init__(self):
         self.slots = {(): 0}
@@ -763,14 +765,12 @@ class SuffixProgram:
             k = self.slots[word[t:]] = len(self.steps)
         return k
 
-    def run(self, ctx: KLR, values: list, letters: dict) -> list:
-        """Extend `values`, a run's packed slot terms from the base's on, by
-        the steps it has not run yet: each letter acts through
-        `KLR.act_terms`, an idempotent one resolved by `letters` first."""
-        act = ctx.act_terms
-        for g, src in self.steps[len(values) - 1:]:
-            values.append(act(letters.get(g, g), values[src]))
-        return values
+    def resolve(self, ctx: KLR, letters: dict, steps: list) -> list:
+        """Extend `steps` by the steps compiled since, resolved for `ctx`
+        (`KLR._resolve`), an idempotent letter by `letters` first."""
+        for g, src in self.steps[len(steps):]:
+            steps.append(ctx._resolve(letters.get(g, g), src))
+        return steps
 
 
 def relation_instances(real: Realisation, n: int):
@@ -806,10 +806,10 @@ def relation_instances(real: Realisation, n: int):
                     cached = _checks(program, rows, ctx, i, odd)
                     if len(cache) < ctx.cache_limit:
                         cache[i, odd] = cached
-                letters, checks = cached
+                letters, steps, checks = cached
                 # the steps not run yet for this label: all of them in its
                 # first view, those a new check compiled in a later one
-                program.run(ctx, values, letters)
+                ctx._run_steps(program.resolve(ctx, letters, steps), values)
                 for family, r, s, lhs, lhs_odd, rhs in checks:
                     left = values[lhs]
                     right = values[rhs] if type(rhs) is int else _signed_sum(
@@ -820,12 +820,13 @@ def relation_instances(real: Realisation, n: int):
 
 
 def _checks(program: SuffixProgram, rows, ctx: KLR, i, odd):
-    """(letters, checks) for sequence i in view `odd`.  letters resolves the
-    idempotent letters for i.  A check is (family, r, s, lhs slot, lhs odd,
+    """(letters, steps, checks) for sequence i in view `odd`.  letters
+    resolves the idempotent letters for i, and steps will keep the program's
+    steps resolved for i.  A check is (family, r, s, lhs slot, lhs odd,
     rhs): the rhs is the slot of a word read as the lhs is, else its (sign,
     slot, flip) parts, flipped where a word's parity differs from the
-    lhs's.  A word is compiled with F written E, and its parity counted on
-    its own letters."""
+    lhs's.  A word is compiled with F written E, its parity counted on its
+    own letters."""
     letters = {}
     if i is not None:
         letters[E] = ("e", i)
@@ -849,7 +850,7 @@ def _checks(program: SuffixProgram, rows, ctx: KLR, i, odd):
         if len(parts) == 1 and parts[0][0] == 1 and not parts[0][2]:
             parts = parts[0][1]
         checks.append((family, r, s, left, p, parts))
-    return letters, checks
+    return letters, [], checks
 
 
 def _place(word, r, s) -> tuple:

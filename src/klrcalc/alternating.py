@@ -17,8 +17,8 @@ Two pictures coexist and are translated between:
 The relation families of both presentations are the rows of one table,
 `algebra.KLR_RELATIONS`, which `algebra.relation_instances` checks in one
 plain two-copy realisation (`_two_copy`): its compiled suffix program runs
-on the terms of e[i] or of the block unit, each letter through
-`KLR.act_terms`.  Every generator of both presentations keeps a term's tag,
+on the terms of e[i] or of the block unit, through the engine's one step
+loop.  Every generator of both presentations keeps a term's tag,
 so a word's value in either is G + s G', the tag parts of its one plain
 value, with s = -1 when it has an odd number of odd letters
 (`algebra.twisted`).  The basis words of the expression check are

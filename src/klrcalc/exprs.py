@@ -19,13 +19,14 @@ is unchanged.  Untagged e(...) means the main copy '@G'.
 Errors carry 1-based line and column of the offending token; a column
 counts characters from the start of its line.  Nesting past the
 interpreter's recursion limit is refused as an error at the token reached,
-and so is an expression longer than MAX_LENGTH letters (see there).
+and so are an expression longer than MAX_LENGTH letters and a value past
+MAX_TERMS (see there), the latter at the token its subexpression starts at.
 """
 
 from __future__ import annotations
 
-import operator
 import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 
@@ -38,13 +39,17 @@ from .quiver import all_seqs, labels_by_text
 # The longest expression admitted, in letters: psi[r] and y[r] count one,
 # e(...), eps and scalars none, a product adds up its factors, a sum takes
 # its longest term, and a power k of a base of length L counts k * max(L, 1),
-# so a scalar's power, whose exact value grows with k, is bounded too.  The
-# cap bounds a power's work before it starts: psi_r^{2k} e(i) has k + 1
-# terms when i_r and i_{r+1} are joined, and squaring it costs about k^3
-# letter actions.  No rewrite step lengthens a term, so no term of a normal
-# form is longer than its expression, and the printed normal form of an
-# admitted expression is admitted again.
+# so a scalar's power, whose exact value grows with k, is bounded too.  No
+# rewrite step lengthens a term, so no term of a normal form is longer than
+# its expression, and the printed normal form of an admitted expression is
+# admitted again.
 MAX_LENGTH = 64
+
+# The most terms psi_w y^a e(i) a sum, product or power step may hold on one
+# e(i) of either copy, since letters do not bound a value: at n = 2 the 32nd
+# power of psi[1]+y[2] holds 775 on one e(i).  The cap grows with the unit,
+# as atoms do, and in x y each term of y meets at most MAX_TERMS terms of x.
+MAX_TERMS = 512
 
 
 class ExprError(ValueError):
@@ -120,13 +125,16 @@ class Parser:
             raise ExprError(f"trailing input {tok.text!r}", tok.line, tok.col)
         return node
 
+    # a sum, product or power node ends with its first token
     def parse_expr(self):
+        start = self.peek()
         terms = [("+", self.parse_term())]
         while self.at_sym("+") or self.at_sym("-"):
             terms.append((self.next().text, self.parse_term()))
-        return ("add", terms) if len(terms) > 1 else terms[0][1]
+        return ("add", terms, start) if len(terms) > 1 else terms[0][1]
 
     def parse_term(self):
+        start = self.peek()
         factors = [self.parse_factor()]
         length = _length(factors[0])
         while self.at_sym("*"):
@@ -137,13 +145,14 @@ class Parser:
             if length > MAX_LENGTH:
                 raise ExprError(f"product longer than the cap of {MAX_LENGTH} "
                                 "letters", tok.line, tok.col)
-        return ("mul", factors) if len(factors) > 1 else factors[0]
+        return ("mul", factors, start) if len(factors) > 1 else factors[0]
 
     def parse_factor(self):
         negate = False
         while self.at_sym("-"):
             self.next()
             negate = not negate
+        start = self.peek()
         node = self.parse_atom()
         if self.at_sym("^"):
             self.next()
@@ -153,7 +162,7 @@ class Parser:
                     int(digits or "0") * max(_length(node), 1) > MAX_LENGTH:
                 raise ExprError(f"power longer than the cap of {MAX_LENGTH} "
                                 "letters", tok.line, tok.col)
-            node = ("pow", node, int(tok.text))
+            node = ("pow", node, int(tok.text), start)
         return ("neg", node) if negate else node
 
     def parse_atom(self):
@@ -233,6 +242,13 @@ def eval_ast(node, ctx: KLR, seqs=None) -> Element:
     def unit(tags=TAGS_BOTH):
         return ctx.unit(seqs, tags)
 
+    def capped(x, node):
+        most = max(Counter((m.tag, m.seq) for m in x.terms).values(), default=0)
+        if most > MAX_TERMS:
+            raise ExprError(f"value of {most} terms on one idempotent, past the "
+                            f"cap of {MAX_TERMS}", node[-1].line, node[-1].col)
+        return x
+
     def ev(node):
         kind = node[0]
         if kind == "num":
@@ -250,19 +266,19 @@ def eval_ast(node, ctx: KLR, seqs=None) -> Element:
         if kind == "add":
             out = ctx.zero()
             for op, term in node[1]:
-                out = out + ev(term) if op == "+" else out - ev(term)
+                out = capped(out + ev(term) if op == "+" else out - ev(term), node)
             return out
         if kind == "mul":
-            return reduce(operator.mul, map(ev, node[1]))
+            return reduce(lambda x, y: capped(x * y, node), map(ev, node[1]))
         if kind == "neg":
             return -ev(node[1])
         if kind == "pow":
             # square-and-multiply, high bit first
             base, out = ev(node[1]), unit()
             for bit in bin(node[2])[2:]:
-                out = out * out
+                out = capped(out * out, node)
                 if bit == "1":
-                    out = out * base
+                    out = capped(out * base, node)
             return out
         raise ValueError(f"unknown AST node {kind!r}")
 

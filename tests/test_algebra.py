@@ -1,5 +1,6 @@
 """The rewrite engine: relations, degrees, products, basis enumeration."""
 
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -14,6 +15,7 @@ from klrcalc.algebra import (KLR, TAGS_BOTH, E, Element, Mono, SuffixProgram,
 from klrcalc.perms import act, all_perms, canonical_word, length
 from klrcalc.scalars import PrimeField
 from klrcalc.suites import random_element
+from steps import log_steps
 from test_blocks import negate_three_letter_products
 
 
@@ -339,26 +341,34 @@ def test_relation_sweep_small_blocks():
 
 @pytest.mark.parametrize("quiver", ["cycle", "path"])
 def test_relation_sweep_runs_every_letter_action(quiver, monkeypatch):
-    # every letter of every relation word acts once per label, however the
-    # sweep reaches the one-letter actions
-    calls = Counter()
-    for name in ("_apply_e", "_apply_y", "_apply_psi"):
-        def counted(self, *args, _action=getattr(KLR, name), _name=name):
-            calls[_name] += 1
-            return _action(self, *args)
-        monkeypatch.setattr(KLR, name, counted)
+    # every letter of every relation word acts once per label, as one step
+    # of the engine's step loop
+    log = log_steps(monkeypatch)
     q = K.cycle(3) if quiver == "cycle" else K.path(3)
     for root in K.all_roots(q, 3):
         suites._sweep_block(K.make_context(q, 3), root, 1)
-    assert calls == {"_apply_e": 3888, "_apply_y": 11664, "_apply_psi": 10368}
+    assert Counter(kind for kind, _ in log) == {"e": 3888, "y": 11664, "psi": 10368}
 
 
 def _acc_by_terms(out, src, scale, dom, a=None):
-    """The reference for `_acc`: each term of src y^a merged on its own."""
+    """The reference merge: each term of src y^a merged on its own."""
     for m, c in src.items():
         if a is not None:
             m = m._replace(a=tuple(map(add, m.a, a)))
         _acc1(out, m, dom.mul(scale, c), dom)
+
+
+def _coefficient(rng, dom):
+    """A canonical coefficient, 0 included, and in Q sometimes a fraction."""
+    if dom.char == 0 and rng.random() < 0.2:
+        return Fraction(rng.choice([-3, -1, 1, 3]), 2)
+    return dom.from_int(rng.randint(-3, 3))
+
+
+def _random_mono(rng, n=3):
+    return Mono(rng.choice(TAGS_BOTH), rng.choice(list(all_perms(n))),
+                tuple(rng.randint(0, 2) for _ in range(n)),
+                tuple(rng.randint(0, 2) for _ in range(n)))
 
 
 @pytest.mark.parametrize("dom", [K.Rationals(), PrimeField(5)], ids=["Q", "F5"])
@@ -367,49 +377,90 @@ def test_acc_matches_a_term_by_term_merge(dom):
     # and decoded after
     ctx = K.KLR(K.cycle(3), 3, dom)
     rng = random.Random(11)
-    perms3 = list(all_perms(3))
-
-    def coefficient():
-        if dom.char == 0 and rng.random() < 0.2:
-            return Fraction(rng.choice([-3, -1, 1, 3]), 2)
-        return dom.from_int(rng.randint(-3, 3))  # canonical, 0 included
-
-    def mono():
-        return Mono(rng.choice(TAGS_BOTH), rng.choice(perms3),
-                    tuple(rng.randint(0, 2) for _ in range(3)),
-                    tuple(rng.randint(0, 2) for _ in range(3)))
-
     cases = cancelled = zero_in_src = 0
     for _ in range(20):
-        src = {mono(): coefficient() for _ in range(rng.randint(0, 8))}
+        src = {_random_mono(rng): _coefficient(rng, dom)
+               for _ in range(rng.randint(0, 8))}
         for scale in map(dom.from_int, (0, 1, -1, 2)):
-            for a in (None, (0, 0, 0), (1, 0, 2)):
-                shifted = [m if a is None else m._replace(a=tuple(map(add, m.a, a)))
-                           for m in src]
-                # a target, which holds no zero, that meets some shifted
-                # terms and cancels some
-                start = {mono(): coefficient() for _ in range(3)}
-                for m, c in zip(shifted, src.values()):
-                    if rng.random() < 0.5:
-                        start[m] = (dom.neg(dom.mul(scale, c)) if rng.random() < 0.5
-                                    else coefficient())
-                start = {m: c for m, c in start.items() if not dom.is_zero(c)}
-                for out in ({}, start):
-                    got, want = ctx._encode(out), dict(out)
-                    packed = ctx._encode(src)
-                    before = dict(packed)
-                    row = None if a is None else ctx._shift(ctx._exp_id(a))
-                    _acc(got, packed, scale, dom, row)
-                    got = ctx._decode(got)
-                    _acc_by_terms(want, src, scale, dom, a)
-                    assert list(got.items()) == list(want.items())
-                    assert packed == before
-                    assert not any(dom.is_zero(c) for c in got.values())
-                    cases += 1
-                    cancelled += any(m not in got for m in out)
-                    zero_in_src += any(dom.is_zero(c) for c in src.values())
-    assert cases == 20 * 4 * 3 * 2
+            # a target, which holds no zero, that meets some terms and
+            # cancels some
+            start = {_random_mono(rng): _coefficient(rng, dom) for _ in range(3)}
+            for m, c in src.items():
+                if rng.random() < 0.5:
+                    start[m] = (dom.neg(dom.mul(scale, c)) if rng.random() < 0.5
+                                else _coefficient(rng, dom))
+            start = {m: c for m, c in start.items() if not dom.is_zero(c)}
+            for out in ({}, start):
+                got, want = ctx._encode(out), dict(out)
+                packed = ctx._encode(src)
+                before = dict(packed)
+                _acc(got, packed, scale, dom)
+                got = ctx._decode(got)
+                _acc_by_terms(want, src, scale, dom)
+                assert list(got.items()) == list(want.items())
+                assert packed == before
+                assert not any(dom.is_zero(c) for c in got.values())
+                cases += 1
+                cancelled += any(m not in got for m in out)
+                zero_in_src += any(dom.is_zero(c) for c in src.values())
+    assert cases == 20 * 4 * 2
     assert cancelled and zero_in_src
+
+
+@pytest.mark.parametrize("limit", [300_000, 8], ids=["memo", "limit8"])
+@pytest.mark.parametrize("dom", [K.Rationals(), PrimeField(5)], ids=["Q", "F5"])
+def test_step_loop_matches_a_term_by_term_oracle(dom, limit):
+    # the step loop on many terms, with coefficients other than one, against
+    # an oracle on a fresh context: each monomial's exponent-free product,
+    # shifted by its y^a, scaled and merged on its own (`_acc_by_terms`).
+    # The values and their term order agree.  Each input holds two monomials
+    # whose products share a term, with coefficients that cancel it
+    q = K.cycle(3)
+    ctx = K.KLR(q, 3, dom)
+    ctx.cache_limit = limit
+    oracle = K.KLR(q, 3, dom)
+    zero = (0, 0, 0)
+    rng = random.Random(5)
+    monos = [Mono(tag, w, a, i) for tag in TAGS_BOTH for w in all_perms(3)
+             for a in (zero, (1, 0, 0), (0, 1, 0), (0, 0, 1))
+             for i in ((0, 1, 1), (1, 0, 1), (0, 0, 0), (0, 1, 0))]
+    cases = cancelled = 0
+    for g in (("psi", 1), ("psi", 2), ("y", 1), ("y", 2), ("y", 3)):
+        products = {m: oracle.act(g, Element(oracle, {m: dom.one})).terms
+                    for m in monos}
+        pairs = [(m1, m2, t) for m1, m2 in itertools.combinations(monos, 2)
+                 for t in products[m1].keys() & products[m2].keys()]
+        for m1, m2, t in rng.sample(pairs, 10):
+            k = dom.from_int(rng.choice([1, 2, -3]))
+            terms = {m1: dom.mul(k, products[m2][t]),
+                     m2: dom.neg(dom.mul(k, products[m1][t]))}
+            for m in rng.sample(monos, 3):
+                terms.setdefault(m, _coefficient(rng, dom))
+            terms = {m: c for m, c in terms.items() if not dom.is_zero(c)}
+            want = {}
+            for m, c in terms.items():
+                p = oracle.act(g, Element(oracle, {m._replace(a=zero): dom.one}))
+                _acc_by_terms(want, p.terms, c, dom, m.a)
+            packed = ctx._encode(terms)
+            before = dict(packed)
+            got = ctx._decode(ctx._run_steps([ctx._resolve(g)], [packed])[1])
+            assert list(got.items()) == list(want.items())
+            assert packed == before
+            cases += 1
+            cancelled += t not in got
+    assert cases == 50 and cancelled > 25
+    # a chain of steps, each on the slot before it, as `multiply` and
+    # `_fold` run them, against one letter at a time on a fresh context
+    letters = [("y", 2), ("psi", 1), ("psi", 2), ("y", 1), ("psi", 1)]
+    x = {m: _coefficient(rng, dom) for m in rng.sample(monos, 12)}
+    x = {m: c for m, c in x.items() if not dom.is_zero(c)}
+    values = ctx._run_steps([ctx._resolve(g, t) for t, g in enumerate(letters)],
+                            [ctx._encode(x)])
+    want = oracle.elem(x)
+    for g in letters:
+        want = oracle.act(g, want)
+    assert len(values) == len(letters) + 1
+    assert list(ctx._decode(values[-1]).items()) == list(want.terms.items())
 
 
 def _reversed_exp_sum(self, f, e):
@@ -575,23 +626,18 @@ def test_evaluate_computes_each_suffix_once(c3, monkeypatch):
     i = (0, 1)
     words = [(("y", 1), ("psi", 1)), (("psi", 1), ("y", 1), ("psi", 1)),
              (("y", 2), ("psi", 1)), (E, ("y", 1), ("psi", 1))]
-    # the oracle, multiplied out by `gen_left` before any action is counted
+    # the oracle, multiplied out by `gen_left` before any step is logged
     want = [c3.word_element([("e", i) if g == E else g for g in w], i)
             for w in words]
     want_y = c3.word_element([("y", 1)], i)
-    calls = []
-
-    def act_terms(g, terms, _act=c3.act_terms):
-        calls.append(g)
-        return _act(g, terms)
-
-    monkeypatch.setattr(c3, "act_terms", act_terms)
+    calls = log_steps(monkeypatch)
     program, letters = SuffixProgram(), {E: ("e", i)}
     slots = [program.slot(w) for w in words]
-    values = program.run(c3, [c3._encode(c3.e(i).terms)], letters)
+    steps = program.resolve(c3, letters, [])
+    values = c3._run_steps(steps, [c3._encode(c3.e(i).terms)])
     suffixes = {w[t:] for w in words for t in range(len(w))}
     # one step, and one action, per distinct suffix
-    assert len(calls) == len(program.steps) == len(suffixes)
+    assert len(calls) == len(program.steps) == len(steps) == len(suffixes)
     assert set(program.slots) == suffixes | {()}
     assert ("e", i) in calls
     assert [Element(c3, c3._decode(values[k])) for k in slots] == want
@@ -599,16 +645,18 @@ def test_evaluate_computes_each_suffix_once(c3, monkeypatch):
     # a compiled suffix adds no step, and a run that holds every step acts
     # no letter
     assert program.slot((("y", 1), ("psi", 1))) == slots[0]
-    assert program.run(c3, values, letters) is values
-    assert len(calls) == len(program.steps) == len(suffixes)
+    assert program.resolve(c3, letters, steps) is steps
+    assert c3._run_steps(steps, values) is values
+    assert len(calls) == len(program.steps) == len(steps) == len(suffixes)
 
     # a word appended after a run is computed by running again, its new
     # suffixes only; every letter acts on the base, a trailing E too
     calls.clear()
     program = SuffixProgram()
-    values = program.run(c3, [c3._encode(c3.e(i).terms)], letters)
+    steps = program.resolve(c3, letters, [])
+    values = c3._run_steps(steps, [c3._encode(c3.e(i).terms)])
     assert program.slot((E,)) == 1 and program.slot((("y", 1), E)) == 2
-    program.run(c3, values, letters)
+    c3._run_steps(program.resolve(c3, letters, steps), values)
     assert [Element(c3, c3._decode(x)) for x in values[1:]] == [c3.e(i), want_y]
     assert calls == [("e", i), ("y", 1)]
     assert program.steps == [(E, 0), (("y", 1), 1)]

@@ -7,6 +7,7 @@ from klrcalc import alternating as alt
 from klrcalc import linalg, signop
 from klrcalc.algebra import E, F, Element, Mono, relation_instances, twisted
 from klrcalc.perms import all_perms, length
+from steps import log_steps
 
 TAGS = ("G", "G'")
 
@@ -280,13 +281,10 @@ def test_express_coverage_shares_suffixes(monkeypatch):
     # value is one letter on the value of its suffix
     ctx = K.make_context(K.cycle(3), 3)
     root = K.make_root(ctx.quiver, {0: 1, 1: 1, 2: 1})
-    calls = []
-    action = ctx._apply_psi
-    monkeypatch.setattr(ctx, "_apply_psi", lambda r, terms:
-                        calls.append(r) or action(r, terms))
+    log = log_steps(monkeypatch)
     rows = alt.express_coverage(ctx, root, 1)
     assert rows and all(r["status"] == "pass" for r in rows)
-    assert len(calls) == (6 - 1) * len(ctx.exponents_upto(1)) \
+    assert sum(kind == "psi" for kind, _ in log) == (6 - 1) * len(ctx.exponents_upto(1)) \
         * len(ctx.block_seqs(root)) == 120
 
 

@@ -282,7 +282,7 @@ def test_failing_presentation_report(name, fmt, pooled, monkeypatch, capsys):
 # A seeded fault in the letter action: a psi letter's product comes out with
 # its terms of three-letter words negated, on both tags.  Express coverage
 # walks the canonical-word tree through `KLR.act`, so its rows of the longest
-# word fail; the relation rows act through `KLR.act_terms` and pass.  sha256
+# word fail; the relation rows act through `KLR._run_steps` and pass.  sha256
 # of the raw stdout of `verify alt-presentation --n 3 --bound 1`, instance
 # order included.
 EXPRESS_FAILING_GOLDEN = {

@@ -170,6 +170,8 @@ def test_prime_field_fraction(capsys, expr, coeff):
     ["nf", "--n", "2", "psi[1]^100000*e(0,1)"],
     ["nf", "--n", "2", "(psi[1]^8)^9"],
     ["nf", "--n", "2", "y[1]^" + "9" * 5000],
+    # a value past the term cap
+    ["nf", "--n", "2", "(1+y[1])^31*(1+y[2])^31"],
 ])
 def test_malformed_input_exits2(capsys, argv):
     # argparse refuses a bad flag value by raising SystemExit(2)
@@ -181,6 +183,13 @@ def test_malformed_input_exits2(capsys, argv):
     assert code == 2
     assert "error:" in out.err and "Traceback" not in out.err
     assert out.out == ""
+
+
+def test_term_cap_is_named_in_the_error(capsys):
+    code, out, err = run(capsys, "nf", "--n", "2", "e(0,1)-(1+y[1])^31*(1+y[2])^31")
+    assert code == 2 and out == ""
+    assert err == ("error: value of 1024 terms on one idempotent, past the cap of "
+                   "512 (line 1, column 8)\n")
 
 
 def test_long_inputs_exit0(capsys):

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import klrcalc as K
+from klrcalc import exprs
 from klrcalc.algebra import Mono
-from klrcalc.exprs import (MAX_LENGTH, ExprError, element_to_json_obj,
+from klrcalc.exprs import (MAX_LENGTH, MAX_TERMS, ExprError, element_to_json_obj,
                            element_to_text, eval_ast, normal_form, parse_element)
 from klrcalc.perms import canonical_word, word_perm
 from klrcalc.scalars import PrimeField
@@ -111,6 +112,42 @@ def test_powers_match_repeated_products(ctx):
                  "y[1]^32*psi[1]^33", "e(0,1)^65", "2^65", "(2+e(0,1))^65"):
         with pytest.raises(ExprError, match=f"cap of {MAX_LENGTH}"):
             parse_element(text)
+
+
+def test_values_past_the_term_cap_are_refused(monkeypatch):
+    # 64 letters do not bound a value: at n = 2, (1+y[1])^a*(1+y[2])^b holds
+    # (a+1)(b+1) terms on each of the 18 idempotents of both copies.  A sum,
+    # product or power step whose value passes the cap on one idempotent is
+    # refused at the token its subexpression starts at
+    ctx = K.make_context(K.cycle(3), 2)
+    at_cap = "(1+y[1])^31*(1+y[2])^15"
+    assert len(normal_form(at_cap, ctx).terms) == 18 * MAX_TERMS == 18 * 32 * 16
+    for text, col, most in ((f"{at_cap}+y[2]^16", 1, 513),
+                            ("e(0,1)-3*(1+y[1])^31*(1+y[2])^31", 8, 1024)):
+        with pytest.raises(ExprError, match=rf"value of {most} terms on one "
+                           rf"idempotent, past the cap of {MAX_TERMS} \(") as exc:
+            normal_form(text, ctx)
+        assert exc.value.col == col
+
+    # a power step, under a negation too, is refused where its base starts
+    monkeypatch.setattr(exprs, "MAX_TERMS", 8)
+    ctx = K.make_context(K.cycle(3), 1)
+    assert len(normal_form("(1+y[1])^7", ctx).terms) == 6 * 8
+    for text, col in (("(1+y[1])^8", 1), ("e(0)--(1+y[1])^8", 7)):
+        with pytest.raises(ExprError, match="value of 9 terms on one idempotent, "
+                           "past the cap of 8 ") as exc:
+            normal_form(text, ctx)
+        assert exc.value.col == col
+
+
+def test_atoms_stay_under_the_term_cap_at_any_n():
+    # the cap counts terms on one idempotent, so a letter, which holds one
+    # term on each of the 13,122 idempotents at n = 8, passes it
+    ctx = K.make_context(K.cycle(3), 8)
+    units = 2 * 3 ** 8
+    for text, terms in (("y[1]^2", units), ("2*y[1]", units), ("1+y[1]", 2 * units),
+                        ("y[1]+y[2]+y[3]+y[4]+y[5]+y[6]+y[7]+y[8]", 8 * units)):
+        assert len(normal_form(text, ctx).terms) == terms
 
 
 def test_printed_normal_forms_stay_within_the_cap(ctx):

@@ -120,11 +120,12 @@ def test_shadowed_methods_are_reviewed():
 
 def test_only_the_engine_names_its_letter_actions():
     # letters act through `KLR.act`: no other module reaches the engine's
-    # one-letter actions.  Nor do the relation checks reach the rewrite memo
-    # tables, the exponent shift behind the actions, or the packed term keys
-    # (their stems, exponent ids, encoding and decoding): a fast path of
-    # their own would be a second letter action
-    actions = {"_apply_e", "_apply_y", "_apply_psi", "_act_memo", "act_terms"}
+    # one letter action, its step loop or the steps it runs.  Nor do the
+    # relation checks reach the rewrite memo tables, the exponent shift
+    # behind the actions, or the packed term keys (their stems, exponent
+    # ids, encoding and decoding): a fast path of their own would be a
+    # second letter action
+    actions = {"_resolve", "_run_steps", "_y_steps", "_psi_steps"}
     internals = {"_y_cache", "_psi_cache", "_y_stem", "_psi_stem", "_fold",
                  "_walk_moves", "_y_through", "_acc", "_STEM", "_stem", "_stems",
                  "_stem_ids", "_faces", "_words", "_exp_id", "_exp_ids", "_exps",
