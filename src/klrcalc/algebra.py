@@ -179,10 +179,9 @@ def _acc(out: dict, src: dict, scale, dom) -> None:
 
 class _Shift(dict):
     """The key offsets of y^a for a of id `by`: exponent id f -> (the id of
-    f + a, less f) << 32, each computed when first read.  An offset is kept
-    while the context's rows hold fewer than its `cache_limit` offsets in
-    all, so the table stays bounded however many exponents meet.  A row
-    refers to its context weakly, so that the two form no cycle."""
+    f + a, less f) << 32, each computed when first read and kept as long as
+    the context.  A row refers to its context weakly, so that the two form
+    no cycle and a context is freed as soon as its last reference goes."""
 
     __slots__ = ("ctx", "by")
 
@@ -190,11 +189,7 @@ class _Shift(dict):
         self.ctx, self.by = weakref.ref(ctx), by
 
     def __missing__(self, f):
-        ctx = self.ctx()
-        d = (ctx._exp_sum(f, self.by) - f) << 32
-        if ctx._shift_size < ctx.cache_limit:
-            ctx._shift_size += 1
-            self[f] = d
+        d = self[f] = (self.ctx()._exp_sum(f, self.by) - f) << 32
         return d
 
 
@@ -216,6 +211,11 @@ class KLR:
     The rewrite core is two memo tables of exponent-free products,
     `_psi_cache` of psi_r psi_w e(seq) and `_y_cache` of y_s psi_w e(seq),
     by (letter, stem), each computed from products on shorter stems.
+
+    Every table is a plain dict that keeps each entry as long as the
+    context lives, with no cap.  The suites build one context per block
+    (`suites._on_own_context`), so the block bounds the tables: at most n y
+    and n - 1 psi products per stem of the block.
     """
 
     def __init__(self, quiver: Quiver, n: int, domain=None, tau=None):
@@ -237,7 +237,6 @@ class KLR:
         self._exp_ids: dict = {}
         self._exps: list = []
         self._shifts: dict = {}
-        self._shift_size = 0  # offsets kept over all rows of _shifts
         self._exp_id(self._zero_a)
         self._unit_e = [self._exp_id(a) for a in self._unit_a]
         self._y_cache: dict = {}
@@ -247,10 +246,6 @@ class KLR:
                          for s in range(n + 1)]
         self._psi_steps = [(self._psi_cache, KLR._psi_stem, r << 32, -1)
                            for r in range(n + 1)]
-        # memo tables stop growing past this many entries apiece; results are
-        # still computed, just not retained, so memory stays bounded under
-        # adversarial workloads
-        self.cache_limit = 300_000
 
     # --- basic constructors -----------------------------------------------
 
@@ -374,9 +369,7 @@ class KLR:
         try:
             return self._shifts[e]
         except KeyError:
-            row = _Shift(self, e)
-            if len(self._shifts) < self.cache_limit:
-                self._shifts[e] = row
+            row = self._shifts[e] = _Shift(self, e)
             return row
 
     def _key(self, m: Mono) -> int:
@@ -492,8 +485,7 @@ class KLR:
         out = {stem + self._shift(self._unit_e[t - 1])[0]: dom.one}
         for word, sign in corrections:
             _acc(out, self._fold(word, seq, tag), dom.from_int(sign), dom)
-        if len(self._y_cache) < self.cache_limit:
-            self._y_cache[g | stem] = out
+        self._y_cache[g | stem] = out
         return out
 
     def _psi_stem(self, g: int, stem: int) -> dict:
@@ -531,8 +523,7 @@ class KLR:
             for s, sign in ys:
                 _acc(out, self._run_steps([self._y_steps[s]], [{v: dom.one}])[1],
                      dom.from_int(sign), dom)
-        if len(self._psi_cache) < self.cache_limit:
-            self._psi_cache[g | stem] = out
+        self._psi_cache[g | stem] = out
         return out
 
     def _fold(self, word: tuple, seq: tuple, tag: str) -> dict:
@@ -785,7 +776,7 @@ def relation_instances(real: Realisation, n: int):
     families' into one of their own), which runs once per label on the
     terms of its base; a row compares term dicts.  A row's check depends on
     its label only through the label's sequence, so the checks are cached
-    by (sequence, odd), within the context's `cache_limit`."""
+    by (sequence, odd) for as long as the call runs."""
     labelled, bare = [], []
     for family, indices, lhs, rhs, correction in KLR_RELATIONS:
         if family in real.bare:
@@ -803,9 +794,7 @@ def relation_instances(real: Realisation, n: int):
             for row_label, odd in real.views(label):
                 cached = cache.get((i, odd))
                 if cached is None:
-                    cached = _checks(program, rows, ctx, i, odd)
-                    if len(cache) < ctx.cache_limit:
-                        cache[i, odd] = cached
+                    cached = cache[i, odd] = _checks(program, rows, ctx, i, odd)
                 letters, steps, checks = cached
                 # the steps not run yet for this label: all of them in its
                 # first view, those a new check compiled in a later one

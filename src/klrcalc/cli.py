@@ -174,7 +174,7 @@ def _dispatch(args) -> int:
     if args.bound is not None:
         kwargs["bound"] = args.bound
     if args.fuzz is not None:
-        kwargs["fuzz_triples"] = kwargs["fuzz_words"] = args.fuzz
+        kwargs["fuzz"] = args.fuzz
     if args.max_pairs is not None:
         kwargs["max_pairs"] = args.max_pairs
     if name in ("alt-presentation", "signed-relations"):

@@ -230,13 +230,12 @@ def parse_element(src: str) -> tuple:
     return Parser(src).parse()
 
 
-def eval_ast(node, ctx: KLR, seqs=None) -> Element:
+def eval_ast(node, ctx: KLR) -> Element:
     """Evaluate an AST in a context; bare scalars scale the ambient identity
-    over `seqs` (default all of I^n, both copies).  Sums and products fold
-    left to right; the engine checks each atom, and its error is reported
-    at the atom's token."""
-    if seqs is None:
-        seqs = all_seqs(ctx.quiver, ctx.n)
+    over all of I^n, both copies.  Sums and products fold left to right; the
+    engine checks each atom, and its error is reported at the atom's
+    token."""
+    seqs = all_seqs(ctx.quiver, ctx.n)
     labels = labels_by_text(ctx.quiver.vertices)
 
     def unit(tags=TAGS_BOTH):
@@ -285,9 +284,9 @@ def eval_ast(node, ctx: KLR, seqs=None) -> Element:
     return ev(node)
 
 
-def normal_form(src: str, ctx: KLR, seqs=None) -> Element:
+def normal_form(src: str, ctx: KLR) -> Element:
     """Parse and evaluate: the result is the normal-form expansion."""
-    return eval_ast(parse_element(src), ctx, seqs)
+    return eval_ast(parse_element(src), ctx)
 
 
 # --- printing ----------------------------------------------------------------

@@ -163,24 +163,23 @@ def _on_own_context(check, quiver: Quiver, n: int, domain, tau_mapping,
 # --- seeded random elements ----------------------------------------------------
 
 
-def random_mono(ctx: KLR, rng: random.Random, seqs, tags=(TAG_MAIN,),
-                max_exp: int = 2) -> Mono:
+def random_mono(ctx: KLR, rng: random.Random, seqs, tags=(TAG_MAIN,)) -> Mono:
     w = list(range(ctx.n))
     rng.shuffle(w)
     a = [0] * ctx.n
-    for _ in range(rng.randint(0, max_exp)):
+    for _ in range(rng.randint(0, 2)):
         a[rng.randrange(ctx.n)] += 1
     return Mono(rng.choice(tags), tuple(w), tuple(a), rng.choice(seqs))
 
 
 def random_element(ctx: KLR, rng: random.Random, seqs=None, tags=(TAG_MAIN,),
-                   max_terms: int = 3, max_exp: int = 2) -> Element:
+                   max_terms: int = 3) -> Element:
     if seqs is None:
         seqs = all_seqs(ctx.quiver, ctx.n)
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
         c = rng.choice([-2, -1, 1, 2, 3])
-        m = random_mono(ctx, rng, seqs, tags, max_exp)
+        m = random_mono(ctx, rng, seqs, tags)
         terms[m] = ctx.dom.add(terms.get(m, ctx.dom.from_int(0)), ctx.dom.from_int(c))
     return ctx.elem(terms)
 
@@ -253,8 +252,9 @@ def _sweep_block(ctx: KLR, root: Root, bound: int):
 
 
 def run_klr_relations(quiver: Quiver, n: int, domain=None, bound: int = 2,
-                      seed: int = 0, fuzz_triples: int = 100,
-                      fuzz_words: int = 100, tau_mapping=None) -> Report:
+                      seed: int = 0, fuzz: int = 100, tau_mapping=None) -> Report:
+    """The relation sweep on every block, then `fuzz` associativity triples
+    and `fuzz` rewrite-strategy words."""
     ctx = make_context(quiver, n, domain, tau_mapping)
     roots = all_roots(quiver, n)
     rows = []
@@ -263,26 +263,25 @@ def run_klr_relations(quiver: Quiver, n: int, domain=None, bound: int = 2,
             for root in roots], _block_work(n, bound, roots)):
         rows.extend(block_rows)
 
-    fuzz = {}
-    checked, failure = associativity_fuzz(ctx, fuzz_triples, seed)
-    fuzz["associativity"] = {"checked": checked,
-                             "status": "pass" if failure is None else "fail",
-                             "witness": failure}
-    checked, failure = strategy_fuzz(ctx, fuzz_words, seed + 1)
-    fuzz["rewrite_strategies"] = {"checked": checked,
-                                  "status": "pass" if failure is None else "fail",
-                                  "witness": failure}
+    fuzzed = {}
+    checked, failure = associativity_fuzz(ctx, fuzz, seed)
+    fuzzed["associativity"] = {"checked": checked,
+                               "status": "pass" if failure is None else "fail",
+                               "witness": failure}
+    checked, failure = strategy_fuzz(ctx, fuzz, seed + 1)
+    fuzzed["rewrite_strategies"] = {"checked": checked,
+                                    "status": "pass" if failure is None else "fail",
+                                    "witness": failure}
 
     ok = all(r["status"] == "pass" for r in rows) and \
-        all(v["status"] == "pass" for v in fuzz.values())
+        all(v["status"] == "pass" for v in fuzzed.values())
     params = {"quiver": quiver.name, "n": n, "bound": bound,
-              "field": ctx.dom.name, "fuzz_triples": fuzz_triples,
-              "fuzz_words": fuzz_words}
+              "field": ctx.dom.name, "fuzz_triples": fuzz, "fuzz_words": fuzz}
     payload = {"suite": "klr-relations", "params": params, "seed": seed,
-               "instances": rows, "fuzz": fuzz}
+               "instances": rows, "fuzz": fuzzed}
     lines = _text_header("klr-relations", params, seed)
     lines += _text_rows(rows)
-    for name, res in fuzz.items():
+    for name, res in fuzzed.items():
         lines.append(f"{res['status'].upper()} {name} ({res['checked']} checks)")
     lines.append(_verdict(ok))
     return Report("klr-relations", params, seed, ok, payload, lines)
@@ -291,14 +290,14 @@ def run_klr_relations(quiver: Quiver, n: int, domain=None, bound: int = 2,
 # --- fuzzing ---------------------------------------------------------------------
 
 
-def associativity_fuzz(ctx: KLR, count: int, seed: int, tags=(TAG_MAIN,)):
+def associativity_fuzz(ctx: KLR, count: int, seed: int):
     """(xy)z = x(yz) on random triples; returns (checked, first failure)."""
     rng = random.Random(seed)
     seqs = all_seqs(ctx.quiver, ctx.n)
     for k in range(count):
-        x = random_element(ctx, rng, seqs, tags)
-        y = random_element(ctx, rng, seqs, tags)
-        z = random_element(ctx, rng, seqs, tags)
+        x = random_element(ctx, rng, seqs)
+        y = random_element(ctx, rng, seqs)
+        z = random_element(ctx, rng, seqs)
         if (x * y) * z != x * (y * z):
             return k + 1, f"triple #{k}"
     return count, None

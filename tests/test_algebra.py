@@ -40,21 +40,6 @@ def test_degree_examples():
     assert ctx2.mono_degree(Mono("G", s1, (2, 1), (0, 1))) == 1 + 6
 
 
-def test_exponent_sums_keep_cache_limit():
-    # the shift rows keep at most `cache_limit` offsets in all, and rows
-    # computed past it give the same products
-    q = K.cycle(3)
-    root = K.make_root(q, {0: 2, 1: 1})
-    capped, fresh = K.make_context(q, 3), K.make_context(q, 3)
-    capped.cache_limit = 10
-    want = suites._sweep_block(fresh, root, 2)
-    assert fresh._shift_size > capped.cache_limit
-    assert suites._sweep_block(capped, root, 2) == want
-    assert len(capped._shifts) == capped.cache_limit
-    assert capped._shift_size == capped.cache_limit == sum(
-        map(len, capped._shifts.values()))
-
-
 def test_left_mul_examples(c3, c3n3):
     psi1 = c3.psi_element(1)
     assert psi1 * (psi1 * c3.e((0, 0))) == c3.zero()
@@ -246,6 +231,31 @@ def test_rewrite_memo_is_the_one_letter_products():
     assert entries == len(ctx._y_cache) + len(ctx._psi_cache) > 0
 
 
+def test_each_one_letter_product_is_computed_once_per_context(monkeypatch):
+    # a context keeps every one-letter product it computes, so a block's
+    # sweep computes each once: n y and n - 1 psi products per stem.  A
+    # context binds both products into its steps when it is built, so they
+    # are counted from before it exists
+    calls = Counter()
+
+    def counted(name):
+        product = getattr(KLR, name)
+
+        def wrapper(self, g, stem):
+            calls[name] += 1
+            return product(self, g, stem)
+        return wrapper
+
+    for name in ("_y_stem", "_psi_stem"):
+        monkeypatch.setattr(KLR, name, counted(name))
+    q = K.cycle(3)
+    ctx = K.make_context(q, 3)
+    suites._sweep_block(ctx, K.make_root(q, {0: 2, 1: 1}), 2)
+    stems = len(ctx._stems)
+    assert calls["_y_stem"] == len(ctx._y_cache) == 3 * stems == 54
+    assert calls["_psi_stem"] == len(ctx._psi_cache) == 2 * stems == 36
+
+
 def shifted(x, b) -> list:
     """The terms of x times y^b, in x's order."""
     return [(Mono(m.tag, m.w, tuple(p + q for p, q in zip(m.a, b)), m.seq), c)
@@ -407,9 +417,8 @@ def test_acc_matches_a_term_by_term_merge(dom):
     assert cancelled and zero_in_src
 
 
-@pytest.mark.parametrize("limit", [300_000, 8], ids=["memo", "limit8"])
 @pytest.mark.parametrize("dom", [K.Rationals(), PrimeField(5)], ids=["Q", "F5"])
-def test_step_loop_matches_a_term_by_term_oracle(dom, limit):
+def test_step_loop_matches_a_term_by_term_oracle(dom):
     # the step loop on many terms, with coefficients other than one, against
     # an oracle on a fresh context: each monomial's exponent-free product,
     # shifted by its y^a, scaled and merged on its own (`_acc_by_terms`).
@@ -417,7 +426,6 @@ def test_step_loop_matches_a_term_by_term_oracle(dom, limit):
     # whose products share a term, with coefficients that cancel it
     q = K.cycle(3)
     ctx = K.KLR(q, 3, dom)
-    ctx.cache_limit = limit
     oracle = K.KLR(q, 3, dom)
     zero = (0, 0, 0)
     rng = random.Random(5)

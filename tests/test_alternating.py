@@ -288,17 +288,6 @@ def test_express_coverage_shares_suffixes(monkeypatch):
         * len(ctx.block_seqs(root)) == 120
 
 
-def test_express_coverage_keeps_cache_limit():
-    # memo tables capped at eight entries leave every row as it was
-    ctx = K.make_context(K.cycle(3), 3)
-    root = K.make_root(ctx.quiver, {0: 1, 1: 1, 2: 1})
-    want = alt.express_coverage(ctx, root, 1)
-    small = K.make_context(K.cycle(3), 3)
-    small.cache_limit = 8
-    got = alt.express_coverage(small, root, 1)
-    assert got == want and all(r["status"] == "pass" for r in got)
-
-
 def test_presentation_paper_instances(ctx2, root01):
     Psi, Y, E = alt_gens(ctx2, root01)
     e01 = E[(0, 1)]

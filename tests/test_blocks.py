@@ -427,8 +427,7 @@ def test_text_report_refuses_json():
 def test_write_report_matches_its_docstring():
     for report in (suites.run_signed_relations(K.cycle(3), 2),
                    suites.run_alt_presentation(K.cycle(3), 2, fmt="json"),
-                   suites.run_klr_relations(K.cycle(3), 2, bound=1,
-                                            fuzz_triples=5, fuzz_words=5)):
+                   suites.run_klr_relations(K.cycle(3), 2, bound=1, fuzz=5)):
         assert _emit_report(report) == "\n".join(report.text_lines) + "\n"
         if report.payload is not None:
             assert _emit_report(report, "json") == json.dumps(

@@ -129,7 +129,7 @@ def test_only_the_engine_names_its_letter_actions():
     internals = {"_y_cache", "_psi_cache", "_y_stem", "_psi_stem", "_fold",
                  "_walk_moves", "_y_through", "_acc", "_STEM", "_stem", "_stems",
                  "_stem_ids", "_faces", "_words", "_exp_id", "_exp_ids", "_exps",
-                 "_exp_sum", "_shift", "_shifts", "_shift_size", "_Shift", "_encode", "_decode",
+                 "_exp_sum", "_shift", "_shifts", "_Shift", "_encode", "_decode",
                  "SuffixProgram", "_signed_sum"}
     named, reached = set(), set()
     for path in sorted(SRC.glob("*.py")):
