@@ -40,11 +40,11 @@ The defining presentation is also written down as data, apart from the
 rewrite rules: `KLR_RELATIONS` lists the relation families once, and
 `relation_instances` checks them in any realisation of the generators.  It
 compiles the table's words once into a `SuffixProgram`, one step (letter,
-source slot) per distinct suffix, resolves its steps once per sequence
-and view, and runs them once per label on the packed terms of the label's
-base through `KLR._run_steps`; a row compares packed term dicts, building an
-Element only for a failing row's diff.  The corrections read the quiver's
-arrows.
+source slot) per distinct suffix, resolves its steps once per sequence and
+runs them once per label on the packed terms of the label's base through
+`KLR._run_steps`; a row compares packed term dicts, building an Element only
+for a failing row's diff.  `KLR.act_words` runs any set of words the same
+way.  The corrections read the quiver's arrows.
 """
 
 from __future__ import annotations
@@ -414,8 +414,19 @@ class KLR:
         """The product g x of one letter and an element: one step of
         `_run_steps`, unchecked.  g is ("y", r), ("psi", r) or ("e", j),
         which keeps the terms with face j on either tag."""
-        terms = self._run_steps([self._resolve(g)], [self._encode(x.terms)])[1]
+        terms = self._run_steps([self._resolve(g)], self._encode(x.terms))[1]
         return Element(self, self._decode(terms))
+
+    def act_words(self, words, xs):
+        """Yield [w x for w in words] for each element x of `xs`, unchecked:
+        the words are compiled once into a `SuffixProgram`, whose steps run
+        once per x, so words that share a suffix share its value."""
+        program = SuffixProgram()
+        slots = [program.slot(tuple(word)) for word in words]
+        steps = program.resolve(self, {})
+        for x in xs:
+            values = self._run_steps(steps, self._encode(x.terms))
+            yield [Element(self, self._decode(values[k])) for k in slots]
 
     def _resolve(self, g, src: int = -1) -> tuple:
         """Letter g as a step of `_run_steps` on slot src: (memo table,
@@ -425,16 +436,16 @@ class KLR:
             return None, None, g[1], src
         return (self._y_steps if g[0] == "y" else self._psi_steps)[g[1]][:3] + (src,)
 
-    def _run_steps(self, steps: list, values: list) -> list:
-        """Extend `values`, packed slot terms from the base's on, by the
-        `steps` (see `_resolve`) it holds no value of yet: the one letter
-        action.  An idempotent step keeps its face's terms; otherwise each
-        term's product, memoised by (g, stem), is shifted by its y^a: a term
-        with coefficient one that meets no terms yet, as relation words
-        mostly do, is copied in, and every other term merged in place, in
-        `_acc1`'s order."""
+    def _run_steps(self, steps: list, base: dict) -> list:
+        """The packed slot values of the `steps` (see `_resolve`) run on the
+        packed terms `base`, slot 0: the one letter action.  An idempotent
+        step keeps its face's terms; otherwise each term's product, memoised
+        by (g, stem), is shifted by its y^a: a term with coefficient one
+        that meets no terms yet, as relation words mostly do, is copied in,
+        and every other term merged in place, in `_acc1`'s order."""
         faces, shifts, (one, add, mul, is_zero) = self._faces, self._shifts, self._ops
-        for table, product, g, src in steps[len(values) - 1:]:
+        values = [base]
+        for table, product, g, src in steps:
             terms = values[src]
             if table is None:
                 values.append({k: c for k, c in terms.items()
@@ -521,7 +532,7 @@ class KLR:
             else:
                 _acc1(out, v, dom.one, dom)
             for s, sign in ys:
-                _acc(out, self._run_steps([self._y_steps[s]], [{v: dom.one}])[1],
+                _acc(out, self._run_steps([self._y_steps[s]], {v: dom.one})[1],
                      dom.from_int(sign), dom)
         self._psi_cache[g | stem] = out
         return out
@@ -531,7 +542,7 @@ class KLR:
         e(seq) one at a time, right to left, through the psi products."""
         base = {self._stem(tag, self._id_perm, seq): self.dom.one}
         return self._run_steps(list(map(self._psi_steps.__getitem__, reversed(word))),
-                               [base])[-1]
+                               base)[-1]
 
     def _y_through(self, s: int, word: tuple, seq: tuple):
         """Push y_s from the left of psi_word e(seq) to the right.
@@ -614,7 +625,7 @@ class KLR:
                 continue
             steps = [y[s] for s, k in enumerate(m1.a, start=1) for _ in range(k)]
             steps += [psi[c] for c in reversed(canonical_word(m1.w))]
-            _acc(out, self._run_steps(steps, [terms])[-1], c1, self.dom)
+            _acc(out, self._run_steps(steps, terms)[-1], c1, self.dom)
         return Element(self, self._decode(out))
 
     def word_element(self, tokens, seq, tag: str = TAG_MAIN) -> Element:
@@ -756,12 +767,10 @@ class SuffixProgram:
             k = self.slots[word[t:]] = len(self.steps)
         return k
 
-    def resolve(self, ctx: KLR, letters: dict, steps: list) -> list:
-        """Extend `steps` by the steps compiled since, resolved for `ctx`
-        (`KLR._resolve`), an idempotent letter by `letters` first."""
-        for g, src in self.steps[len(steps):]:
-            steps.append(ctx._resolve(letters.get(g, g), src))
-        return steps
+    def resolve(self, ctx: KLR, letters: dict) -> list:
+        """The steps, resolved for `ctx` (`KLR._resolve`), an idempotent
+        letter by `letters` first."""
+        return [ctx._resolve(letters.get(g, g), src) for g, src in self.steps]
 
 
 def relation_instances(real: Realisation, n: int):
@@ -774,9 +783,10 @@ def relation_instances(real: Realisation, n: int):
 
     The table's words are compiled into a `SuffixProgram` (the bare
     families' into one of their own), which runs once per label on the
-    terms of its base; a row compares term dicts.  A row's check depends on
-    its label only through the label's sequence, so the checks are cached
-    by (sequence, odd) for as long as the call runs."""
+    terms of its base, once its views' checks are built; a row compares
+    term dicts.  A check depends on its label only through the label's
+    sequence, so for the call's length the checks are cached by (sequence,
+    odd) and the resolved steps by sequence."""
     labelled, bare = [], []
     for family, indices, lhs, rhs, correction in KLR_RELATIONS:
         if family in real.bare:
@@ -785,21 +795,21 @@ def relation_instances(real: Realisation, n: int):
             (family, r, s, _place(lhs, r, s), rhs and _place(rhs, r, s), correction)
             for r, s in _RANGES[indices](n))
     for rows, labels in ((labelled, real.labels), (bare, [None] if bare else [])):
-        program, cache = SuffixProgram(), {}
+        program, checks, resolved = SuffixProgram(), {}, {}
         for label in labels:
             base = real.base(label)
             ctx = base.ctx
             i = None if label is None else real.seq(label)
-            values = [ctx._encode(base.terms)]
-            for row_label, odd in real.views(label):
-                cached = cache.get((i, odd))
-                if cached is None:
-                    cached = cache[i, odd] = _checks(program, rows, ctx, i, odd)
-                letters, steps, checks = cached
-                # the steps not run yet for this label: all of them in its
-                # first view, those a new check compiled in a later one
-                ctx._run_steps(program.resolve(ctx, letters, steps), values)
-                for family, r, s, lhs, lhs_odd, rhs in checks:
+            views = real.views(label)
+            for _, odd in views:
+                if (i, odd) not in checks:
+                    checks[i, odd] = _checks(program, rows, ctx, i, odd)
+            steps = resolved.get(i, ())
+            if len(steps) < len(program.steps):  # a check compiled words since
+                steps = resolved[i] = program.resolve(ctx, _letters(i))
+            values = ctx._run_steps(steps, ctx._encode(base.terms))
+            for row_label, odd in views:
+                for family, r, s, lhs, lhs_odd, rhs in checks[i, odd]:
                     left = values[lhs]
                     right = values[rhs] if type(rhs) is int else _signed_sum(
                         ((sign, values[k], flip) for sign, k, flip in rhs), ctx)
@@ -808,19 +818,20 @@ def relation_instances(real: Realisation, n: int):
                     yield family, row_label, r, s, diff
 
 
-def _checks(program: SuffixProgram, rows, ctx: KLR, i, odd):
-    """(letters, steps, checks) for sequence i in view `odd`.  letters
-    resolves the idempotent letters for i, and steps will keep the program's
-    steps resolved for i.  A check is (family, r, s, lhs slot, lhs odd,
-    rhs): the rhs is the slot of a word read as the lhs is, else its (sign,
-    slot, flip) parts, flipped where a word's parity differs from the
-    lhs's.  A word is compiled with F written E, its parity counted on its
-    own letters."""
-    letters = {}
-    if i is not None:
-        letters[E] = ("e", i)
-        for r in range(1, len(i)):
-            letters["swap", r] = ("e", i[:r - 1] + (i[r], i[r - 1]) + i[r + 1:])
+def _letters(i) -> dict:
+    """The idempotent letters E and ("swap", r) resolved for sequence i."""
+    if i is None:
+        return {}
+    return {E: ("e", i), **{("swap", r): ("e", i[:r - 1] + (i[r], i[r - 1]) + i[r + 1:])
+                            for r in range(1, len(i))}}
+
+
+def _checks(program: SuffixProgram, rows, ctx: KLR, i, odd) -> list:
+    """The checks of sequence i in view `odd`.  A check is (family, r, s,
+    lhs slot, lhs odd, rhs): the rhs is the slot of a word read as the lhs
+    is, else its (sign, slot, flip) parts, flipped where a word's parity
+    differs from the lhs's.  A word is compiled with F written E, its
+    parity counted on its own letters."""
 
     def parity(word):
         return sum(g[0] in odd for g in word) % 2
@@ -831,15 +842,13 @@ def _checks(program: SuffixProgram, rows, ctx: KLR, i, odd):
     checks = []
     for family, r, s, lhs, rhs, correction in rows:
         p, left = parity(lhs), program.slot(lhs)
-        words = [(1, rhs)] if rhs else []
-        if correction:
-            words += _correction(correction, r, i, arrow)
+        words = ([(1, rhs)] if rhs else []) + _correction(correction, r, i, arrow)
         parts = [(sign, program.slot(tuple(E if g == F else g for g in word)),
                   parity(word) != p) for sign, word in words]
         if len(parts) == 1 and parts[0][0] == 1 and not parts[0][2]:
             parts = parts[0][1]
         checks.append((family, r, s, left, p, parts))
-    return letters, [], checks
+    return checks
 
 
 def _place(word, r, s) -> tuple:

@@ -21,8 +21,8 @@ on the terms of e[i] or of the block unit, through the engine's one step
 loop.  Every generator of both presentations keeps a term's tag,
 so a word's value in either is G + s G', the tag parts of its one plain
 value, with s = -1 when it has an odd number of odd letters
-(`algebra.twisted`).  The basis words of the expression check are
-evaluated as one walk of the tree of canonical words, through `KLR.act`.
+(`algebra.twisted`).  The basis words of the expression check run on each
+e[i] as one compiled suffix program, through `KLR.act_words`.
 
 The braid relation of the signed presentation is checked with the
 correction sign matching the underlying deformed braid relation (minus on
@@ -299,32 +299,21 @@ def verify_alt_presentation(ctx: KLR, root: Root):
 def iter_express_coverage(ctx: KLR, root: Root, bound: int):
     """Reproduce every truncated parity-basis element of `iter_alt_basis`
     from its generator word (`express_alt`), one row each, in its order.
-    The words form a tree, w's parent having cw(w) less its first letter c:
-    a depth-first walk acts ("psi", c) on the parent's values, one per root
-    y^a e[i] (the identity's words on the block unit), holding only those
-    on its path.  Letters keep tags, so a row holds when its plain value is
+    The words psi_{cw(w)} Y^a, for every (w, a), act on each e[i] of the
+    block in one `KLR.act_words` call, so words that share a suffix share
+    its value.  Letters keep tags, so a row holds when its plain value is
     m@G + m@G' and the element is that read with the word's parity."""
-    dom, unit, identity = ctx.dom, ambient_unit(ctx, root), perms.identity(ctx.n)
+    dom, seqs = ctx.dom, ctx.block_seqs(root)
 
     def reading(w, a, s, odd):
         return {Mono(TAG_MAIN, w, a, s): dom.one,
                 Mono(TAG_OPP, w, a, s): dom.from_int(-1) if odd else dom.one}
 
-    keys = [(a, s) for a in ctx.exponents_upto(bound) for s in ctx.block_seqs(root)]
-    roots = []
-    for a, s in keys:
-        x = unit
-        for g in reversed(express_alt(ctx, (identity, a, s, None))):
-            x = ctx.act(g, x)
-        roots.append(x)
-    path, failing = [roots], {}
-    # in reversed-word order, a node's parent is the last node one level up
-    for w in sorted(perms.all_perms(ctx.n), key=lambda w: canonical_word(w)[::-1]):
-        word = canonical_word(w)
-        if word:
-            del path[len(word):]
-            path.append([ctx.act(("psi", word[0]), x) for x in path[-1]])
-        for (a, s), got in zip(keys, path[-1]):
+    keys = [(w, a) for w in perms.all_perms(ctx.n) for a in ctx.exponents_upto(bound)]
+    words = [express_alt(ctx, (w, a, None, None))[:-1] for w, a in keys]
+    failing = {}
+    for s, values in zip(seqs, ctx.act_words(words, (e_pair(ctx, s) for s in seqs))):
+        for (w, a), got in zip(keys, values):
             if got.terms != reading(w, a, s, False):
                 failing[w, a, s] = got
     for desc, el in iter_alt_basis(ctx, root, bound):
@@ -346,22 +335,24 @@ def express_coverage(ctx: KLR, root: Root, bound: int) -> list:
 # --- the signed companion algebra ----------------------------------------------
 
 
+def _check_sign(a: str) -> None:
+    if a not in (PLUS, MINUS):
+        raise ShapeError(f"sign must be '+' or '-', not {a!r}")
+
+
 def signed_eps(ctx: KLR, seq, a: str) -> Element:
     """Two-copy realization of the signed idempotent generator."""
-    if a == PLUS:
-        return e_pair(ctx, seq)
-    if a == MINUS:
-        return eps_pair(ctx, seq)
-    raise ShapeError(f"sign must be '+' or '-', not {a!r}")
+    _check_sign(a)
+    return e_pair(ctx, seq) if a == PLUS else eps_pair(ctx, seq)
 
 
 def theta_eps(ctx: KLR, seq, a: str) -> Element:
     """One-quiver realization e(i) +- e(tau i) of the signed idempotent."""
+    _check_sign(a)
     if ctx.tau is None:
         raise ShapeError("context has no reversal map")
     other = ctx.e(ctx.tau.seq(seq), TAG_MAIN)
-    mine = ctx.e(seq, TAG_MAIN)
-    return mine + other if a == PLUS else mine - other
+    return ctx.e(seq) + other if a == PLUS else ctx.e(seq) - other
 
 
 def deg2_of(ctx: KLR, x: Element):

@@ -11,14 +11,14 @@ def log_steps(monkeypatch) -> list:
     not logged: they are not letters of the caller's words."""
     log, depth, run = [], [0], KLR._run_steps
 
-    def logged(self, steps, values):
+    def logged(self, steps, base):
         if not depth[0]:
-            for table, _, g, _ in steps[len(values) - 1:]:
+            for table, _, g, _ in steps:
                 log.append(("e", g) if table is None else
                            ("y" if table is self._y_cache else "psi", g >> 32))
         depth[0] += 1
         try:
-            return run(self, steps, values)
+            return run(self, steps, base)
         finally:
             depth[0] -= 1
 

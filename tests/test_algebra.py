@@ -451,7 +451,7 @@ def test_step_loop_matches_a_term_by_term_oracle(dom):
                 _acc_by_terms(want, p.terms, c, dom, m.a)
             packed = ctx._encode(terms)
             before = dict(packed)
-            got = ctx._decode(ctx._run_steps([ctx._resolve(g)], [packed])[1])
+            got = ctx._decode(ctx._run_steps([ctx._resolve(g)], packed)[1])
             assert list(got.items()) == list(want.items())
             assert packed == before
             cases += 1
@@ -463,7 +463,7 @@ def test_step_loop_matches_a_term_by_term_oracle(dom):
     x = {m: _coefficient(rng, dom) for m in rng.sample(monos, 12)}
     x = {m: c for m, c in x.items() if not dom.is_zero(c)}
     values = ctx._run_steps([ctx._resolve(g, t) for t, g in enumerate(letters)],
-                            [ctx._encode(x)])
+                            ctx._encode(x))
     want = oracle.elem(x)
     for g in letters:
         want = oracle.act(g, want)
@@ -637,12 +637,11 @@ def test_evaluate_computes_each_suffix_once(c3, monkeypatch):
     # the oracle, multiplied out by `gen_left` before any step is logged
     want = [c3.word_element([("e", i) if g == E else g for g in w], i)
             for w in words]
-    want_y = c3.word_element([("y", 1)], i)
     calls = log_steps(monkeypatch)
     program, letters = SuffixProgram(), {E: ("e", i)}
     slots = [program.slot(w) for w in words]
-    steps = program.resolve(c3, letters, [])
-    values = c3._run_steps(steps, [c3._encode(c3.e(i).terms)])
+    steps = program.resolve(c3, letters)
+    values = c3._run_steps(steps, c3._encode(c3.e(i).terms))
     suffixes = {w[t:] for w in words for t in range(len(w))}
     # one step, and one action, per distinct suffix
     assert len(calls) == len(program.steps) == len(steps) == len(suffixes)
@@ -650,21 +649,42 @@ def test_evaluate_computes_each_suffix_once(c3, monkeypatch):
     assert ("e", i) in calls
     assert [Element(c3, c3._decode(values[k])) for k in slots] == want
 
-    # a compiled suffix adds no step, and a run that holds every step acts
-    # no letter
+    # a compiled suffix adds no step, and a later word only its new suffixes
     assert program.slot((("y", 1), ("psi", 1))) == slots[0]
-    assert program.resolve(c3, letters, steps) is steps
-    assert c3._run_steps(steps, values) is values
-    assert len(calls) == len(program.steps) == len(steps) == len(suffixes)
-
-    # a word appended after a run is computed by running again, its new
-    # suffixes only; every letter acts on the base, a trailing E too
-    calls.clear()
+    assert len(program.steps) == len(suffixes)
     program = SuffixProgram()
-    steps = program.resolve(c3, letters, [])
-    values = c3._run_steps(steps, [c3._encode(c3.e(i).terms)])
     assert program.slot((E,)) == 1 and program.slot((("y", 1), E)) == 2
-    c3._run_steps(program.resolve(c3, letters, steps), values)
-    assert [Element(c3, c3._decode(x)) for x in values[1:]] == [c3.e(i), want_y]
-    assert calls == [("e", i), ("y", 1)]
     assert program.steps == [(E, 0), (("y", 1), 1)]
+
+
+@pytest.mark.parametrize("dom", [K.Rationals(), PrimeField(5)], ids=["Q", "F5"])
+def test_act_words_matches_one_letter_at_a_time(dom, monkeypatch):
+    # random y, psi and e words on random elements: each value is the word
+    # folded onto the element through `KLR.act` one letter at a time, right
+    # to left, on a fresh context, and each element runs one step per
+    # distinct suffix
+    q = K.cycle(3)
+    ctx, oracle = K.KLR(q, 3, dom), K.KLR(q, 3, dom)
+    rng = random.Random(13)
+    letters = [("y", 1), ("y", 2), ("y", 3), ("psi", 1), ("psi", 2),
+               ("e", (0, 1, 2)), ("e", (1, 0, 2)), ("e", (0, 0, 1))]
+    words = [tuple(rng.choice(letters) for _ in range(rng.randint(0, 4)))
+             for _ in range(40)]
+    xs = [ctx.elem({_random_mono(rng): _coefficient(rng, dom)
+                    for _ in range(rng.randint(1, 6))}) for _ in range(6)]
+    want = []
+    for x in xs:
+        row = []
+        for word in words:
+            v = oracle.elem(x.terms)
+            for g in reversed(word):
+                v = oracle.act(g, v)
+            row.append(list(v.terms.items()))
+        want.append(row)
+    log = log_steps(monkeypatch)
+    got = [[list(v.terms.items()) for v in values]
+           for values in ctx.act_words(words, xs)]
+    assert got == want
+    assert any(row[k] for row in got for k, w in enumerate(words) if len(w) > 2)
+    suffixes = {w[t:] for w in words for t in range(len(w))}
+    assert Counter(log) == Counter(w[0] for w in suffixes for _ in xs)

@@ -276,16 +276,22 @@ def test_express_coverage_small(ctx2, root01):
 
 
 def test_express_coverage_shares_suffixes(monkeypatch):
-    # one psi action per non-identity permutation w and per root y^a e[i]:
+    # one psi action per non-identity permutation w, per y^a and per e[i]:
     # each canonical word extends its parent's by one letter, so a word's
-    # value is one letter on the value of its suffix
+    # value is one letter on the value of its suffix.  No letter acts
+    # through `KLR.act`
     ctx = K.make_context(K.cycle(3), 3)
     root = K.make_root(ctx.quiver, {0: 1, 1: 1, 2: 1})
     log = log_steps(monkeypatch)
+    acts = []
+    act = K.KLR.act
+    monkeypatch.setattr(K.KLR, "act", lambda self, g, x: acts.append(g) or
+                        act(self, g, x))
     rows = alt.express_coverage(ctx, root, 1)
     assert rows and all(r["status"] == "pass" for r in rows)
     assert sum(kind == "psi" for kind, _ in log) == (6 - 1) * len(ctx.exponents_upto(1)) \
         * len(ctx.block_seqs(root)) == 120
+    assert acts == []
 
 
 def test_presentation_paper_instances(ctx2, root01):

@@ -279,12 +279,12 @@ def test_failing_presentation_report(name, fmt, pooled, monkeypatch, capsys):
         FAILING_GOLDEN[(name, fmt)]
 
 
-# A seeded fault in the letter action: a psi letter's product comes out with
-# its terms of three-letter words negated, on both tags.  Express coverage
-# walks the canonical-word tree through `KLR.act`, so its rows of the longest
-# word fail; the relation rows act through `KLR._run_steps` and pass.  sha256
-# of the raw stdout of `verify alt-presentation --n 3 --bound 1`, instance
-# order included.
+# A seeded fault in the word-set action: each value of `KLR.act_words` comes
+# out with its terms of three-letter words negated, on both tags.  Express
+# coverage runs its words through `act_words`, so its rows of the longest
+# word fail; the relation rows run their programs through `KLR._run_steps`
+# and pass.  sha256 of the raw stdout of `verify alt-presentation --n 3
+# --bound 1`, instance order included.
 EXPRESS_FAILING_GOLDEN = {
     "text": "53361e0e171cc96da5637afc07bf5ae6de4e515168946610563af2c6ca9aa0a7",
     "json": "20513e9400ad92f164d2b662a1f9aae9048a031388e7f917423702be8af48d87",
@@ -292,16 +292,15 @@ EXPRESS_FAILING_GOLDEN = {
 
 
 def negate_three_letter_products(monkeypatch):
-    act = K.KLR.act
+    act_words = K.KLR.act_words
 
-    def negated(self, g, x):
-        out = act(self, g, x)
-        if g[0] != "psi":
-            return out
-        return K.Element(self, {m: self.dom.neg(c) if perms.length(m.w) == 3 else c
-                                for m, c in out.terms.items()})
+    def negated(self, words, xs):
+        for values in act_words(self, words, xs):
+            yield [K.Element(self, {m: self.dom.neg(c) if perms.length(m.w) == 3
+                                    else c for m, c in x.terms.items()})
+                   for x in values]
 
-    monkeypatch.setattr(K.KLR, "act", negated)
+    monkeypatch.setattr(K.KLR, "act_words", negated)
 
 
 @pytest.mark.parametrize("pooled", [False, True], ids=["in-process", "pool"])

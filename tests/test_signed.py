@@ -44,6 +44,16 @@ def test_signed_generator_wrapper(ctx2, root01):
         alt.signed_eps(ctx2, (0, 1), "*")
 
 
+@pytest.mark.parametrize("sign", ["x", "*", "", None, "+-"])
+def test_signed_idempotents_refuse_an_unknown_sign(ctx2, sign):
+    # both realizations of eps_a(i) read only "+" and "-"; theta_eps read
+    # any other sign as "-"
+    for realize in (alt.signed_eps, alt.theta_eps):
+        with pytest.raises(K.ShapeError, match="sign must be"):
+            realize(ctx2, (0, 1), sign)
+    assert alt.theta_eps(ctx2, (0, 1), "-") == ctx2.e((0, 1)) - ctx2.e((0, 2))
+
+
 def test_eps_plus_sum_is_identity(ctx2, root01):
     total = ctx2.zero()
     for s in ctx2.block_seqs(root01):

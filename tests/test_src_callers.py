@@ -119,8 +119,9 @@ def test_shadowed_methods_are_reviewed():
 
 
 def test_only_the_engine_names_its_letter_actions():
-    # letters act through `KLR.act`: no other module reaches the engine's
-    # one letter action, its step loop or the steps it runs.  Nor do the
+    # letters act through `KLR.act` and words through `KLR.act_words`: no
+    # other module reaches the engine's one letter action, its step loop or
+    # the steps it runs.  Nor do the
     # relation checks reach the rewrite memo tables, the exponent shift
     # behind the actions, or the packed term keys (their stems, exponent
     # ids, encoding and decoding): a fast path of their own would be a
