@@ -32,9 +32,9 @@ The rewriting never reads an exponent.  y^a sits right of every psi letter,
 and the y's commute with each other and with e(seq), so psi_word y^a e(seq)
 = (psi_word e(seq)) y^a, and right multiplication by y^a adds a to each
 term's exponent.  The memo tables therefore hold exponent-free products,
-and a caller's exponent is added to each term as the terms are accumulated,
-on packed int keys (see `KLR`), in the one step loop that every letter,
-product and word acts through, `KLR._run_steps`.
+and a caller's exponent is added to each term's packed int key (see `KLR`),
+one integer add, in the one step loop that every letter, product and word
+acts through, `KLR._run_steps`.
 
 The defining presentation is also written down as data, apart from the
 rewrite rules: `KLR_RELATIONS` lists the relation families once, and
@@ -49,8 +49,6 @@ way.  The corrections read the quiver's arrows.
 
 from __future__ import annotations
 
-import weakref
-from operator import add
 from typing import Callable, NamedTuple, Sequence
 
 from . import perms
@@ -166,8 +164,15 @@ def _acc1(out: dict, m, c, dom) -> None:
         out[m] = s
 
 
-# the stem id bits of a packed term key (see `KLR`)
+# A packed term key (see `KLR`) is stem | sum_r a_r << (32 + _WIDTH (r - 1)).
+# No field carries: no rewrite step lengthens a term, the engine refuses an
+# entering exponent entry, x's |a| in `KLR.multiply` and a `SuffixProgram`
+# word of _LIMIT = 2^14 or more, and n <= _MAX_N keeps a stem (or x's psi word)
+# under 2^13 letters, so every entry stays below 2^14 + 2^14 + 2^13 + 2^13 = 2^16.
 _STEM = (1 << 32) - 1
+_WIDTH = 16
+_LIMIT = 1 << 14
+_MAX_N = 128
 
 
 def _acc(out: dict, src: dict, scale, dom) -> None:
@@ -177,22 +182,6 @@ def _acc(out: dict, src: dict, scale, dom) -> None:
         _acc1(out, k, c if unit else dom.mul(scale, c), dom)
 
 
-class _Shift(dict):
-    """The key offsets of y^a for a of id `by`: exponent id f -> (the id of
-    f + a, less f) << 32, each computed when first read and kept as long as
-    the context.  A row refers to its context weakly, so that the two form
-    no cycle and a context is freed as soon as its last reference goes."""
-
-    __slots__ = ("ctx", "by")
-
-    def __init__(self, ctx: "KLR", by: int):
-        self.ctx, self.by = weakref.ref(ctx), by
-
-    def __missing__(self, f):
-        d = self[f] = (self.ctx()._exp_sum(f, self.by) - f) << 32
-        return d
-
-
 class KLR:
     """Context for exact computation in R_n of a quiver (and its opposite).
 
@@ -200,13 +189,12 @@ class KLR:
     validated reversal map, and all rewrite memo tables.  Elements are tied
     to their context; contexts with equal (quiver, n, domain) are compatible.
 
-    Inside the engine a term is keyed by one int, (exponent id << 32) | stem
-    id.  The stem is the exponent-free part (tag, w, seq), interned with its
-    face w.seq and the canonical word of w; the exponent vectors are
-    interned apart, id 0 the zero vector, so adding an exponent is adding
-    an int to the key (`_shift`).  `Mono` stays the only key of
-    `Element.terms`: keys are encoded where terms enter the engine and
-    decoded where they leave it.
+    Inside the engine a term is keyed by one int, its stem id with each
+    y-exponent entry in a field above it (see `_STEM`), so y^a on the right
+    adds a's key offset.  The stem is the exponent-free part (tag, w, seq),
+    interned with its face w.seq and the canonical word of w.  `Mono` stays
+    the only key of `Element.terms`: keys are encoded where terms enter the
+    engine and decoded where they leave it.
 
     The rewrite core is two memo tables of exponent-free products,
     `_psi_cache` of psi_r psi_w e(seq) and `_y_cache` of y_s psi_w e(seq),
@@ -219,8 +207,8 @@ class KLR:
     """
 
     def __init__(self, quiver: Quiver, n: int, domain=None, tau=None):
-        if n < 0:
-            raise ShapeError("n must be nonnegative")
+        if not 0 <= n <= _MAX_N:
+            raise ShapeError(f"n must be in 0..{_MAX_N}")
         self.quiver = quiver
         self.n = n
         self.dom = domain if domain is not None else Rationals()
@@ -234,11 +222,9 @@ class KLR:
         self._stems: list = []  # (tag, w, seq)
         self._faces: list = []
         self._words: list = []  # canonical words
-        self._exp_ids: dict = {}
-        self._exps: list = []
-        self._shifts: dict = {}
-        self._exp_id(self._zero_a)
-        self._unit_e = [self._exp_id(a) for a in self._unit_a]
+        self._exp_offsets: dict = {}  # a -> its key offset
+        self._exp_vectors: dict = {}  # key offset >> 32 -> a
+        self._unit_e = [1 << 32 + _WIDTH * r for r in range(n)]
         self._y_cache: dict = {}
         self._psi_cache: dict = {}
         # the steps of y_s and psi_r on the value before them, by s and r
@@ -351,30 +337,21 @@ class KLR:
             self._words.append(canonical_word(w))
         return k
 
-    def _exp_id(self, a: tuple) -> int:
-        """The id of the exponent vector a, interned when first seen."""
-        e = self._exp_ids.get(a)
-        if e is None:
-            e = self._exp_ids[a] = len(self._exps)
-            self._exps.append(a)
-        return e
-
-    def _exp_sum(self, f: int, e: int) -> int:
-        """The id of the exponent sum f + e."""
-        return self._exp_id(tuple(map(add, self._exps[f], self._exps[e])))
-
-    def _shift(self, e: int) -> _Shift:
-        """The key offsets of y^a for a of id e, by exponent id: the one
-        exponent shift of the engine."""
-        try:
-            return self._shifts[e]
-        except KeyError:
-            row = self._shifts[e] = _Shift(self, e)
-            return row
+    def _exp_offset(self, a: tuple) -> int:
+        """a's key offset, kept both ways; a has n entries below _LIMIT."""
+        if len(a) != self.n or not all(0 <= v < _LIMIT for v in a):
+            raise ShapeError(f"exponent {a} is not n entries in 0..{_LIMIT - 1}")
+        off = sum(v << _WIDTH * r for r, v in enumerate(a)) << 32
+        self._exp_offsets[a] = off
+        self._exp_vectors[off >> 32] = a
+        return off
 
     def _key(self, m: Mono) -> int:
         """The packed key of a monomial."""
-        return (self._exp_id(m.a) << 32) | self._stem(m.tag, m.w, m.seq)
+        off = self._exp_offsets.get(m.a)
+        if off is None:
+            off = self._exp_offset(m.a)
+        return off | self._stem(m.tag, m.w, m.seq)
 
     def _encode(self, terms: dict) -> dict:
         """Mono-keyed terms, packed."""
@@ -382,12 +359,18 @@ class KLR:
 
     def _decode(self, terms: dict) -> dict:
         """Packed terms, keyed by `Mono`s again, in their order."""
-        stems, exps, new = self._stems, self._exps, tuple.__new__
+        stems, exps, new = self._stems, self._exp_vectors, tuple.__new__
+        mask = (1 << _WIDTH) - 1
         out = {}
         for k, c in terms.items():
             tag, w, seq = stems[k & _STEM]
+            try:
+                a = exps[k >> 32]
+            except KeyError:
+                a = tuple(k >> 32 + _WIDTH * r & mask for r in range(self.n))
+                self._exp_offset(a)  # refuses an entry past the limit
             # tuple.__new__ skips the namedtuple's Python-level __new__
-            out[new(Mono, (tag, w, exps[k >> 32], seq))] = c
+            out[new(Mono, (tag, w, a, seq))] = c
         return out
 
     # --- generator action ---------------------------------------------------
@@ -440,10 +423,10 @@ class KLR:
         """The packed slot values of the `steps` (see `_resolve`) run on the
         packed terms `base`, slot 0: the one letter action.  An idempotent
         step keeps its face's terms; otherwise each term's product, memoised
-        by (g, stem), is shifted by its y^a: a term with coefficient one
-        that meets no terms yet, as relation words mostly do, is copied in,
-        and every other term merged in place, in `_acc1`'s order."""
-        faces, shifts, (one, add, mul, is_zero) = self._faces, self._shifts, self._ops
+        by (g, stem), is shifted by its y^a, one add per key: a term with
+        coefficient one that meets no terms yet, as relation words mostly
+        do, is copied in, and every other term merged in `_acc1`'s order."""
+        faces, (one, add, mul, is_zero) = self._faces, self._ops
         values = [base]
         for table, product, g, src in steps:
             terms = values[src]
@@ -453,23 +436,22 @@ class KLR:
                 continue
             out: dict = {}
             for k, c in terms.items():
-                p = table.get(g | (k & _STEM))
+                stem = k & _STEM
+                p = table.get(g | stem)
                 if p is None:
-                    p = product(self, g, k & _STEM)
-                row = None if k <= _STEM else \
-                    shifts.get(k >> 32) or self._shift(k >> 32)
+                    p = product(self, g, stem)
+                off = k - stem
                 if not out and c == one:
                     # a shift is injective and no product holds a zero
-                    if row is None:
-                        out.update(p)
-                    else:
+                    if off:
                         for t, v in p.items():
-                            out[t + row[t >> 32]] = v
+                            out[t + off] = v
+                    else:
+                        out.update(p)
                     continue
                 unit = c == one
                 for t, v in p.items():
-                    if row is not None:
-                        t += row[t >> 32]
+                    t += off
                     if not unit:
                         v = mul(c, v)
                     # in a field only a sum of nonzero terms can vanish
@@ -492,8 +474,7 @@ class KLR:
         dom = self.dom
         tag, _, seq = self._stems[stem]
         t, corrections = self._y_through(g >> 32, self._words[stem], seq)
-        # psi_w y_t e(seq): y_t read from the exponent-sum table like any shift
-        out = {stem + self._shift(self._unit_e[t - 1])[0]: dom.one}
+        out = {stem + self._unit_e[t - 1]: dom.one}  # psi_w y_t e(seq)
         for word, sign in corrections:
             _acc(out, self._fold(word, seq, tag), dom.from_int(sign), dom)
         self._y_cache[g | stem] = out
@@ -623,6 +604,8 @@ class KLR:
             terms = by_face.get((m1.tag, m1.seq))
             if terms is None:
                 continue
+            if sum(m1.a) >= _LIMIT:
+                raise ShapeError(f"exponent {m1.a} sums to {_LIMIT} or more")
             steps = [y[s] for s, k in enumerate(m1.a, start=1) for _ in range(k)]
             steps += [psi[c] for c in reversed(canonical_word(m1.w))]
             _acc(out, self._run_steps(steps, terms)[-1], c1, self.dom)
@@ -759,6 +742,8 @@ class SuffixProgram:
     def slot(self, word: tuple) -> int:
         """The slot of `word`, appending a step for each of its suffixes
         not compiled yet, shortest first."""
+        if len(word) >= _LIMIT:
+            raise ShapeError(f"a word of {_LIMIT} letters or more")
         t = 0
         while (k := self.slots.get(word[t:])) is None:
             t += 1

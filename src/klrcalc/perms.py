@@ -45,8 +45,9 @@ def length(p: Perm) -> int:
 
 def left_mul_s(r: int, p: Perm) -> Perm:
     """s_r o p: swaps the values r-1 and r."""
-    a, b = r - 1, r
-    return tuple(b if v == a else a if v == b else v for v in p)
+    q = list(p)
+    q[p.index(r - 1)], q[p.index(r)] = r, r - 1
+    return tuple(q)
 
 
 def right_mul_s(p: Perm, r: int) -> Perm:

@@ -11,7 +11,8 @@ import pytest
 import klrcalc as K
 from klrcalc import suites
 from klrcalc.algebra import (KLR, TAGS_BOTH, E, Element, Mono, SuffixProgram,
-                             _acc, _acc1, _STEM)
+                             _acc, _acc1, _LIMIT, _MAX_N, _STEM)
+from klrcalc.cli import main
 from klrcalc.perms import act, all_perms, canonical_word, length
 from klrcalc.scalars import PrimeField
 from klrcalc.suites import random_element
@@ -213,11 +214,12 @@ def test_rewrite_memo_is_exponent_free():
             assert key >> 32 in letters
             tag, w, seq = ctx._stems[key & _STEM]
             assert w in perm_set and seq in seqs and tag in TAGS_BOTH
-    # the exponents live in the memoised products: exponent id 0 is the
-    # zero vector
-    assert not any(ctx._exps[0])
+    # the exponents live in the memoised products, in the fields above the
+    # stem bits: an exponent-free monomial is keyed by its stem id alone
+    assert all(ctx._key(Mono(*stem[:2], (0, 0, 0), stem[2])) == k
+               for k, stem in enumerate(ctx._stems))
     for table in (ctx._y_cache, ctx._psi_cache):
-        assert any(k >> 32 for out in table.values() for k in out)
+        assert any(k > _STEM for out in table.values() for k in out)
 
 
 def test_rewrite_memo_is_the_one_letter_products():
@@ -471,26 +473,63 @@ def test_step_loop_matches_a_term_by_term_oracle(dom):
     assert list(ctx._decode(values[-1]).items()) == list(want.terms.items())
 
 
-def _reversed_exp_sum(self, f, e):
-    """A seeded fault for the exponent-sum table: every shift by y^a adds a
-    reversed, so y_1 shifts the last exponent and y_n the first."""
-    return self._exp_id(tuple(map(add, self._exps[f], self._exps[e][::-1])))
-
-
-def test_sweep_sees_a_fault_in_the_shared_shift(monkeypatch):
-    # every y-exponent shift, the rewrite core's and the letter actions'
-    # alike, reads its offsets from the context's exponent-sum table: seeded
-    # with reversed sums, the relation rows fail (the rows, not only a fuzz
-    # line) in the same number whichever path of the letter actions made
-    # the products
-    monkeypatch.setattr(KLR, "_exp_sum", _reversed_exp_sum)
+def test_sweep_sees_a_fault_in_the_key_decoding(monkeypatch):
+    # a seeded fault in the packed term keys: decoding reads the exponent
+    # fields in reverse order.  The relation rows compare packed values, so
+    # only the row that compares a decoded product with its factor fails
+    decode = KLR._decode
+    monkeypatch.setattr(KLR, "_decode", lambda self, terms: {
+        m._replace(a=m.a[::-1]): c for m, c in decode(self, terms).items()})
     q = K.cycle(3)
     failing = Counter(row["relation"] for root in K.all_roots(q, 3)
                       for row in suites._sweep_block(K.make_context(q, 3), root, 1)
                       if row["status"] == "fail")
-    assert failing == {suites.SWEEP_NAMES[family]: count for family, count in (
-        ("y y", 10), ("psi y", 10), ("y psi", 10), ("psi y far", 10),
-        ("psi psi", 7), ("braid", 6))}
+    assert failing == {"sum_i e(i) acts as identity": 10}
+
+
+def test_packed_exponents_add_as_vectors():
+    # the shift by y^a is one integer add: over a window of exponents, every
+    # entry 0..2 or at the limit less one, the key of m plus y_r's offset
+    # decodes to m with a + e_r, and an entry that would reach the limit is
+    # refused, never carried into the next field
+    ctx = K.make_context(K.cycle(3), 3)
+    stem = ("G", (1, 0, 2), (0, 1, 2))
+    for a in itertools.product((0, 1, 2, _LIMIT - 1), repeat=3):
+        key = ctx._key(Mono(stem[0], stem[1], a, stem[2]))
+        for r in range(3):
+            b = tuple(v + (k == r) for k, v in enumerate(a))
+            if b[r] < _LIMIT:
+                assert list(ctx._decode({key + ctx._unit_e[r]: 1})) == [
+                    Mono(stem[0], stem[1], b, stem[2])]
+            else:
+                with pytest.raises(K.ShapeError):
+                    ctx._decode({key + ctx._unit_e[r]: 1})
+
+
+def test_exponents_past_the_limit_are_refused():
+    ctx = K.make_context(K.cycle(3), 2)
+    x = ctx.elem({Mono("G", (0, 1), (_LIMIT, 0), (0, 1)): 1})
+    y = ctx.e((0, 1))
+    for call in (lambda: ctx.act(("y", 1), x), lambda: x * y, lambda: y * x,
+                 lambda: list(ctx.act_words([(("y", 1),)], [x])),
+                 lambda: list(ctx.act_words([(("y", 1),) * _LIMIT], [y]))):
+        with pytest.raises(K.ShapeError):
+            call()
+    with pytest.raises(K.ShapeError):  # a stem could pass 2^13 letters
+        K.KLR(K.cycle(3), _MAX_N + 1)
+    # an entry at the limit less one is admitted, and one more y is refused
+    top = ctx.elem({Mono("G", (0, 1), (_LIMIT - 1, 0), (0, 1)): 1})
+    assert ctx.act(("y", 2), top) == ctx.elem(
+        {Mono("G", (0, 1), (_LIMIT - 1, 1), (0, 1)): 1})
+    with pytest.raises(K.ShapeError):
+        ctx.act(("y", 1), top)
+
+
+def test_long_powers_still_print(capsys):
+    assert main(["nf", "--n", "2", "y[1]^64"]) == 0
+    assert capsys.readouterr().out.startswith("y[1]^64*e(0,0)@G + ")
+    assert main(["mul", "--n", "2", "y[1]^64", "y[1]^64"]) == 0
+    assert capsys.readouterr().out.startswith("y[1]^128*e(0,0)@G + ")
 
 
 def _keyed_by_mono(x: Element) -> bool:

@@ -320,6 +320,28 @@ def test_failing_express_report(fmt, pooled, monkeypatch, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == EXPRESS_FAILING_GOLDEN[fmt]
 
 
+@pytest.mark.parametrize("suite, argv, row", [
+    ("alt-presentation", ["--bound", "1"], "express(alt basis element)"),
+    ("clifford", [], "centrality (y[1])")])
+def test_suites_that_catch_a_reversed_y_landing_index(suite, argv, row,
+                                                      monkeypatch, capsys):
+    # a seeded fault: y_t psi_w e(i) lands on y_{n+1-t}.  Every relation row
+    # holds under it, so klr-relations sees it only in its strategy fuzz and
+    # signed-relations not at all; these two suites are its catchers
+    init = K.KLR.__init__
+
+    def reversed_landing(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self._unit_e = self._unit_e[::-1]
+
+    monkeypatch.setattr(K.KLR, "__init__", reversed_landing)
+    monkeypatch.setattr(suites, "POOL_MIN_WORK", 10**9)
+    assert main(["verify", suite, "--n", "3", *argv]) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith("FAIL ")]
+    assert len(failed) == 6 and all(row in line for line in failed)
+
+
 @pytest.mark.parametrize("quiver", ["cycle(3)", "path(3)"])
 @pytest.mark.parametrize("suite", ["alt-presentation", "signed-relations"])
 def test_presentations_read_the_opposite_orientation(suite, quiver, monkeypatch,

@@ -50,6 +50,18 @@ def brute_reduced_words(p):
     return out
 
 
+def test_left_mul_swaps_the_values():
+    # against the definition it replaced: s_r o p maps the value r - 1 to r
+    # and r to r - 1
+    for n in range(1, 6):
+        for p in all_perms(n):
+            for r in range(1, n):
+                a, b = r - 1, r
+                assert left_mul_s(r, p) == tuple(b if v == a else a if v == b
+                                                 else v for v in p)
+                assert type(left_mul_s(r, p)) is tuple
+
+
 def test_word_perm_and_length():
     assert word_perm((), 3) == (0, 1, 2)
     assert word_perm((1,), 3) == (1, 0, 2)

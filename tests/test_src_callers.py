@@ -122,16 +122,24 @@ def test_only_the_engine_names_its_letter_actions():
     # letters act through `KLR.act` and words through `KLR.act_words`: no
     # other module reaches the engine's one letter action, its step loop or
     # the steps it runs.  Nor do the
-    # relation checks reach the rewrite memo tables, the exponent shift
-    # behind the actions, or the packed term keys (their stems, exponent
-    # ids, encoding and decoding): a fast path of their own would be a
-    # second letter action
+    # relation checks reach the rewrite memo tables or the packed term keys
+    # (their stems, exponent fields and offsets, encoding and decoding): a
+    # fast path of their own would be a second letter action
     actions = {"_resolve", "_run_steps", "_y_steps", "_psi_steps"}
     internals = {"_y_cache", "_psi_cache", "_y_stem", "_psi_stem", "_fold",
-                 "_walk_moves", "_y_through", "_acc", "_STEM", "_stem", "_stems",
-                 "_stem_ids", "_faces", "_words", "_exp_id", "_exp_ids", "_exps",
-                 "_exp_sum", "_shift", "_shifts", "_Shift", "_encode", "_decode",
-                 "SuffixProgram", "_signed_sum"}
+                 "_walk_moves", "_y_through", "_acc", "_STEM", "_WIDTH", "_LIMIT",
+                 "_stem", "_stems", "_stem_ids", "_faces", "_words", "_unit_e",
+                 "_exp_offset", "_exp_offsets", "_exp_vectors", "_key", "_encode",
+                 "_decode", "SuffixProgram", "_signed_sum"}
+    # a listed name that the engine no longer defines guards nothing
+    engine = ast.parse((SRC / "algebra.py").read_text())
+    defined = {sub.name for sub in ast.walk(engine)
+               if isinstance(sub, (ast.FunctionDef, ast.ClassDef))}
+    defined |= {sub.id for sub in ast.walk(engine)
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store)}
+    defined |= {sub.attr for sub in ast.walk(engine)
+                if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)}
+    assert (actions | internals) - defined == set()
     named, reached = set(), set()
     for path in sorted(SRC.glob("*.py")):
         for sub in ast.walk(ast.parse(path.read_text(), str(path))):
