@@ -621,7 +621,10 @@ class KLR:
     # --- basis enumeration ----------------------------------------------------
 
     def exponents_upto(self, bound: int) -> tuple:
-        """All a in N^n with |a| <= bound, lexicographic."""
+        """All a in N^n with |a| <= bound, lexicographic; a negative bound
+        is refused, not read as an empty truncation."""
+        if bound < 0:
+            raise ShapeError("bound must be >= 0")
         out = [()]
         for _ in range(self.n):
             out = [a + (v,) for a in out for v in range(bound + 1 - sum(a))]
@@ -630,8 +633,6 @@ class KLR:
     def enumerate_basis(self, root: Root, bound: int, tags=(TAG_MAIN,)):
         """All basis monomials over I^beta with |a| <= bound, in the canonical
         (tag, word, exponents, sequence) sort.  No degree is computed."""
-        if bound < 0:
-            raise ShapeError("bound must be >= 0")
         if root.height != self.n:
             raise ShapeError(f"root height {root.height} != n = {self.n}")
         seqs = self.block_seqs(root)

@@ -65,15 +65,3 @@ def rank(rows, dom) -> int:
     """Rank of the span of `rows` (a list of dicts key -> scalar)."""
     return Echelon(dom, rows).rank
 
-
-def spans_equal(rows_a, rows_b, dom) -> bool:
-    """Whether `rows_a` and `rows_b` span the same space.  `rows_a` is read
-    once, so it may be an iterator; `rows_b` is read twice, so it must be
-    re-iterable (a list, or an object whose `__iter__` builds the rows
-    afresh), not an iterator.  The echelon of `rows_a` is released before
-    `rows_b` is ranked."""
-    ech = Echelon(dom, rows_a)
-    rank_a = ech.rank
-    contained = all(not ech.reduce(row) for row in rows_b)
-    del ech
-    return contained and rank(rows_b, dom) == rank_a

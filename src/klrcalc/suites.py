@@ -82,8 +82,9 @@ POOL_MIN_WORK = 1_500
 
 def _block_work(n: int, bound: int, roots) -> int:
     """Sum over the blocks of n! C(bound + n, n) |I^beta|, the size of their
-    bases truncated at |a| <= bound, counted without listing them."""
-    per_seq = math.factorial(n) * math.comb(bound + n, n)
+    bases truncated at |a| <= bound, counted without listing them.  A
+    negative bound counts none: the block's check refuses it."""
+    per_seq = math.factorial(n) * math.comb(max(bound + n, 0), n)
     return sum(per_seq * math.factorial(n)
                // math.prod(math.factorial(m) for _, m in root.items)
                for root in roots)

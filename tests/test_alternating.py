@@ -248,10 +248,6 @@ def test_streamed_basis_is_alt_basis(bound):
         # the same terms in the same order
         assert [list(el.terms) for _, el in streamed] == \
             [list(el.terms) for el in elems]
-        # the signed check's re-iterable rows: sized, and streamed afresh
-        rows = alt._AltRows(ctx, root, bound)
-        assert len(rows) == len(elems)
-        assert list(rows) == list(rows) == [el.terms for el in elems]
 
 
 def test_express_coverage_reads_no_degree(monkeypatch):

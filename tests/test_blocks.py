@@ -460,17 +460,28 @@ def test_presentations_list_no_alternating_basis(monkeypatch):
         raise AssertionError("the alternating basis was listed")
 
     monkeypatch.setattr(alternating, "alt_basis", refuse)
+    monkeypatch.setattr(K.KLR, "enumerate_basis", refuse)
     monkeypatch.setattr(suites, "POOL_MIN_WORK", 10**9)
-    rank = linalg.rank
 
-    def sized_rank(rows, dom):
-        len(rows)  # streamed rows stay countable
-        return rank(rows, dom)
+    def no_echelon(*args):
+        raise AssertionError("an echelon was built")
 
-    monkeypatch.setattr(linalg, "rank", sized_rank)
+    # the even part is checked one sgn orbit at a time, eliminating nothing
+    monkeypatch.setattr(linalg, "Echelon", no_echelon)
     for run in (suites.run_alt_presentation, suites.run_signed_relations):
         report = run(K.cycle(3), 3, bound=2)
         assert report.ok and report.text_lines[-1] == "all checks passed"
+
+
+@pytest.mark.parametrize("run", [suites.run_klr_relations,
+                                 suites.run_alt_presentation,
+                                 suites.run_signed_relations, suites.run_clifford])
+def test_suites_refuse_a_negative_bound(run):
+    # a negative bound truncates to no basis at all: refused, not a vacuous
+    # pass, and not first read as a work estimate
+    for bound in (-1, -4):
+        with pytest.raises(K.ShapeError, match="bound must be >= 0"):
+            run(K.cycle(3), 3, bound=bound)
 
 
 @pytest.mark.parametrize("check", [suites._alt_block,

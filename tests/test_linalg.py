@@ -3,8 +3,9 @@
 from fractions import Fraction
 
 from klrcalc import scalars
-from klrcalc.linalg import Echelon, rank, spans_equal
+from klrcalc.linalg import Echelon, rank
 from klrcalc.scalars import PrimeField, Rationals
+from spans import spans_equal
 
 
 def test_rank_rationals():

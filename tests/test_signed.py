@@ -4,9 +4,11 @@ import pytest
 
 import klrcalc as K
 from klrcalc import alternating as alt
-from klrcalc import linalg, signop
-from klrcalc.algebra import relation_instances
+from klrcalc import signop
+from klrcalc.algebra import Element, Mono, relation_instances
+from klrcalc.perms import length
 from parity import parity_project
+from spans import spans_equal
 from steps import log_steps
 
 TAGS = ("G", "G'")
@@ -182,15 +184,78 @@ def test_roundtrips_present_only_on_asymmetric_blocks(ctx2):
 
 
 def test_even_part_matches_alternating_span():
+    # the reference: eliminate the even parts of the basis monomials against
+    # the alternating rows; the report's orbit-at-a-time check must agree
     for quiver in (K.cycle(3), K.path(3)):
-        ctx = K.make_context(quiver, 2)
-        for root in K.root_tau_classes(quiver, ctx.tau, 2).reps:
-            monos = ctx.enumerate_basis(root, 2, TAGS)
-            even_rows = []
-            for m in monos:
-                from klrcalc.algebra import Element
-                p = parity_project(ctx, Element(ctx, {m: ctx.dom.one}), "even")
-                if not p.is_zero():
-                    even_rows.append(p.terms)
-            _, elems = alt.alt_basis(ctx, root, 2)
-            assert linalg.spans_equal(even_rows, [e.terms for e in elems], ctx.dom)
+        for n in (1, 2, 3):
+            ctx = K.make_context(quiver, n)
+            for root in K.root_tau_classes(quiver, ctx.tau, n).reps:
+                for bound in (0, 1, 2):
+                    even_rows = []
+                    for m in ctx.enumerate_basis(root, bound, TAGS):
+                        p = parity_project(ctx, Element(ctx, {m: ctx.dom.one}), "even")
+                        if not p.is_zero():
+                            even_rows.append(p.terms)
+                    _, elems = alt.alt_basis(ctx, root, bound)
+                    assert spans_equal(even_rows, [e.terms for e in elems], ctx.dom)
+                    assert alt._even_part_is_alternating(ctx, root, bound)
+
+
+def sgn_ignoring_exponents(x):
+    """A faulty sgn: its sign reads l(w) only, not l(w) + |a|."""
+    dom = x.ctx.dom
+    return Element(x.ctx, {m._replace(tag="G'" if m.tag == "G" else "G"):
+                           dom.neg(c) if length(m.w) % 2 else c
+                           for m, c in x.terms.items()})
+
+
+def alt_basis_ignoring_exponents(ctx, root, bound, stream=alt.iter_alt_basis):
+    """A faulty alternating basis: its parity reads l(w) only."""
+    dom = ctx.dom
+    for (w, a, s, _), _ in stream(ctx, root, bound):
+        b = length(w) % 2
+        yield (w, a, s, b), Element(ctx, {
+            Mono("G", w, a, s): dom.one,
+            Mono("G'", w, a, s): dom.from_int(-1) if b else dom.one})
+
+
+def alt_basis_mislabelled(ctx, root, bound, stream=alt.iter_alt_basis):
+    """A faulty alternating basis: its labels read a = 0, its elements do not."""
+    for (w, a, s, b), el in stream(ctx, root, bound):
+        yield (w, (0,) * len(a), s, b), el
+
+
+OFF = Mono("G", (0, 1), (1, 0), (0, 1))  # y_1 e(0,1) on G
+
+
+def sgn_with_one_row_off_its_orbit(x):
+    """A faulty sgn: the image of OFF lands on y_2 e(0,1)@G', not y_1's."""
+    out = signop.sgn(x)
+    if OFF not in x.terms:
+        return out
+    terms = dict(out.terms)
+    terms[OFF._replace(tag="G'", a=(0, 1))] = terms.pop(OFF._replace(tag="G'"))
+    return Element(x.ctx, terms)
+
+
+def sgn_squaring_to_minus_one(x):
+    """A faulty sgn: the images of G' monomials are negated, so sgn^2 = -1."""
+    dom = x.ctx.dom
+    return Element(x.ctx, {m: dom.neg(c) if m.tag == "G" else c
+                           for m, c in signop.sgn(x).terms.items()})
+
+
+@pytest.mark.parametrize("patch", [
+    ("sgn", sgn_ignoring_exponents),
+    ("iter_alt_basis", alt_basis_ignoring_exponents),
+    ("sgn", sgn_with_one_row_off_its_orbit),
+    ("iter_alt_basis", alt_basis_mislabelled),
+    ("sgn", sgn_squaring_to_minus_one),
+], ids=["sgn ignores |a|", "parity ignores |a|", "sgn off orbit", "labels off",
+        "sgn^2 = -1"])
+def test_even_part_row_fails_under_seeded_faults(monkeypatch, ctx2, root01, patch):
+    rows, _ = alt.verify_signed_relations(ctx2, root01, bound=1)
+    assert rows[-1]["relation"].startswith("even part") and rows[-1]["status"] == "pass"
+    monkeypatch.setattr(alt, *patch)
+    rows, _ = alt.verify_signed_relations(ctx2, root01, bound=1)
+    assert rows[-1]["relation"].startswith("even part") and rows[-1]["status"] == "fail"
