@@ -40,7 +40,7 @@ from .algebra import (TAG_MAIN, TAG_OPP, Element, KLR, Mono,
                       relation_instances, twisted)
 from .perms import canonical_word, length
 from .quiver import Root, all_seqs, root_tau_classes, sequences, tau_classes
-from .signop import (ambient_unit, e_pair, eps_pair, sgn, sgn_eigenvalue,
+from .signop import (ambient_unit, e_pair, eps_pair, sgn_eigenvalue, sgn_planes,
                      translate_to_single)
 
 PLUS = "+"
@@ -370,27 +370,15 @@ def deg2_of(ctx: KLR, x: Element):
 
 def _even_part_is_alternating(ctx: KLR, root: Root, bound: int) -> bool:
     """Whether the span of b + sgn b over the truncated two-copy basis is
-    that of `iter_alt_basis`, checked on the planes <m@G, m@G'>, m = (w, a,
-    i), whose direct sum the block is, one at a time.  When sgn sends m@G
-    to eps m@G' and m@G' to eps' m@G with eps eps' = 1, both rows of the
-    plane lie on the line of m@G + eps m@G', and the spans agree there
-    exactly when the plane's one alternating element is c (m@G + eps m@G'),
-    c nonzero.  An image of sgn off its plane fails the check."""
-    dom, seqs, new = ctx.dom, ctx.block_seqs(root), tuple.__new__
-
-    def image(m, partner):
-        # sgn's coefficient on `partner`, None unless that is its one term
-        terms = sgn(Element(ctx, {m: dom.one})).terms
-        return terms.get(partner) if len(terms) == 1 else None
-
-    orbits = ((w, a, s) for w in perms.all_perms(ctx.n)
-              for a in ctx.exponents_upto(bound) for s in seqs)
-    for orbit, row in itertools.zip_longest(orbits, iter_alt_basis(ctx, root, bound)):
-        if orbit is None or row is None or row[0][:3] != orbit:
-            return False
-        m, m_opp = new(Mono, (TAG_MAIN,) + orbit), new(Mono, (TAG_OPP,) + orbit)
-        eps, back = image(m, m_opp), image(m_opp, m)
-        if eps is None or back is None or dom.mul(eps, back) != dom.one:
+    that of `iter_alt_basis`, checked on the planes of `sgn_planes`, one at a
+    time: where sgn sends m@G to eps m@G', the plane's even part is the line
+    of m@G + eps m@G', so its one alternating element must be c (m@G + eps
+    m@G'), c nonzero.  An image of sgn off its plane fails the check."""
+    dom = ctx.dom
+    for plane, row in itertools.zip_longest(sgn_planes(ctx, root, bound),
+                                            iter_alt_basis(ctx, root, bound)):
+        m, m_opp, eps = plane or (None, None, None)
+        if eps is None or row is None or row[0][:3] != m[1:]:
             return False
         terms = row[1].terms
         c = terms.get(m, 0)

@@ -28,22 +28,11 @@ class Rationals:
     def add(self, a, b):
         return a + b
 
-    def sub(self, a, b):
-        return a - b
-
     def mul(self, a, b):
         return a * b
 
     def neg(self, a):
         return -a
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0")
-        if a == 1 or a == -1:
-            return int(a)
-        q = Fraction(1) / a
-        return q.numerator if q.denominator == 1 else q
 
     def from_int(self, k: int):
         return k
@@ -91,17 +80,11 @@ class PrimeField:
     def add(self, a, b):
         return (a + b) % self.p
 
-    def sub(self, a, b):
-        return (a - b) % self.p
-
     def mul(self, a, b):
         return (a * b) % self.p
 
     def neg(self, a):
         return (-a) % self.p
-
-    def inv(self, a):
-        return pow(a % self.p, -1, self.p)
 
     def from_int(self, k: int):
         return k % self.p

@@ -17,10 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import linalg
 from .algebra import (TAG_MAIN, TAG_OPP, TAGS_BOTH, Element, KLR, Mono,
                       ShapeError, _acc1)
-from .perms import length
+from .exprs import element_to_text
+from .perms import all_perms, length
 from .quiver import Root
 
 
@@ -111,6 +111,27 @@ def sgn_eigenvalue(x: Element):
     return None
 
 
+def sgn_planes(ctx: KLR, root: Root, bound: int):
+    """The planes <m@G, m@G'>, m = (w, a, i), whose direct sum the truncated
+    two-copy block is, in `perms.all_perms` x `exponents_upto` x `block_seqs`
+    order.  Yields (m@G, m@G', eps), with eps None unless the real `sgn`
+    sends m@G to eps m@G' and m@G' to eps' m@G, with eps eps' = 1."""
+    dom, seqs, new = ctx.dom, ctx.block_seqs(root), tuple.__new__
+
+    def image(m, partner):
+        # sgn's coefficient on `partner`, 0 unless that is its one term
+        terms = sgn(Element(ctx, {m: dom.one})).terms
+        return terms.get(partner, 0) if len(terms) == 1 else 0
+
+    for w in all_perms(ctx.n):
+        for a in ctx.exponents_upto(bound):
+            for s in seqs:
+                # tuple.__new__ skips the namedtuple's Python-level __new__
+                m, m_opp = new(Mono, (TAG_MAIN, w, a, s)), new(Mono, (TAG_OPP, w, a, s))
+                eps = image(m, m_opp)
+                yield m, m_opp, eps if dom.mul(eps, image(m_opp, m)) == dom.one else None
+
+
 # --- translation to the one-quiver picture ---------------------------------
 
 
@@ -148,9 +169,13 @@ def clifford_axioms_check(ctx: KLR, root: Root, choice: CliffordChoice | None = 
     check refuses to continue without it), epsilon^2 = 1, sgn(eps) = -eps,
     product parity (even*even and odd*odd land even, even*odd lands odd; all
     pairs up to `max_pairs` per combination, deterministically sampled),
-    odd part = eps * even part as truncated spans, direct sum (rank
-    additivity), the identity lands even, and the even rank is half the
-    ambient rank.
+    odd part = eps * even part, direct sum of the even and odd parts, the
+    identity lands even, and the even rank is half the ambient rank.
+
+    The span axioms read `sgn_planes`, eliminating nothing: where sgn sends
+    m@G to e m@G', the plane's even and odd parts are the lines of m@G +-
+    e m@G', so both ranks are the plane count N, against 2N basis monomials,
+    and eps (m@G + e m@G') must be c (m@G - e m@G'), c nonzero.
 
     Returns (ok, axioms, meta): `axioms` maps axiom name to a dict with
     "status" and "witness" keys.
@@ -160,23 +185,24 @@ def clifford_axioms_check(ctx: KLR, root: Root, choice: CliffordChoice | None = 
     dom = ctx.dom
     axioms: dict = {}
     meta = {"bound": bound, "seed": seed}
+
+    def axiom(holds, witness=None):
+        return {"status": "pass" if holds else "fail",
+                "witness": None if holds else witness}
+
     eps = make_epsilon(ctx, root, choice)
     central, witness = centrality_check(ctx, eps, root)
-    axioms["centrality"] = {"status": "pass" if central else "fail", "witness": witness}
+    axioms["centrality"] = axiom(central, witness)
     if not central:
         return False, axioms, meta
 
     one = ambient_unit(ctx, root)
-    axioms["epsilon_square"] = {
-        "status": "pass" if eps * eps == one else "fail", "witness": None}
-    axioms["sgn_negates_epsilon"] = {
-        "status": "pass" if sgn(eps) == -eps else "fail", "witness": None}
+    axioms["epsilon_square"] = axiom(eps * eps == one)
+    axioms["sgn_negates_epsilon"] = axiom(sgn(eps) == -eps)
 
-    # b + sgn(b) and b - sgn(b) are twice the parts of b: ranks, spans and
-    # sign eigenvalues do not see the factor
+    # b + sgn(b) and b - sgn(b) are twice b's parts: sign eigenvalues ignore the 2
     monos = ctx.enumerate_basis(root, bound, TAGS_BOTH)
-    even = []
-    odd = []
+    even, odd = [], []
     for m in monos:
         b = Element(ctx, {m: dom.one})
         s = sgn(b)
@@ -184,8 +210,7 @@ def clifford_axioms_check(ctx: KLR, root: Root, choice: CliffordChoice | None = 
         odd.append(b - s)
 
     rng = random.Random(seed)
-    bad = None
-    checked = 0
+    bad, checked = None, 0
     for pa, pb, want in (("even", "even", 1), ("even", "odd", -1),
                          ("odd", "odd", 1)):
         xs = even if pa == "even" else odd
@@ -199,37 +224,28 @@ def clifford_axioms_check(ctx: KLR, root: Root, choice: CliffordChoice | None = 
         if bad:
             break
     meta["pairs_checked"] = checked
-    axioms["product_parity"] = {"status": "fail" if bad else "pass", "witness": bad}
+    axioms["product_parity"] = axiom(not bad, bad)
 
-    rows_odd = [o.terms for o in odd]
-    rows_eps_even = [(eps * b).terms for b in even]
-    odd_span = linalg.Echelon(dom, rows_odd)
-    r_odd = odd_span.rank
-    ok_span = all(not odd_span.reduce(row) for row in rows_eps_even)
-    del odd_span  # one echelon at a time
-    ok_span = ok_span and linalg.rank(rows_eps_even, dom) == r_odd
-    del rows_eps_even
-    axioms["odd_is_eps_even"] = {"status": "pass" if ok_span else "fail", "witness": None}
+    def text(m):
+        return element_to_text(Element(ctx, {m: dom.one}))
 
-    # the basis monomials are distinct unit rows
-    ambient_rank = len(monos)
-    span = linalg.Echelon(dom, [e.terms for e in even])
-    r_even = span.rank
-    for row in rows_odd:
-        span.add(row)
-    r_all = span.rank
-    ok_sum = (r_even + r_odd == r_all == ambient_rank)
-    axioms["direct_sum"] = {
-        "status": "pass" if ok_sum else "fail",
-        "witness": None if ok_sum else f"ranks {r_even}+{r_odd} vs {r_all} vs {ambient_rank}"}
-
-    axioms["unit_in_even"] = {
-        "status": "pass" if sgn(one) == one else "fail", "witness": None}
-
-    ok_half = 2 * r_even == ambient_rank
-    axioms["rank_halving"] = {
-        "status": "pass" if ok_half else "fail",
-        "witness": None if ok_half else f"even rank {r_even}, ambient {ambient_rank}"}
+    planes, moved, off = 0, None, None
+    for m, m_opp, e in sgn_planes(ctx, root, bound):
+        planes += 1
+        if e is None:
+            moved = moved or f"sgn moves {text(m)} off its plane"
+        elif not off:
+            got = (eps * Element(ctx, {m: dom.one, m_opp: e})).terms
+            c = got.get(m, 0)
+            if len(got) != 2 or dom.is_zero(c) or got.get(m_opp) != dom.mul(c, -e):
+                off = f"eps times the even part of {text(m)} leaves its plane"
+    halves = not moved and 2 * planes == len(monos)
+    axioms["odd_is_eps_even"] = axiom(not (moved or off), moved or off)
+    axioms["direct_sum"] = axiom(halves, moved or (
+        f"ranks {planes}+{planes} vs {2 * planes} vs {len(monos)}"))
+    axioms["unit_in_even"] = axiom(sgn(one) == one)
+    axioms["rank_halving"] = axiom(halves, moved or (
+        f"even rank {planes}, ambient {len(monos)}"))
 
     ok = all(v["status"] == "pass" for v in axioms.values())
     return ok, axioms, meta

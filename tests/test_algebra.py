@@ -16,6 +16,7 @@ from klrcalc.cli import main
 from klrcalc.perms import act, all_perms, canonical_word, length
 from klrcalc.scalars import PrimeField
 from klrcalc.suites import random_element
+from spans import inv
 from steps import log_steps
 from test_blocks import negate_three_letter_products
 
@@ -571,7 +572,7 @@ def test_public_results_are_keyed_by_mono(field, monkeypatch):
                 if not shared:
                     continue
                 t = min(shared, key=ctx.mono_sort_key)
-                ratio = dom.mul(p1[t], dom.inv(p2[t]))
+                ratio = dom.mul(p1[t], inv(dom, p2[t]))
                 x = ctx.elem({m1: dom.one, m2: dom.neg(ratio)})
                 got = ctx.act(g, x)
                 assert t not in got.terms and _keyed_by_mono(got)

@@ -4,9 +4,10 @@ import pytest
 
 import klrcalc as K
 from klrcalc import alternating as alt
-from klrcalc import linalg, signop
+from klrcalc import signop
 from klrcalc.algebra import E, F, Element, Mono, relation_instances, twisted
 from klrcalc.perms import all_perms, length
+from spans import Echelon, rank
 from steps import log_steps
 
 TAGS = ("G", "G'")
@@ -76,7 +77,7 @@ def test_alt_basis_counts_and_rank(ctx2, root01):
     assert len(elems) == 12
     monos = ctx2.enumerate_basis(root01, 1, TAGS)
     assert len(monos) == 24
-    assert linalg.rank([e.terms for e in elems], ctx2.dom) == 12
+    assert rank([e.terms for e in elems], ctx2.dom) == 12
     for (w, a, s, b), el in zip(descs, elems):
         assert (length(w) + sum(a) + b) % 2 == 0  # the parity constraint
         assert K.sgn(el) == el
@@ -91,7 +92,7 @@ def test_alt_basis_halving_all_blocks():
                 descs, elems = alt.alt_basis(ctx, root, 2)
                 monos = ctx.enumerate_basis(root, 2, TAGS)
                 assert 2 * len(elems) == len(monos)
-                assert linalg.rank([e.terms for e in elems], ctx.dom) == len(elems)
+                assert rank([e.terms for e in elems], ctx.dom) == len(elems)
 
 
 def sigma_fixed_dims_oracle(ctx, bound):
@@ -115,7 +116,7 @@ def sigma_fixed_dims_oracle(ctx, bound):
             row = {image: sign}
             row[m] = row.get(m, 0) - 1
             rows.append({k: v for k, v in row.items() if v})
-        fixed = len(monos) - linalg.rank(rows, ctx.dom)
+        fixed = len(monos) - rank(rows, ctx.dom)
         if fixed:
             table[d] = fixed
     return dict(sorted(table.items()))
@@ -410,7 +411,7 @@ def test_truncated_span_closed_under_multiplication(ctx2, root01):
     # terms only, inside the span of a larger truncation
     _, small = alt.alt_basis(ctx2, root01, 1)
     _, big = alt.alt_basis(ctx2, root01, 4)
-    big_span = linalg.Echelon(ctx2.dom, [e.terms for e in big])
+    big_span = Echelon(ctx2.dom, [e.terms for e in big])
     for x in small:
         for y in small:
             z = x * y

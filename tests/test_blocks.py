@@ -18,9 +18,10 @@ import weakref
 import pytest
 
 import klrcalc as K
-from klrcalc import alternating, linalg, perms, signop, suites
+from klrcalc import alternating, perms, signop, suites
 from klrcalc.cli import main
 from test_golden import GOLDEN, RUNS, canonical_stdout
+from test_signop import decode_reversed
 
 
 def usable_cpus(monkeypatch, count):
@@ -342,6 +343,24 @@ def test_suites_that_catch_a_reversed_y_landing_index(suite, argv, row,
     assert len(failed) == 6 and all(row in line for line in failed)
 
 
+@pytest.mark.parametrize("suite, argv, row, count", [
+    ("klr-relations", ["--bound", "1"], "sum_i e(i) acts as identity", 10),
+    ("alt-presentation", ["--bound", "1"], "express(alt basis element)", 6),
+    ("clifford", [], "odd_is_eps_even", 6)])
+def test_suites_that_catch_a_reversed_key_decoding(suite, argv, row, count,
+                                                   monkeypatch, capsys):
+    # a seeded fault: `KLR._decode` reads the exponent fields in reverse.
+    # signed-relations compares packed terms and decodes only a failing
+    # row's diff, so it still misses the fault; these three suites catch it,
+    # clifford because eps times a plane's even row lands on another plane
+    decode_reversed(monkeypatch)
+    monkeypatch.setattr(suites, "POOL_MIN_WORK", 10**9)
+    assert main(["verify", suite, "--n", "3", *argv]) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith("FAIL ")]
+    assert sum(row in line for line in failed) == count
+
+
 @pytest.mark.parametrize("quiver", ["cycle(3)", "path(3)"])
 @pytest.mark.parametrize("suite", ["alt-presentation", "signed-relations"])
 def test_presentations_read_the_opposite_orientation(suite, quiver, monkeypatch,
@@ -462,12 +481,6 @@ def test_presentations_list_no_alternating_basis(monkeypatch):
     monkeypatch.setattr(alternating, "alt_basis", refuse)
     monkeypatch.setattr(K.KLR, "enumerate_basis", refuse)
     monkeypatch.setattr(suites, "POOL_MIN_WORK", 10**9)
-
-    def no_echelon(*args):
-        raise AssertionError("an echelon was built")
-
-    # the even part is checked one sgn orbit at a time, eliminating nothing
-    monkeypatch.setattr(linalg, "Echelon", no_echelon)
     for run in (suites.run_alt_presentation, suites.run_signed_relations):
         report = run(K.cycle(3), 3, bound=2)
         assert report.ok and report.text_lines[-1] == "all checks passed"

@@ -11,6 +11,8 @@ from klrcalc.algebra import Element, Mono
 from klrcalc.perms import length
 from klrcalc.suites import random_element
 from parity import parity_project
+from spans import Echelon, rank, spans_equal
+from test_signed import sgn_squaring_to_minus_one, sgn_with_one_row_off_its_orbit
 
 TAGS = ("G", "G'")
 
@@ -154,6 +156,81 @@ def test_clifford_refuses_non_central(ctx, root):
     assert not ok
     assert axioms["centrality"]["status"] == "fail"
     assert list(axioms) == ["centrality"]  # refused before the other axioms
+
+
+SPAN_ROWS = ("odd_is_eps_even", "direct_sum", "rank_halving")
+
+
+def eliminated_span_rows(ctx, root, bound):
+    """The reference: clifford's three span rows as elimination decides
+    them, over the rows b + sgn b, b - sgn b and eps (b + sgn b) of every
+    truncated basis monomial b.  Returns ({row: holds}, even rank)."""
+    eps = signop.make_epsilon(ctx, root)
+    monos = ctx.enumerate_basis(root, bound, TAGS)
+    even, odd = [], []
+    for m in monos:
+        b = Element(ctx, {m: ctx.dom.one})
+        even.append(b + K.sgn(b))
+        odd.append(b - K.sgn(b))
+    rows_odd = [o.terms for o in odd]
+    r_odd = rank(rows_odd, ctx.dom)
+    span = Echelon(ctx.dom, [e.terms for e in even])
+    r_even = span.rank
+    for row in rows_odd:
+        span.add(row)
+    return {"odd_is_eps_even": spans_equal(rows_odd, [(eps * e).terms for e in even],
+                                           ctx.dom),
+            "direct_sum": r_even + r_odd == span.rank == len(monos),
+            "rank_halving": 2 * r_even == len(monos)}, r_even
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp:5"])
+@pytest.mark.parametrize("quiver", [K.cycle(3), K.path(3)], ids=["cycle3", "path3"])
+def test_clifford_span_rows_match_elimination(quiver, field):
+    # the plane rows decide as elimination does, on every block class at
+    # n <= 3 and bounds 0..2; the plane count is the even rank
+    dom = K.domain_from_flag(field)
+    for n in (1, 2, 3):
+        ctx = K.make_context(quiver, n, dom)
+        for root in K.root_tau_classes(quiver, ctx.tau, n).reps:
+            for bound in (0, 1, 2):
+                ok, axioms, _ = K.clifford_axioms_check(ctx, root, bound=bound,
+                                                        max_pairs=0)
+                want, r_even = eliminated_span_rows(ctx, root, bound)
+                assert {row: axioms[row]["status"] == "pass" for row in SPAN_ROWS} \
+                    == want == dict.fromkeys(SPAN_ROWS, True)
+                assert sum(1 for _ in signop.sgn_planes(ctx, root, bound)) == r_even
+                assert ok
+
+
+def decode_reversed(monkeypatch):
+    """A seeded fault: `KLR._decode` reads the exponent fields in reverse."""
+    decode = K.KLR._decode
+    monkeypatch.setattr(K.KLR, "_decode", lambda self, terms: {
+        m._replace(a=m.a[::-1]): c for m, c in decode(self, terms).items()})
+
+
+@pytest.mark.parametrize("fault", [
+    lambda mp: mp.setattr(signop, "sgn", sgn_with_one_row_off_its_orbit),
+    lambda mp: mp.setattr(signop, "sgn", sgn_squaring_to_minus_one),
+    decode_reversed,
+], ids=["sgn off its plane", "sgn^2 = -1 on G'", "_decode reversed"])
+def test_clifford_span_rows_fail_under_seeded_faults(fault, monkeypatch):
+    ctx = K.make_context(K.cycle(3), 2)
+    root = K.make_root(ctx.quiver, {0: 1, 1: 1})
+    ok, axioms, _ = K.clifford_axioms_check(ctx, root, bound=1)
+    assert ok
+    fault(monkeypatch)
+    ctx = K.make_context(K.cycle(3), 2)
+    ok, axioms, _ = K.clifford_axioms_check(ctx, root, bound=1)
+    failing = [row for row in SPAN_ROWS if axioms[row]["status"] == "fail"]
+    assert failing and not ok
+    assert all(axioms[row]["witness"] for row in failing)
+    if fault is decode_reversed:
+        # elimination absorbs this one: eps times an even row lands on the
+        # odd row of another plane, inside the odd span
+        assert eliminated_span_rows(ctx, root, 1)[0] == dict.fromkeys(SPAN_ROWS, True)
+        assert failing == ["odd_is_eps_even"]
 
 
 def _sample_pairs_reference(rng, nx, ny, max_pairs):

@@ -21,7 +21,6 @@ ALLOWED = {"alternating.alt_basis", "alternating.express_coverage"}
 # Each has been checked by hand to have a `src/` caller; a new one must be
 # checked and listed here.
 REVIEWED_SHADOWED = {
-    "linalg.Echelon.add",
     "scalars.Rationals.add", "scalars.Rationals.format",
     "scalars.PrimeField.add", "scalars.PrimeField.format",
     "quiver.ReversalMap.seq",
@@ -151,3 +150,21 @@ def test_only_the_engine_names_its_letter_actions():
                 reached.add(path.name)
     assert named == {"algebra.py"}
     assert not reached & {"suites.py", "alternating.py"}
+
+
+def test_no_src_module_eliminates():
+    # spans are checked one sgn plane at a time: elimination is a test
+    # reference (tests/spans.py), and no `src/` module defines or imports
+    # an echelon or the module that held one
+    assert not (SRC / "linalg.py").exists()
+    for path in sorted(SRC.glob("*.py")):
+        for sub in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = []
+            if isinstance(sub, (ast.FunctionDef, ast.ClassDef)):
+                names = [sub.name]
+            elif isinstance(sub, ast.ImportFrom):
+                names = [sub.module or ""] + [alias.name for alias in sub.names]
+            elif isinstance(sub, ast.Import):
+                names = [alias.name for alias in sub.names]
+            assert not [name for name in names
+                        if "echelon" in name.lower() or "linalg" in name], path.name
