@@ -38,10 +38,11 @@ acts through, `KLR._run_steps`.
 
 The defining presentation is also written down as data, apart from the
 rewrite rules: `KLR_RELATIONS` lists the relation families once, and
-`relation_instances` checks them in any realisation of the generators.  It
-compiles the table's words once into a `SuffixProgram`, one step (letter,
-source slot) per distinct suffix, resolves its steps once per sequence and
-runs them once per label on the packed terms of the label's base through
+`relation_instances` checks them on plain data: (label, sequence, base)
+triples and the views that read each label's rows.  Per sequence it
+compiles the table's words, their idempotent letters resolved for it, into
+one `SuffixProgram`, one step (letter, source slot) per distinct suffix,
+and runs it once per label on the packed terms of the label's base through
 `KLR._run_steps`; a row compares packed term dicts, building an Element only
 for a failing row's diff.  `KLR.act_words` runs any set of words the same
 way.  The corrections read the quiver's arrows.
@@ -49,7 +50,7 @@ way.  The corrections read the quiver's arrows.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple
 
 from . import perms
 from .perms import act, canonical_word, word_perm
@@ -406,7 +407,7 @@ class KLR:
         once per x, so words that share a suffix share its value."""
         program = SuffixProgram()
         slots = [program.slot(tuple(word)) for word in words]
-        steps = program.resolve(self, {})
+        steps = program.resolve(self)
         for x in xs:
             values = self._run_steps(steps, self._encode(x.terms))
             yield [Element(self, self._decode(values[k])) for k in slots]
@@ -709,32 +710,13 @@ def _correction(kind, r, i, arrow) -> list:
     return []
 
 
-class Realisation(NamedTuple):
-    """The generators of one algebra, as the relation table reads them.
-
-    Every word of a label acts on the terms of base(label), right to left,
-    letter by letter through `KLR._run_steps`: an idempotent letter is
-    resolved to ("e", j) first, and F acts as E.  `views(label)` lists the
-    rows read off one run of the words, as (row label, odd): a row reads
-    each word `twisted` by `odd`, F by its own kind.  A family in `bare` is
-    checked once, with label None: its words leave E out and act on
-    base(None), the block unit.
-    """
-
-    labels: Sequence
-    seq: Callable  # label -> residue sequence
-    base: Callable  # label -> Element
-    views: Callable = lambda label: ((label, frozenset()),)
-    bare: frozenset = frozenset()
-
-
 class SuffixProgram:
     """Words compiled into one slot per distinct suffix.
 
     Slot 0 holds the base; step k, a pair (letter, source slot), computes
     slot k + 1 as the letter acting on the source slot's terms.  A run of
-    the steps, resolved for a sequence, acts each once, in order, so words
-    sharing a suffix share its product and no word is looked up."""
+    the resolved steps acts each once, in order, so words sharing a suffix
+    share its product and no word is looked up."""
 
     def __init__(self):
         self.slots = {(): 0}
@@ -753,49 +735,53 @@ class SuffixProgram:
             k = self.slots[word[t:]] = len(self.steps)
         return k
 
-    def resolve(self, ctx: KLR, letters: dict) -> list:
-        """The steps, resolved for `ctx` (`KLR._resolve`), an idempotent
-        letter by `letters` first."""
-        return [ctx._resolve(letters.get(g, g), src) for g, src in self.steps]
+    def resolve(self, ctx: KLR) -> list:
+        """The steps, resolved for `ctx` (`KLR._resolve`)."""
+        return [ctx._resolve(g, src) for g, src in self.steps]
 
 
-def relation_instances(real: Realisation, n: int):
-    """Every instance of KLR_RELATIONS in a realisation: yields (family,
-    row label, r, s, diff), with s None in rows of one index and diff None
-    where the row holds, else the Element lhs - rhs.  The instances come
-    label by label (the bare families last), view by view within a label
-    and, within a view, in table order, so each family's instances are in
-    row-label-major order.
+def relation_instances(labels, n: int, views=((None, frozenset()),), bare=None):
+    """Every instance of KLR_RELATIONS: yields (family, row label, r, s,
+    diff), with s None in rows of one index and diff None where the row
+    holds, else the Element lhs - rhs.
 
-    The table's words are compiled into a `SuffixProgram` (the bare
-    families' into one of their own), which runs once per label on the
-    terms of its base, once its views' checks are built; a row compares
-    term dicts.  A check depends on its label only through the label's
-    sequence, so for the call's length the checks are cached by (sequence,
-    odd) and the resolved steps by sequence."""
-    labelled, bare = [], []
+    `labels` holds (label, sequence i, base Element) triples: every word of
+    a label acts on the terms of its base, right to left, letter by letter
+    through `KLR._run_steps`.  Each (key, odd) of `views` reads the rows
+    off that one run, each word `twisted` by `odd`, under the row label
+    `label` for key None and (label, key) otherwise.  `bare`, if given, is
+    (families, unit base): those families are checked once, with label
+    None, their words leaving E out and acting on the unit base.
+
+    The instances come label by label (the bare families last), view by
+    view within a label and, within a view, in table order, so each
+    family's instances are in row-label-major order.  A label's checks
+    depend on it only through its sequence, so each sequence's words are
+    compiled once into a `SuffixProgram`, its letters resolved for the
+    sequence, and its views' checks built with it; a row compares term
+    dicts."""
+    families, unit = bare or ((), None)
+    labelled, bare_rows = [], []
     for family, indices, lhs, rhs, correction in KLR_RELATIONS:
-        if family in real.bare:
+        if family in families:
             lhs, rhs = (tuple(g for g in word if g != E) for word in (lhs, rhs))
-        (bare if family in real.bare else labelled).extend(
+        (bare_rows if family in families else labelled).extend(
             (family, r, s, _place(lhs, r, s), rhs and _place(rhs, r, s), correction)
             for r, s in _RANGES[indices](n))
-    for rows, labels in ((labelled, real.labels), (bare, [None] if bare else [])):
-        program, checks, resolved = SuffixProgram(), {}, {}
-        for label in labels:
-            base = real.base(label)
+    for rows, triples in ((labelled, labels),
+                          (bare_rows, [(None, None, unit)] if bare_rows else [])):
+        compiled: dict = {}
+        for label, i, base in triples:
             ctx = base.ctx
-            i = None if label is None else real.seq(label)
-            views = real.views(label)
-            for _, odd in views:
-                if (i, odd) not in checks:
-                    checks[i, odd] = _checks(program, rows, ctx, i, odd)
-            steps = resolved.get(i, ())
-            if len(steps) < len(program.steps):  # a check compiled words since
-                steps = resolved[i] = program.resolve(ctx, _letters(i))
+            if i not in compiled:
+                program = SuffixProgram()
+                checks = _checks(program, rows, ctx, i, views)
+                compiled[i] = program.resolve(ctx), checks
+            steps, checks = compiled[i]
             values = ctx._run_steps(steps, ctx._encode(base.terms))
-            for row_label, odd in views:
-                for family, r, s, lhs, lhs_odd, rhs in checks[i, odd]:
+            for (key, _), view in zip(views, checks):
+                row_label = label if key is None else (label, key)
+                for family, r, s, lhs, lhs_odd, rhs in view:
                     left = values[lhs]
                     right = values[rhs] if type(rhs) is int else _signed_sum(
                         ((sign, values[k], flip) for sign, k, flip in rhs), ctx)
@@ -804,36 +790,36 @@ def relation_instances(real: Realisation, n: int):
                     yield family, row_label, r, s, diff
 
 
-def _letters(i) -> dict:
-    """The idempotent letters E and ("swap", r) resolved for sequence i."""
-    if i is None:
-        return {}
-    return {E: ("e", i), **{("swap", r): ("e", i[:r - 1] + (i[r], i[r - 1]) + i[r + 1:])
-                            for r in range(1, len(i))}}
+def _checks(program: SuffixProgram, rows, ctx: KLR, i, views) -> list:
+    """The checks of sequence i, one list per (key, odd) of `views`.  A
+    check is (family, r, s, lhs slot, lhs odd, rhs): the rhs is the slot of
+    a word read as the lhs is, else its (sign, slot, flip) parts, flipped
+    where a word's parity differs from the lhs's.  Each word is compiled
+    once, with E and F resolved to ("e", i) and ("swap", r) to ("e", s_r
+    i); its parity in a view is counted on its placed letters, F as its own
+    kind."""
 
-
-def _checks(program: SuffixProgram, rows, ctx: KLR, i, odd) -> list:
-    """The checks of sequence i in view `odd`.  A check is (family, r, s,
-    lhs slot, lhs odd, rhs): the rhs is the slot of a word read as the lhs
-    is, else its (sign, slot, flip) parts, flipped where a word's parity
-    differs from the lhs's.  A word is compiled with F written E, its
-    parity counted on its own letters."""
-
-    def parity(word):
-        return sum(g[0] in odd for g in word) % 2
+    def slot(word):
+        return program.slot(tuple(
+            ("e", i) if g in (E, F) else
+            ("e", i[:g[1] - 1] + (i[g[1]], i[g[1] - 1]) + i[g[1] + 1:])
+            if g[0] == "swap" else g for g in word))
 
     # the corrections read the quiver's arrows, not the engine's
     # `KLR.arrow`, so a fault in the engine's orientation shows in the rows
     arrow = ctx.quiver.has_edge
-    checks = []
+    checks = [[] for _ in views]
     for family, r, s, lhs, rhs, correction in rows:
-        p, left = parity(lhs), program.slot(lhs)
-        words = ([(1, rhs)] if rhs else []) + _correction(correction, r, i, arrow)
-        parts = [(sign, program.slot(tuple(E if g == F else g for g in word)),
-                  parity(word) != p) for sign, word in words]
-        if len(parts) == 1 and parts[0][0] == 1 and not parts[0][2]:
-            parts = parts[0][1]
-        checks.append((family, r, s, left, p, parts))
+        words = [(1, lhs)] + ([(1, rhs)] if rhs else []) + _correction(
+            correction, r, i, arrow)
+        left, *slots = [slot(word) for _, word in words]
+        for (_, odd), view in zip(views, checks):
+            p, *odds = [sum(g[0] in odd for g in word) % 2 for _, word in words]
+            parts = [(sign, k, q != p)
+                     for (sign, _), k, q in zip(words[1:], slots, odds)]
+            if len(parts) == 1 and parts[0][0] == 1 and not parts[0][2]:
+                parts = parts[0][1]
+            view.append((family, r, s, left, p, parts))
     return checks
 
 

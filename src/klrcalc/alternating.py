@@ -15,12 +15,12 @@ Two pictures coexist and are translated between:
   at one strand.
 
 The relation families of both presentations are the rows of one table,
-`algebra.KLR_RELATIONS`, which `algebra.relation_instances` checks in one
-plain two-copy realisation (`_two_copy`): its compiled suffix program runs
-on the terms of e[i] or of the block unit, through the engine's one step
-loop.  Every generator of both presentations keeps a term's tag,
-so a word's value in either is G + s G', the tag parts of its one plain
-value, with s = -1 when it has an odd number of odd letters
+`algebra.KLR_RELATIONS`, which `algebra.relation_instances` checks on the
+plain two-copy values (`_table_instances`): each sequence's compiled suffix
+program runs on the terms of e[i], or of the block unit, through the
+engine's one step loop.  Every generator of both presentations keeps a
+term's tag, so a word's value in either is G + s G', the tag parts of its
+one plain value, with s = -1 when it has an odd number of odd letters
 (`algebra.twisted`).  The basis words of the expression check run on each
 e[i] as one compiled suffix program, through `KLR.act_words`.
 
@@ -35,9 +35,9 @@ import itertools
 import math
 
 from . import perms
-from .algebra import (TAG_MAIN, TAG_OPP, Element, KLR, Mono,
-                      NotHomogeneousError, Realisation, ShapeError,
-                      relation_instances, twisted)
+from .algebra import (TAG_MAIN, TAG_OPP, TAGS_BOTH, Element, KLR, Mono,
+                      NotHomogeneousError, ShapeError, relation_instances,
+                      twisted)
 from .perms import canonical_word, length
 from .quiver import Root, all_seqs, root_tau_classes, sequences, tau_classes
 from .signop import (ambient_unit, e_pair, eps_pair, sgn_eigenvalue, sgn_planes,
@@ -215,34 +215,26 @@ ALT_ODD = frozenset({"psi", "y"})
 SIGNED_ODD = {PLUS: frozenset({"F"}), MINUS: frozenset({"E", "swap"})}
 
 
-def _two_copy(ctx: KLR, root: Root) -> Realisation:
-    """The block's two-copy algebra: one label per sequence i, whose words act
-    on e[i] (on the block unit for label None), every letter on both tags
-    alike, so a presentation's rows are views of these values."""
-    return Realisation(labels=list(ctx.block_seqs(root)), seq=lambda i: i,
-                       base=lambda i: (ambient_unit(ctx, root) if i is None
-                                       else e_pair(ctx, i)))
-
-
-def _alt_realisation(ctx: KLR, root: Root) -> Realisation:
-    """Row i reads i's words with ALT_ODD; "y y" is checked on the unit."""
-    return _two_copy(ctx, root)._replace(views=lambda i: ((i, ALT_ODD),),
-                                         bare=frozenset({"y y"}))
-
-
-def _signed_realisation(ctx: KLR, root: Root) -> Realisation:
-    """Rows (i, +) and (i, -), both read off one evaluation of i's words."""
-    return _two_copy(ctx, root)._replace(
-        views=lambda i: tuple(((i, a), odd) for a, odd in SIGNED_ODD.items()))
-
-
-def _table_instances(real: Realisation, n: int, names: dict, cls) -> list:
-    """The instances of the relation table as report rows, family by family
-    in table order; cls(label) is the row's "class"."""
+def _table_instances(ctx: KLR, root: Root, names: dict, cls, views,
+                     bare=None) -> list:
+    """The instances of the relation table on the block's two-copy algebra,
+    as report rows, family by family in table order: one label per sequence
+    i, whose words act on e[i], every letter on both tags alike, so a
+    presentation's rows are `views` of these values.  cls(label) is the
+    row's "class"."""
     found = {family: [] for family in names}
-    for family, label, r, s, diff in relation_instances(real, n):
+    labels = [(i, i, e_pair(ctx, i)) for i in ctx.block_seqs(root)]
+    for family, label, r, s, diff in relation_instances(labels, ctx.n, views, bare):
         found[family].append(_diff_row(names[family], cls(label), r, s, diff))
     return [inst for instances in found.values() for inst in instances]
+
+
+def _y_landing(ctx: KLR, r: int, one: Element, seqs):
+    """y_r acting on `one`, the unit of the block of `seqs`, and a witness
+    unless it is y_r as `KLR.y_element` builds it, from `Mono`s that are
+    never decoded."""
+    y = ctx.act(("y", r), one)
+    return y, None if y == ctx.y_element(r, seqs, TAGS_BOTH) else f"y[{r}]*1 = {y!r}"
 
 
 def verify_alt_presentation(ctx: KLR, root: Root):
@@ -255,8 +247,7 @@ def verify_alt_presentation(ctx: KLR, root: Root):
     """
     seqs = ctx.block_seqs(root)
     n = ctx.n
-    real = _alt_realisation(ctx, root)
-    E, one = real.base, real.base(None)
+    one, E = ambient_unit(ctx, root), {i: e_pair(ctx, i) for i in seqs}
     out = []
     notes = [
         "idempotents are indexed by tag-swap classes: one e[i] per sequence "
@@ -273,26 +264,28 @@ def verify_alt_presentation(ctx: KLR, root: Root):
 
     for i in seqs:
         for j in seqs:
-            want = E(i) if i == j else ctx.zero()
-            out.append(_instance("e[i]e[j] = delta e[i]", (i, j), lhs=E(i) * E(j),
+            want = E[i] if i == j else ctx.zero()
+            out.append(_instance("e[i]e[j] = delta e[i]", (i, j), lhs=E[i] * E[j],
                                  rhs=want))
-    total = sum((E(i) for i in seqs), ctx.zero())
+    total = sum((E[i] for i in seqs), ctx.zero())
     out.append(_instance("sum e[i] = 1", None, lhs=total, rhs=one))
 
-    out += _table_instances(real, n, ALT_NAMES,
-                            lambda i: None if i is None else (i,))
+    out += _table_instances(ctx, root, ALT_NAMES,
+                            lambda i: None if i is None else (i,),
+                            ((None, ALT_ODD),), ({"y y"}, one))
 
     # degree assertions, read off the plain values: a twist keeps degrees
     for i in seqs:
         for r in range(1, n):
             want = -ctx.quiver.cartan_entry(i[r - 1], i[r])
-            got = ctx.act(("psi", r), E(i)).degree()
+            got = ctx.act(("psi", r), E[i]).degree()
             out.append(_row("deg Psi_r e[i]", (i,), r, got, want, f"deg {got} != {want}"))
     for r in range(1, n + 1):
-        got = ctx.act(("y", r), one).degree()
-        out.append(_row("deg Y_r = 2", None, r, got, 2, f"deg {got}"))
+        y, off = _y_landing(ctx, r, one, seqs)
+        got = off or y.degree()
+        out.append(_row("deg Y_r = 2", None, r, got, 2, off or f"deg {got}"))
     for i in seqs:
-        got = E(i).degree()
+        got = E[i].degree()
         out.append(_row("deg e[i] = 0", (i,), None, got, 0, f"deg {got}"))
     return out, notes
 
@@ -309,6 +302,8 @@ def iter_express_coverage(ctx: KLR, root: Root, bound: int):
     one, minus, new = dom.one, dom.from_int(-1), tuple.__new__
     keys = [(w, a) for w in perms.all_perms(ctx.n) for a in ctx.exponents_upto(bound)]
     words = [express_alt(ctx, (w, a, None, None))[:-1] for w, a in keys]
+    # each word's parity, counted as `twisted` counts it
+    odd = {k: sum(g[0] in ALT_ODD for g in word) % 2 for k, word in zip(keys, words)}
     failing = {}
     for s, values in zip(seqs, ctx.act_words(words, (e_pair(ctx, s) for s in seqs))):
         for (w, a), got in zip(keys, values):
@@ -321,7 +316,7 @@ def iter_express_coverage(ctx: KLR, root: Root, bound: int):
         m, m_opp = new(Mono, (TAG_MAIN, w, a, s)), new(Mono, (TAG_OPP, w, a, s))
         got = failing.get((w, a, s))
         if got is None and el.terms == {
-                m: one, m_opp: minus if (length(w) + sum(a)) % 2 else one}:
+                m: one, m_opp: minus if odd[w, a] else one}:
             yield _diff_row("express(alt basis element)", desc, None, None, None)
         else:
             plain = Element(ctx, {m: one, m_opp: one}) if got is None else got
@@ -406,7 +401,6 @@ def verify_signed_relations(ctx: KLR, root: Root, bound: int = 1):
     symmetric = tau_root == root
 
     E = {(s, a): signed_eps(ctx, s, a) for s in seqs for a in (PLUS, MINUS)}
-    real = _signed_realisation(ctx, root)
     one = ambient_unit(ctx, root)
 
     out = []
@@ -444,12 +438,13 @@ def verify_signed_relations(ctx: KLR, root: Root, bound: int = 1):
                 out.append(_instance("eps_-(i) = 0 for tau-fixed i", (i,),
                                      lhs=theta_eps(ctx, i, a), rhs=ctx.zero()))
 
-    out += _table_instances(real, n, SIGNED_NAMES, lambda label: label)
+    out += _table_instances(ctx, root, SIGNED_NAMES, lambda label: label,
+                            tuple(SIGNED_ODD.items()))
 
     # Z x C2 degrees of the realized generators
-    def deg2_inst(name, cls, x, want):
+    def deg2_inst(name, cls, x, want, off=None):
         try:
-            got = deg2_of(ctx, x)
+            got = off or deg2_of(ctx, x)
         except NotHomogeneousError as exc:
             got = str(exc)
         out.append(_row(name, cls, None, got, want, f"{got} != {want}"))
@@ -458,7 +453,8 @@ def verify_signed_relations(ctx: KLR, root: Root, bound: int = 1):
         deg2_inst("deg2 eps_+(i) = (0,+)", (i,), E[(i, PLUS)], (0, PLUS))
         deg2_inst("deg2 eps_-(i) = (0,-)", (i,), E[(i, MINUS)], (0, MINUS))
     for r in range(1, n + 1):
-        deg2_inst("deg2 y'_r = (2,-)", None, ctx.act(("y", r), one), (2, MINUS))
+        y, off = _y_landing(ctx, r, one, seqs)
+        deg2_inst("deg2 y'_r = (2,-)", None, y, (2, MINUS), off)
     for i in seqs:
         for r in range(1, n):
             c = ctx.quiver.cartan_entry(i[r - 1], i[r])

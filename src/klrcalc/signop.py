@@ -200,23 +200,20 @@ def clifford_axioms_check(ctx: KLR, root: Root, choice: CliffordChoice | None = 
     axioms["epsilon_square"] = axiom(eps * eps == one)
     axioms["sgn_negates_epsilon"] = axiom(sgn(eps) == -eps)
 
-    # b + sgn(b) and b - sgn(b) are twice b's parts: sign eigenvalues ignore the 2
     monos = ctx.enumerate_basis(root, bound, TAGS_BOTH)
-    even, odd = [], []
-    for m in monos:
-        b = Element(ctx, {m: dom.one})
-        s = sgn(b)
-        even.append(b + s)
-        odd.append(b - s)
+
+    def part(k, parity):
+        # b + sgn(b) and b - sgn(b) are twice b's parts: sign eigenvalues
+        # ignore the 2; only the sampled parts are built
+        b = Element(ctx, {monos[k]: dom.one})
+        return b + sgn(b) if parity == "even" else b - sgn(b)
 
     rng = random.Random(seed)
     bad, checked = None, 0
     for pa, pb, want in (("even", "even", 1), ("even", "odd", -1),
                          ("odd", "odd", 1)):
-        xs = even if pa == "even" else odd
-        ys = even if pb == "even" else odd
-        for i, j in _sample_pairs(rng, len(xs), len(ys), max_pairs):
-            z = xs[i] * ys[j]
+        for i, j in _sample_pairs(rng, len(monos), len(monos), max_pairs):
+            z = part(i, pa) * part(j, pb)
             checked += 1
             if sgn_eigenvalue(z) not in (0, want):
                 bad = f"{pa}*{pb} product is not a {want:+d} eigenvector"

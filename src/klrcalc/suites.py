@@ -16,8 +16,7 @@ import random
 from dataclasses import dataclass, field
 
 from . import alternating, signop
-from .algebra import (TAG_MAIN, Element, KLR, Mono, Realisation,
-                      relation_instances)
+from .algebra import TAG_MAIN, Element, KLR, Mono, relation_instances
 from .quiver import (Quiver, Root, all_roots, all_seqs, default_reversal,
                      root_of_seq, root_tau_classes, validate_reversal)
 
@@ -234,9 +233,9 @@ def _sweep_block(ctx: KLR, root: Root, bound: int):
     # every word of a basis monomial's label acts on the monomial itself,
     # which is its own e(i) for i its face; the rows that hold are tallied
     # by family, so only a failing row calls `check`
-    real = Realisation(labels=monos, seq=ctx.mono_face, base=base)
     held: dict = {}
-    for family, _, _, _, diff in relation_instances(real, ctx.n):
+    for family, _, _, _, diff in relation_instances(
+            ((m, ctx.mono_face(m), base(m)) for m in monos), ctx.n):
         if diff is None:
             held[family] = held.get(family, 0) + 1
         else:

@@ -588,8 +588,9 @@ def test_public_results_are_keyed_by_mono(field, monkeypatch):
     monkeypatch.setattr(K.algebra, "_correction", lambda kind, *args: []
                         if kind == "braid" else correction(kind, *args))
     root3 = K.make_root(q, {0: 2, 1: 1})
+    labels = [(i, i, K.e_pair(ctx, i)) for i in ctx.block_seqs(root3)]
     diffs = [diff for *_, diff in K.algebra.relation_instances(
-        alt._signed_realisation(ctx, root3), 3) if diff is not None]
+        labels, 3, tuple(alt.SIGNED_ODD.items())) if diff is not None]
     assert diffs and all(map(_keyed_by_mono, diffs))
     assert {m.tag for d in diffs for m in d.terms} == set(TAGS_BOTH)
     monkeypatch.undo()
@@ -673,14 +674,13 @@ def test_normal_monomial_invariants(c3):
 def test_evaluate_computes_each_suffix_once(c3, monkeypatch):
     i = (0, 1)
     words = [(("y", 1), ("psi", 1)), (("psi", 1), ("y", 1), ("psi", 1)),
-             (("y", 2), ("psi", 1)), (E, ("y", 1), ("psi", 1))]
+             (("y", 2), ("psi", 1)), (("e", i), ("y", 1), ("psi", 1))]
     # the oracle, multiplied out by `gen_left` before any step is logged
-    want = [c3.word_element([("e", i) if g == E else g for g in w], i)
-            for w in words]
+    want = [c3.word_element(w, i) for w in words]
     calls = log_steps(monkeypatch)
-    program, letters = SuffixProgram(), {E: ("e", i)}
+    program = SuffixProgram()
     slots = [program.slot(w) for w in words]
-    steps = program.resolve(c3, letters)
+    steps = program.resolve(c3)
     values = c3._run_steps(steps, c3._encode(c3.e(i).terms))
     suffixes = {w[t:] for w in words for t in range(len(w))}
     # one step, and one action, per distinct suffix

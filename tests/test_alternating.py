@@ -394,9 +394,12 @@ def test_presentations_act_without_multiply(monkeypatch):
     for root in K.all_roots(ctx.quiver, 3):
         assert all(row["status"] == "pass"
                    for row in alt.iter_express_coverage(ctx, root, 1))
-        for real in (alt._alt_realisation(ctx, root),
-                     alt._signed_realisation(ctx, root)):
-            assert all(diff is None for *_, diff in relation_instances(real, 3))
+        labels = [(i, i, signop.e_pair(ctx, i)) for i in ctx.block_seqs(root)]
+        for views, bare in (
+                (((None, alt.ALT_ODD),), ({"y y"}, signop.ambient_unit(ctx, root))),
+                (tuple(alt.SIGNED_ODD.items()), None)):
+            assert all(diff is None for *_, diff in
+                       relation_instances(labels, 3, views, bare))
 
 
 def test_dims_complete_window():

@@ -321,14 +321,19 @@ def test_failing_express_report(fmt, pooled, monkeypatch, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == EXPRESS_FAILING_GOLDEN[fmt]
 
 
-@pytest.mark.parametrize("suite, argv, row", [
-    ("alt-presentation", ["--bound", "1"], "express(alt basis element)"),
-    ("clifford", [], "centrality (y[1])")])
-def test_suites_that_catch_a_reversed_y_landing_index(suite, argv, row,
+@pytest.mark.parametrize("suite, argv, rows, count", [
+    ("alt-presentation", ["--bound", "1"],
+     ("express(alt basis element)", "deg Y_r = 2"), 12),
+    ("alt-presentation", ["--bound", "0"], ("deg Y_r = 2",), 6),
+    ("signed-relations", ["--bound", "1"], ("deg2 y'_r = (2,-)",), 6),
+    ("clifford", [], ("centrality (y[1])",), 6)])
+def test_suites_that_catch_a_reversed_y_landing_index(suite, argv, rows, count,
                                                       monkeypatch, capsys):
     # a seeded fault: y_t psi_w e(i) lands on y_{n+1-t}.  Every relation row
-    # holds under it, so klr-relations sees it only in its strategy fuzz and
-    # signed-relations not at all; these two suites are its catchers
+    # holds under it, so klr-relations sees it only in its strategy fuzz;
+    # the presentations catch it in their degree rows of y_r, which compare
+    # y_r acting on the block unit with y_r built from monomials, and alt
+    # at bound 1 in its express rows too
     init = K.KLR.__init__
 
     def reversed_landing(self, *args, **kwargs):
@@ -340,25 +345,43 @@ def test_suites_that_catch_a_reversed_y_landing_index(suite, argv, row,
     assert main(["verify", suite, "--n", "3", *argv]) == 1
     failed = [line for line in capsys.readouterr().out.splitlines()
               if line.startswith("FAIL ")]
-    assert len(failed) == 6 and all(row in line for line in failed)
+    assert len(failed) == count
+    assert all(any(row in line for row in rows) for line in failed)
 
 
 @pytest.mark.parametrize("suite, argv, row, count", [
     ("klr-relations", ["--bound", "1"], "sum_i e(i) acts as identity", 10),
     ("alt-presentation", ["--bound", "1"], "express(alt basis element)", 6),
+    ("alt-presentation", ["--bound", "0"], "deg Y_r = 2", 6),
+    ("signed-relations", ["--bound", "1"], "deg2 y'_r = (2,-)", 6),
     ("clifford", [], "odd_is_eps_even", 6)])
 def test_suites_that_catch_a_reversed_key_decoding(suite, argv, row, count,
                                                    monkeypatch, capsys):
     # a seeded fault: `KLR._decode` reads the exponent fields in reverse.
-    # signed-relations compares packed terms and decodes only a failing
-    # row's diff, so it still misses the fault; these three suites catch it,
-    # clifford because eps times a plane's even row lands on another plane
+    # The relation rows compare packed terms and decode only a failing
+    # row's diff, so they miss it; the presentations' degree rows of y_r
+    # compare the decoded y_r 1 with y_r built from monomials, and clifford
+    # fails because eps times a plane's even row lands on another plane
     decode_reversed(monkeypatch)
     monkeypatch.setattr(suites, "POOL_MIN_WORK", 10**9)
     assert main(["verify", suite, "--n", "3", *argv]) == 1
     failed = [line for line in capsys.readouterr().out.splitlines()
               if line.startswith("FAIL ")]
     assert sum(row in line for line in failed) == count
+
+
+def test_express_coverage_reads_the_odd_kinds(monkeypatch, capsys):
+    # a seeded fault: Y_r is read as even.  Express coverage counts a
+    # passing row's parity from ALT_ODD, as its failing rows' `twisted`
+    # does, so its rows of an odd number of y letters fail with the relation
+    # rows that read Y_r
+    monkeypatch.setattr(alternating, "ALT_ODD", frozenset({"psi"}))
+    monkeypatch.setattr(suites, "POOL_MIN_WORK", 10**9)
+    assert main(["verify", "alt-presentation", "--n", "3", "--bound", "1"]) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith("FAIL ")]
+    assert len(failed) == 20
+    assert sum("express(alt basis element)" in line for line in failed) == 6
 
 
 @pytest.mark.parametrize("quiver", ["cycle(3)", "path(3)"])
@@ -497,22 +520,38 @@ def test_suites_refuse_a_negative_bound(run):
             run(K.cycle(3), 3, bound=bound)
 
 
-@pytest.mark.parametrize("check", [suites._alt_block,
-                                   alternating.verify_signed_relations],
-                         ids=["alt", "signed"])
-def test_largest_block_memory(check):
+def _tallied_block_passes(check):
+    def run(q, root):
+        counts, fails, rows, _ = suites._on_own_context(
+            suites._tally_block, q, 3, None, None, root, check, 3, False)
+        return counts and not fails and rows is None
+    return run
+
+
+def _clifford_block_passes(q, root):
+    return suites._on_own_context(signop.clifford_axioms_check, q, 3, None,
+                                  None, root, None, 3)[0]
+
+
+@pytest.mark.parametrize("run", [_tallied_block_passes(suites._alt_block),
+                                 _tallied_block_passes(
+                                     alternating.verify_signed_relations),
+                                 _clifford_block_passes],
+                         ids=["alt", "signed", "clifford"])
+def test_largest_block_memory(run):
     # n = 3 at bound 3: the streamed basis keeps the block's Python
-    # allocations below 1 MiB, where listing it took 1.2 and 1.1 MiB
+    # allocations below 1 MiB, where listing it took 1.2 and 1.1 MiB; and
+    # clifford builds only the parts it samples, where building b +- sgn b
+    # for every basis monomial took 1.4 MiB
     q = K.cycle(3)
     root = max(K.all_roots(q, 3), key=lambda r: len(K.KLR(q, 3).block_seqs(r)))
     tracemalloc.start()
     try:
-        counts, fails, rows, _ = suites._on_own_context(
-            suites._tally_block, q, 3, None, None, root, check, 3, False)
+        passed = run(q, root)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert counts and not fails and rows is None
+    assert passed
     assert peak < 2**20, f"peak {peak / 2**20:.3f} MiB"
 
 

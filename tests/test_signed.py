@@ -100,19 +100,16 @@ def test_relation_table_needs_the_sign_flip():
     # instead of eps_{-a}(i), and the psi'^2 and braid rows must fail
     ctx = K.make_context(K.cycle(3), 3)
     root = K.make_root(ctx.quiver, {0: 2, 1: 1})
-    real = alt._signed_realisation(ctx, root)
+    labels = [(i, i, K.e_pair(ctx, i)) for i in ctx.block_seqs(root)]
 
-    def failing(real):
+    def failing(views):
         return {alt.SIGNED_NAMES[family]
-                for family, *_, diff in relation_instances(real, 3)
+                for family, *_, diff in relation_instances(labels, 3, views)
                 if diff is not None}
 
-    def unflipped(i):
-        return (((i, "+"), frozenset()), ((i, "-"), frozenset({"E", "F", "swap"})))
-
-    assert failing(real) == set()
-    assert failing(real._replace(views=unflipped)) == \
-        {"psi'_r^2 eps_a(i)", "braid psi' eps_a(i)"}
+    unflipped = (("+", frozenset()), ("-", frozenset({"E", "F", "swap"})))
+    assert failing(tuple(alt.SIGNED_ODD.items())) == set()
+    assert failing(unflipped) == {"psi'_r^2 eps_a(i)", "braid psi' eps_a(i)"}
 
 
 def test_tau_twist_via_translation(ctx2, root01):
