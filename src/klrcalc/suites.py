@@ -27,7 +27,7 @@ class Report:
     params: dict
     seed: int | None
     ok: bool
-    payload: dict | None  # None: built for text output only
+    payload: dict
     text_lines: list = field(default_factory=list)
 
     @property
@@ -45,13 +45,8 @@ def write_report(report: Report, fmt: str, out) -> None:
     """Write a Report deterministically to the text stream `out`, every
     line ending in a newline.  JSON is encoded as `json.dump(payload,
     sort_keys=True, indent=2)` would; the text is written in batches of its
-    pieces, so a large report's text is never held whole.  A report built
-    for text output holds no passing instance rows, so it refuses to render
-    JSON rather than print a short list of instances."""
+    pieces, so a large report's text is never held whole."""
     if fmt == "json":
-        if report.payload is None:
-            raise ValueError(f"this {report.suite} report was built for text "
-                             "output and holds no instance rows")
         pieces = itertools.chain(json.JSONEncoder(sort_keys=True, indent=2)
                                  .iterencode(report.payload), ["\n"])
     else:
@@ -354,16 +349,15 @@ def strategy_fuzz(ctx: KLR, count: int, seed: int):
 # --- the remaining suites ---------------------------------------------------------
 
 
-def _tally_block(ctx: KLR, root: Root, check, bound: int, keep_rows: bool):
+def _tally_block(ctx: KLR, root: Root, check, bound: int):
     """check(ctx, root, bound) -> (rows, notes), its rows tallied as they
-    are produced: returns (counts, fails, rows, notes), where counts maps
-    (block, relation) to [instances, failing], fails lists the failing rows
-    in order, and rows is every row if `keep_rows`, else None."""
+    are produced: returns (counts, fails, notes), where counts maps (block,
+    relation) to [instances, failing] and fails lists the failing rows in
+    order.  No passing row is kept."""
     block = str(root)
     rows, notes = check(ctx, root, bound)
     counts: dict = {}
     fails = []
-    kept = [] if keep_rows else None
     for row in rows:
         row["block"] = block
         tally = counts.setdefault((block, row["relation"]), [0, 0])
@@ -371,53 +365,45 @@ def _tally_block(ctx: KLR, root: Root, check, bound: int, keep_rows: bool):
         if row["status"] != "pass":
             tally[1] += 1
             fails.append(row)
-        if keep_rows:
-            kept.append(row)
-    return counts, fails, kept, notes
+    return counts, fails, notes
 
 
 def _run_presentation(suite: str, theorem: str, check, quiver: Quiver, n: int,
-                      domain, bound: int, seed: int, tau_mapping,
-                      fmt: str) -> Report:
+                      domain, bound: int, seed: int, tau_mapping) -> Report:
     """Run check(ctx, root, bound) -> (rows, notes) on one block per class,
     each block on its own context, and report per (block, relation) its
-    instance and failing counts, then every failing row.
-
-    With fmt "text" a block hands back only those tallies and its failing
-    rows (see `_tally_block`), and the report renders text only.  With fmt
-    "json" every row comes back for the payload's "instances", a list that
-    grows with the truncated basis."""
+    instance and failing counts, then every failing row.  A block hands back
+    only these (see `_tally_block`); the text and the JSON read them."""
     ctx = make_context(quiver, n, domain, tau_mapping)
     if ctx.tau is None:
         raise ValueError("this suite needs a reversal map")
     roots = root_tau_classes(quiver, ctx.tau, n).reps
     counts: dict = {}
     fails = []
-    instances = [] if fmt == "json" else None
     notes = []
-    for block_counts, block_fails, rows, block_notes in _map_blocks(
+    for block_counts, block_fails, block_notes in _map_blocks(
             _on_own_context,
-            [(_tally_block, quiver, n, domain, tau_mapping, root, check, bound,
-              instances is not None) for root in roots],
+            [(_tally_block, quiver, n, domain, tau_mapping, root, check, bound)
+             for root in roots],
             _block_work(n, bound, roots)):
         counts.update(block_counts)
         fails += block_fails
-        if instances is not None:
-            instances += rows
         for note in block_notes:
             if note not in notes:
                 notes.append(note)
     ok = not fails
     params = {"quiver": quiver.name, "n": n, "bound": bound, "field": ctx.dom.name}
-    payload = None if instances is None else {
-        "suite": suite, "theorem": theorem, "params": params, "seed": seed,
-        "notes": notes, "instances": instances}
+    relations = [{"block": block, "relation": rel, "instances": total,
+                  "failing": bad, "status": "fail" if bad else "pass"}
+                 for (block, rel), (total, bad) in sorted(counts.items())]
+    payload = {"suite": suite, "theorem": theorem, "params": params,
+               "seed": seed, "notes": notes, "relations": relations,
+               "failing": fails}
     lines = _text_header(suite, params, seed, notes)
-    for (block, rel), (total, bad) in sorted(counts.items()):
-        status = "FAIL" if bad else "PASS"
-        lines.append(f"{status} [{block}] {rel} ({total} instances, {bad} failing)")
-    for inst in fails:
-        lines.append(f"  failing instance: {json.dumps(inst, sort_keys=True, default=str)}")
+    lines += [f"{r['status'].upper()} [{r['block']}] {r['relation']} "
+              f"({r['instances']} instances, {r['failing']} failing)" for r in relations]
+    lines += [f"  failing instance: {json.dumps(inst, sort_keys=True, default=str)}"
+              for inst in fails]
     lines.append(_verdict(ok))
     return Report(suite, params, seed, ok, payload, lines)
 
@@ -429,19 +415,16 @@ def _alt_block(ctx: KLR, root: Root, bound: int):
 
 
 def run_alt_presentation(quiver: Quiver, n: int, domain=None, bound: int = 1,
-                         seed: int = 0, tau_mapping=None,
-                         fmt: str = "text") -> Report:
+                         seed: int = 0, tau_mapping=None) -> Report:
     return _run_presentation("alt-presentation", "alternating presentation",
-                             _alt_block, quiver, n, domain, bound, seed,
-                             tau_mapping, fmt)
+                             _alt_block, quiver, n, domain, bound, seed, tau_mapping)
 
 
 def run_signed_relations(quiver: Quiver, n: int, domain=None, bound: int = 1,
-                         seed: int = 0, tau_mapping=None,
-                         fmt: str = "text") -> Report:
+                         seed: int = 0, tau_mapping=None) -> Report:
     return _run_presentation("signed-relations", "signed presentation",
                              alternating.verify_signed_relations, quiver, n,
-                             domain, bound, seed, tau_mapping, fmt)
+                             domain, bound, seed, tau_mapping)
 
 
 def run_clifford(quiver: Quiver, n: int, domain=None, bound: int = 1,

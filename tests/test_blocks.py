@@ -20,7 +20,7 @@ import pytest
 import klrcalc as K
 from klrcalc import alternating, perms, signop, suites
 from klrcalc.cli import main
-from test_golden import GOLDEN, RUNS, canonical_stdout
+from test_golden import GOLDEN, RUNS
 from test_signop import decode_reversed
 
 
@@ -219,8 +219,8 @@ def test_pool_and_in_process_reports_match(name, fmt, monkeypatch, capsys):
     for cpus in (1, 2):
         usable_cpus(monkeypatch, cpus)
         assert main(argv) == 0
-        text = canonical_stdout(argv, fmt, capsys.readouterr().out)
-        digests.append(hashlib.sha256(text.encode()).hexdigest())
+        digests.append(hashlib.sha256(
+            capsys.readouterr().out.encode()).hexdigest())
     # digests, not the reports, so that a failure prints no long diff
     assert digests[0] == digests[1]
     if (name, fmt) in GOLDEN:
@@ -240,16 +240,16 @@ FAILING_RUNS = {
                       "--fuzz", "5"],
 }
 
-# sha256 of the raw stdout, instance order included
+# sha256 of the raw stdout
 FAILING_GOLDEN = {
     ("alt-presentation", "text"):
         "eac79c6bbc7ab9d4610ca0d80c388e77cd4e0067125404d07b19621c3e80e29a",
     ("alt-presentation", "json"):
-        "b78f83f14fd6d67e179774db3eea65be7eef49ea87b2312e690d82f65bb44992",
+        "10001273936cb080d9a216053af6fd14efb646cbeb8144ffa59506cdd7855aec",
     ("signed-relations", "text"):
         "2a416ca2293b8e8c0e638c8036c2be7bee9dfb6bdc4134e34a714c420cdb6a07",
     ("signed-relations", "json"):
-        "6d7039e9087f780f77c4af50e1cec5b4277cc547d12aeca03230742ed5513135",
+        "aa75c8536ffa182696eb779ad3ee4a1f35eba687faa67ec7548dacc516f1dafd",
     ("klr-relations", "text"):
         "e18501666fd8e43eeb728666be3ef8512fa0c017102774d63727255e4123f9d3",
     ("klr-relations", "json"):
@@ -285,10 +285,10 @@ def test_failing_presentation_report(name, fmt, pooled, monkeypatch, capsys):
 # coverage runs its words through `act_words`, so its rows of the longest
 # word fail; the relation rows run their programs through `KLR._run_steps`
 # and pass.  sha256 of the raw stdout of `verify alt-presentation --n 3
-# --bound 1`, instance order included.
+# --bound 1`.
 EXPRESS_FAILING_GOLDEN = {
     "text": "53361e0e171cc96da5637afc07bf5ae6de4e515168946610563af2c6ca9aa0a7",
-    "json": "20513e9400ad92f164d2b662a1f9aae9048a031388e7f917423702be8af48d87",
+    "json": "4a28fe4069a1bf15aa2ca8d8164900b45abb81b3db49edaf04e021e68fcd9c73",
 }
 
 
@@ -446,9 +446,15 @@ def instance_rows(obj):
 
 TALLY_LINE = re.compile(r"^(?:PASS|FAIL) \[(\S+)\] (.+) "
                         r"\((\d+) instances, (\d+) failing\)$", re.M)
+FAILING_LINE = re.compile(r"^  failing instance: (.+)$", re.M)
 
 
 def test_text_blocks_ship_tallies_not_passing_rows(monkeypatch, capsys):
+    # text and JSON are built from one tally: in both formats a block hands
+    # back its counts and its failing rows, never a passing row, and the
+    # JSON's relations and failing rows are the text's tally lines and
+    # failing instances, in the text's order
+    drop_braid_correction(monkeypatch)
     usable_cpus(monkeypatch, 2)
     shipped = []
     map_blocks = suites._map_blocks
@@ -459,24 +465,23 @@ def test_text_blocks_ship_tallies_not_passing_rows(monkeypatch, capsys):
 
     monkeypatch.setattr(suites, "_map_blocks", recording)
     argv = ["verify", "alt-presentation", "--n", "3", "--bound", "2"]
-    assert main(argv) == 0
+    assert main(argv) == 1
     text = capsys.readouterr().out
-    assert main(argv + ["--format", "json"]) == 0
-    instances = json.loads(capsys.readouterr().out)["instances"]
+    assert main(argv + ["--format", "json"]) == 1
+    report = json.loads(capsys.readouterr().out)
     text_rows, json_rows = (list(instance_rows(res)) for res in shipped)
-    # a text run's blocks hand back no row at all when every check passes;
-    # a JSON run's blocks hand back every row
-    assert text_rows == [] and len(json_rows) == len(instances)
+    assert text_rows == json_rows
+    assert json.loads(json.dumps(json_rows)) == report["failing"]
+    assert all(row["status"] == "fail" for row in report["failing"])
 
-    tallies = {(block, rel): (int(total), int(bad))
-               for block, rel, total, bad in TALLY_LINE.findall(text)}
-    grouped = {}
-    for inst in instances:
-        tally = grouped.setdefault((inst["block"], inst["relation"]), [0, 0])
-        tally[0] += 1
-        tally[1] += inst["status"] != "pass"
-    assert {key: tuple(t) for key, t in grouped.items()} == tallies
-    assert sum(total for total, _ in tallies.values()) == len(instances) > 0
+    tallies = [(block, rel, int(total), int(bad))
+               for block, rel, total, bad in TALLY_LINE.findall(text)]
+    assert tallies == [(r["block"], r["relation"], r["instances"], r["failing"])
+                       for r in report["relations"]]
+    assert [json.loads(row) for row in FAILING_LINE.findall(text)] == \
+        report["failing"]
+    assert sum(bad for _, _, _, bad in tallies) == len(report["failing"]) > 0
+    assert sum(total for _, _, total, _ in tallies) > len(report["failing"])
 
 
 def _emit_report(report, fmt="text"):
@@ -486,23 +491,13 @@ def _emit_report(report, fmt="text"):
     return buf.getvalue()
 
 
-def test_text_report_refuses_json():
-    report = suites.run_signed_relations(K.cycle(3), 2)
-    assert report.ok and report.text_lines
-    with pytest.raises(ValueError, match="built for text output"):
-        _emit_report(report, "json")
-    report = suites.run_signed_relations(K.cycle(3), 2, fmt="json")
-    assert json.loads(_emit_report(report, "json"))["instances"]
-
-
 def test_write_report_matches_its_docstring():
     for report in (suites.run_signed_relations(K.cycle(3), 2),
-                   suites.run_alt_presentation(K.cycle(3), 2, fmt="json"),
+                   suites.run_alt_presentation(K.cycle(3), 2),
                    suites.run_klr_relations(K.cycle(3), 2, bound=1, fuzz=5)):
         assert _emit_report(report) == "\n".join(report.text_lines) + "\n"
-        if report.payload is not None:
-            assert _emit_report(report, "json") == json.dumps(
-                report.payload, sort_keys=True, indent=2) + "\n"
+        assert _emit_report(report, "json") == json.dumps(
+            report.payload, sort_keys=True, indent=2) + "\n"
 
 
 def test_presentations_list_no_alternating_basis(monkeypatch):
@@ -530,9 +525,9 @@ def test_suites_refuse_a_negative_bound(run):
 
 def _tallied_block_passes(check):
     def run(q, root):
-        counts, fails, rows, _ = suites._on_own_context(
-            suites._tally_block, q, 3, None, None, root, check, 3, False)
-        return counts and not fails and rows is None
+        counts, fails, _ = suites._on_own_context(
+            suites._tally_block, q, 3, None, None, root, check, 3)
+        return counts and not fails
     return run
 
 

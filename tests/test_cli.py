@@ -1,10 +1,19 @@
 """Command line behaviour: outputs, determinism, exit codes."""
 
 import json
+import re
+import shlex
+import time
+from pathlib import Path
 
 import pytest
 
-from klrcalc.cli import main
+from klrcalc.cli import MAX_BASIS, main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# a basis of 8! C(11, 8) 560 = 3,725,568,000 monomials
+HOSTILE_BASIS = ["basis", "--n", "8", "--block", "0,0,0,1,1,1,2,2", "--bound", "3"]
 
 
 def run(capsys, *argv):
@@ -172,6 +181,8 @@ def test_prime_field_fraction(capsys, expr, coeff):
     ["nf", "--n", "2", "y[1]^" + "9" * 5000],
     # a value past the term cap
     ["nf", "--n", "2", "(1+y[1])^31*(1+y[2])^31"],
+    # a basis listing past the cap
+    HOSTILE_BASIS,
 ])
 def test_malformed_input_exits2(capsys, argv):
     # argparse refuses a bad flag value by raising SystemExit(2)
@@ -190,6 +201,51 @@ def test_term_cap_is_named_in_the_error(capsys):
     assert code == 2 and out == ""
     assert err == ("error: value of 1024 terms on one idempotent, past the cap of "
                    "512 (line 1, column 8)\n")
+
+
+def test_basis_cap_refuses_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *HOSTILE_BASIS)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err == ("error: a basis of 3725568000 monomials, past the cap of "
+                   f"{MAX_BASIS}\n")
+    # --tags both lists each monomial on both copies
+    code, out, _ = run(capsys, "basis", "--n", "2", "--block", "0,1",
+                       "--bound", "1", "--tags", "both")
+    assert code == 0 and "count: 24" in out
+
+
+@pytest.mark.parametrize("flag, argv", [
+    ("--tau", ["quiver", "--tau", "xx"]),
+    ("--quiver", ["quiver", "--quiver", "{bad"]),
+    ("--field", ["nf", "--field", "Fp:x", "--n", "1", "e(0)"]),
+])
+def test_usage_error_names_its_flag(capsys, flag, argv):
+    # the parser's own message, led by the flag and the text it was given
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {flag} {argv[argv.index(flag) + 1]!r}: ")
+
+
+def readme_commands():
+    """The lines of the README's "Command line" sh block."""
+    text = README.read_text()
+    section = text[text.index("## Command line"):]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    return [line for line in block.splitlines() if line.strip()]
+
+
+@pytest.mark.parametrize("line", readme_commands(),
+                         ids=lambda line: "-".join(word for word in line.split()[1:3]
+                                                   if not word.startswith("-")))
+def test_readme_commands_exit0(capsys, line):
+    words = shlex.split(line)
+    assert words[0] == "klrcalc"
+    code, out, err = run(capsys, *words[1:])
+    assert code == 0 and err == "" and out
+    if "--format" in words and words[words.index("--format") + 1] == "json":
+        json.loads(out)
 
 
 def test_long_inputs_exit0(capsys):

@@ -1,15 +1,10 @@
 """Golden reports: the sha256 of stdout for fixed CLI runs.
 
-Any change to report bytes shows here.  The JSON `instances` list of
-alt-presentation and signed-relations is compared as a sorted list (by its
-canonical JSON text), since its order follows the checker's evaluation
-order; the rest of those payloads, and every other output, is compared
-byte for byte.  `RAW_GOLDEN` pins the raw bytes of five such JSON runs as
-well, instance order included.
+Any change to report bytes shows here: every output, text and JSON, is
+compared byte for byte.
 """
 
 import hashlib
-import json
 
 import pytest
 
@@ -92,9 +87,6 @@ RUNS = {
                      " + 2*psi[3]*psi[2]*e(2,1,0,1)"],
 }
 
-# instance order in these suites' JSON follows the checker, not the report
-UNORDERED_INSTANCES = ("alt-presentation", "signed-relations")
-
 GOLDEN = {
     ("klr-relations-cycle3", "text"):
         "f1192bd92a1b0dfa49200fca34dbe0d1d733795a3c6199a495804c58fcbff237",
@@ -111,33 +103,35 @@ GOLDEN = {
     ("alt-presentation-Q", "text"):
         "c54a4a00679adeae92834c88116f725633e7f4dd2af82d47259dab4b08b92632",
     ("alt-presentation-Q", "json"):
-        "332db9d8b3a0712ed8ded5ba307a579c6be3701f032d0d9a237eded1fd10761b",
+        "374ea514cc731ed410e18eab5359540812663ec9f30cd5ca11004e96841a3274",
     ("alt-presentation-F5", "text"):
         "9b1b0e4693db7f1982184c2ccc4408af315bd0fe484be3fef0ebf2d61740c40c",
     ("alt-presentation-F5", "json"):
-        "c1c1479a1b862421c8ae00e3e72316c30d0c02c49c8b6c51366524193b559d06",
+        "47d890c54887de70040256c183d4677037d228b1a1c4541eef3af0f668e194b5",
     ("alt-presentation-bound2", "text"):
         "bc7946c8af925d9df5dcfa51d6ec0781ffb7f4ef193362a2961755baf533eaa2",
     ("alt-presentation-bound2", "json"):
-        "a207cec4b73b7a4d8f15d4004e7a66a31a916cab924286f2e699413c7f11d399",
+        "e20d98c168ebad6fca94393a45f7dc25301a85c891eaa55ac2149db3c03cefc9",
     ("alt-presentation-n4", "text"):
         "02956d82dce1789c6a8f868ad7eca689bed179a72fffdb5c91667ccbdb8cc3f7",
     ("alt-presentation-n4", "json"):
-        "29f426a8f66ec4e6af83e22922813cf416f13b92fce70cc266929122ae2ee844",
+        "756713ba90e6b5110cb9f5e9f27dcf8a661f4615e4622cbc84906007bf8881db",
     ("alt-presentation-n5", "text"):
         "4bb5b995bc7bc8a12e7bcfd73bd328b8df6a4cbdea87ca179225658c07b26e0d",
+    ("alt-presentation-n5", "json"):
+        "cdfb820920c0721525834873cd05d2f32a5da61af8788a434ab2d5bb79f0ef06",
     ("signed-relations-n4", "text"):
         "1f36ab092d74b824119bcf247e7555c819079653b57bedc37d63212161be036e",
     ("signed-relations-n4", "json"):
-        "e84d3e3cc2a28c4751d3547a332e46a0ea3e6496c9554caff21251dbcfd7b8d9",
+        "0e72c7114bc833777c65752a6acf5e4fe4832b6d17d01c134b1b81a533f39515",
     ("signed-relations-cycle3", "text"):
         "a56867d6b9db7998efd17933cf0545de57c001e11fafdf5acdea5d661fb04b74",
     ("signed-relations-cycle3", "json"):
-        "9e3d18ee6c697efde16a0bd81ae26b04a0d89bad25755004287316a4c1537202",
+        "ffe4ceda5731f5987ae6abaecfc44ca4457cfa4caa43659fa0f3c60e281bb41f",
     ("signed-relations-path3", "text"):
         "85d552258d612535039ece2d5f30c1d4adc926cb5354ee051a323223de712fd8",
     ("signed-relations-path3", "json"):
-        "71ba73bd1d6b6fc2d05477be2635bdaa82d269844eb553232c901dcd769aed58",
+        "84d467979dc9107418dcc75e7c9850d0cbe718c0050331ecad5f09859c4caf7c",
     ("klr-relations-exponents", "text"):
         "37db99488fb1a87c2d55a96ffcec425d69a852b0e8fee2fae1ded2c854667a8f",
     ("klr-relations-exponents", "json"):
@@ -145,7 +139,7 @@ GOLDEN = {
     ("signed-relations-exponents", "text"):
         "cdb208ceb84765e2beac6eb1353b56e8c4923414380d0b584b6d7c6e8e379245",
     ("signed-relations-exponents", "json"):
-        "479deabe34e08cfa3aa233063aadb99ee23d0b41b242cd5bc1c0c04bf1d33e7e",
+        "51ec60764f01d2276aef8e1864fe52f776af3b1258bcf4a4ed8794a724486f50",
     ("clifford", "text"):
         "ba4491b2447202d434b68e5b2727879863632be59fece390e6ddd6fb67afa616",
     ("clifford", "json"):
@@ -196,47 +190,15 @@ GOLDEN = {
         "c9ef4474c33dab81f7403ee37796d58ec197d119087c24699d79c22515358ec0",
 }
 
-# the raw stdout of JSON runs, instance order included
-RAW_GOLDEN = {
-    "alt-presentation-bound2":
-        "dc23405fa7f34061dabce87ed001409894a014e4f31c78046838f89e87e6d60f",
-    "signed-relations-exponents":
-        "3dec07f498c7b4e1b12955d41c3ecfce94a9e4b764070ac951857dfea10405fd",
-    "alt-presentation-n4":
-        "a4512e1095f646e5d11e2a72ec0a39fc06c28d9c21dcc89ff08898f6f6ab1efc",
-    "alt-presentation-n5":
-        "d6e6e1439a35ca1db3ec772eb2943899c636fd9efae93189134343789c4f1092",
-    "signed-relations-n4":
-        "2fbea0b7f200817cc55c3468a92a059025f344f407bf3aa08de00843f8667635",
-}
-
-
-def canonical_stdout(argv, fmt, out: str) -> str:
-    """The stdout text whose digest is pinned: the raw bytes, except that a
-    presentation suite's JSON has its instances sorted."""
-    if fmt == "json" and argv[1] in UNORDERED_INSTANCES:
-        obj = json.loads(out)
-        assert out == json.dumps(obj, sort_keys=True, indent=2) + "\n"
-        obj["instances"] = sorted(obj["instances"],
-                                  key=lambda inst: json.dumps(inst, sort_keys=True))
-        return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-    return out
-
 
 def digest(argv, fmt, capsys) -> str:
     code = main(argv + ["--format", fmt])
     out = capsys.readouterr().out
     assert code == 0
-    return hashlib.sha256(canonical_stdout(argv, fmt, out).encode()).hexdigest()
+    return hashlib.sha256(out.encode()).hexdigest()
 
 
 @pytest.mark.parametrize("name,fmt", sorted(GOLDEN))
 def test_golden_stdout(name, fmt, capsys):
     assert digest(RUNS[name], fmt, capsys) == GOLDEN[(name, fmt)]
 
-
-@pytest.mark.parametrize("name", sorted(RAW_GOLDEN))
-def test_raw_json_stdout(name, capsys):
-    assert main(RUNS[name] + ["--format", "json"]) == 0
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == RAW_GOLDEN[name]
