@@ -10,23 +10,23 @@ every product rewrites back onto them.
 
 The rewrite core is two one-letter products on the canonical word cw(w):
 psi_r psi_w e(seq) and y_s psi_w e(seq).  Any other product is folded from
-them, its letters acting one at a time, right to left.
+them, its letters acting one at a time, right to left.  Each is built from
+the first letter of cw(w) = (c,) + cw(s_c w), by one relation and products
+memoised in the same tables:
 
-* y_s psi_w e(seq): y_s slides right through cw(w) by the dot-slide
-  relations; each delta correction drops one psi letter.
-* psi_r psi_w e(seq), r not a left descent of w: (r,) + cw(w) is reduced
-  and walks an elementary move path to cw(s_r w).
-* r a left descent of w: cw(w) walks to (r,) + cw(s_r w), psi_r acts on the
-  walk's corrections, and psi^2 fires on psi_{s_r w} e(seq) through the y
-  products.
-* each long braid move of a walk emits a correction three letters shorter,
-  with the sign and the edge condition read off the residue sequence
-  visible at that position.
+* y_s psi_w e(seq): y_s passes psi_c by a dot-slide relation, and psi_c
+  acts on y_t psi_{s_c w} e(seq), less or plus its delta correction.
+* psi_r psi_w e(seq), r not a left descent of w: psi_{s_r w} e(seq) if
+  cw(s_r w) starts with r; else psi_r commutes past the first letter of
+  cw(w), or meets psi_{r-1} psi_r in a braid, whose correction reads the
+  arrows at the face.
+* r a left descent of w: psi_r^2 fires on psi_{s_r w} e(seq) through the y
+  products, and psi_r acts on the lower terms of psi_r psi_{s_r w} e(seq).
 
-Each nested product acts on a strictly shorter stem than the product that
-calls it, and the walks are finite precomputed paths, so the rewrite
-terminates.  Uniqueness of the resulting expansion is a theorem about the
-algebra, not the code; the test suite checks it by confluence fuzzing.
+Each nested product has a shorter stem, or one of the same length and a
+smaller psi letter, so the rewrite terminates.  Uniqueness of the resulting
+expansion is a theorem about the algebra, not the code; the test suite
+checks it by confluence fuzzing.
 
 The rewriting never reads an exponent.  y^a sits right of every psi letter,
 and the y's commute with each other and with e(seq), so psi_word y^a e(seq)
@@ -53,7 +53,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import perms
-from .perms import act, canonical_word, word_perm
+from .perms import act, canonical_word
 from .quiver import Quiver, Root, all_seqs, sequences
 from .scalars import Rationals
 
@@ -199,7 +199,9 @@ class KLR:
 
     The rewrite core is two memo tables of exponent-free products,
     `_psi_cache` of psi_r psi_w e(seq) and `_y_cache` of y_s psi_w e(seq),
-    by (letter, stem), each computed from products on shorter stems.
+    by (letter, stem).  Each entry is one relation applied at the first
+    letter of cw(w) plus products on shorter stems, or, for psi, on stems
+    of the same length with a smaller letter.
 
     Every table is a plain dict that keeps each entry as long as the
     context lives, with no cap.  The suites build one context per block
@@ -470,14 +472,25 @@ class KLR:
 
     def _y_stem(self, g: int, stem: int) -> dict:
         """Normal form of y_s psi_w e(seq), kept in `_y_cache` by g = s << 32
-        and the stem (tag, w, seq): y_s slides through cw(w) to the right,
-        and each delta correction is folded onto e(seq)."""
-        dom = self.dom
-        tag, _, seq = self._stems[stem]
-        t, corrections = self._y_through(g >> 32, self._words[stem], seq)
-        out = {stem + self._unit_e[t - 1]: dom.one}  # psi_w y_t e(seq)
-        for word, sign in corrections:
-            _acc(out, self._fold(word, seq, tag), dom.from_int(sign), dom)
+        and the stem (tag, w, seq).  At w = 1 it is y_s e(seq).  Else
+        cw(w) = (c,) + cw(v), and on the face j of psi_v e(seq) the dot
+        slide reads y_s psi_c e(j) = psi_c y_t e(j) + (s - t) delta e(j),
+        with t = s_c(s) and delta = [j_c = j_{c+1}]: psi_c acts on
+        y_t psi_v e(seq)."""
+        dom, s = self.dom, g >> 32
+        tag, w, seq = self._stems[stem]
+        word = self._words[stem]
+        if not word:
+            out = {stem + self._unit_e[s - 1]: dom.one}  # y_s e(seq)
+        else:
+            c = word[0]
+            v = self._stem(tag, perms.left_mul_s(c, w), seq)
+            t = c + 1 if s == c else c if s == c + 1 else s
+            out = self._run_steps([self._y_steps[t], self._psi_steps[c]],
+                                  {v: dom.one})[2]
+            j = self._faces[v]
+            if t != s and j[c - 1] == j[c]:
+                _acc1(out, v, dom.from_int(s - t), dom)
         self._y_cache[g | stem] = out
         return out
 
@@ -485,26 +498,31 @@ class KLR:
         """Normal form of psi_r psi_w e(seq), kept in `_psi_cache` by
         g = r << 32 and the stem (tag, w, seq).
 
-        If r is not a left descent of w, (r,) + cw(w) is a reduced word of
-        s_r w, walked to cw(s_r w).  If it is, cw(w) is walked to (r,) +
-        cw(s_r w), psi_r acts on the walk's corrections, and psi_r^2 fires on
-        psi_{s_r w} e(seq) through the y products."""
+        If r is not a left descent of w, let d be the first letter of
+        cw(s_r w): d = r gives psi_{s_r w} e(seq); d < r - 1 is the first
+        letter of cw(w) too, and psi_r commutes past psi_d; d = r - 1 gives
+        w = s_{r-1} s_r x, and the braid relation rewrites psi_r psi_{r-1}
+        psi_r on psi_x e(seq).  If r is a descent, psi_r^2 fires on
+        psi_{s_r w} e(seq) through the y products.  Where psi_w e(seq) is
+        written as psi_r psi_u e(seq) less its lower terms, psi_r acts on
+        those lower terms too.  Every nested product has a shorter stem, or
+        the same length and a smaller psi letter."""
         dom, r = self.dom, g >> 32
         tag, w, seq = self._stems[stem]
-        word = self._words[stem]
-        v = self._stem(tag, perms.left_mul_s(r, w), seq)
-        out: dict = {}
-        if not perms.is_left_descent(w, r):
-            if self._words[v] != (r,) + word:
-                self._walk_moves([r, *word], perms.move_path(
-                    (r,) + word, self._words[v], self.n), seq, tag, out)
-            _acc1(out, v, dom.one, dom)
-        else:
-            self._walk_moves(list(word), perms.move_path(
-                word, (r,) + self._words[v], self.n), seq, tag, out, (r,))
-            # psi_r^2 e(j) at the face j of psi_{s_r w} e(seq)
-            jr, js = self._faces[v][r - 1:r + 1]
-            ys = ()
+        psi, one, minus = self._psi_steps, dom.one, dom.neg(dom.one)
+
+        def lower(u, top):
+            """psi_r psi_u e(seq) less psi_top e(seq), for r not a left
+            descent of u and s_r u = top: terms shorter than top."""
+            low = self._run_steps([psi[r]], {u: one})[1]
+            _acc1(low, top, minus, dom)
+            return low
+
+        if perms.is_left_descent(w, r):
+            u = self._stem(tag, perms.left_mul_s(r, w), seq)
+            # psi_r^2 e(j) at the face j of psi_u e(seq)
+            jr, js = self._faces[u][r - 1:r + 1]
+            out, ys = {}, ()
             if jr == js:
                 pass  # psi_r^2 e(j) = 0
             elif self.arrow(tag, jr, js):
@@ -512,76 +530,32 @@ class KLR:
             elif self.arrow(tag, js, jr):
                 ys = ((r + 1, 1), (r, -1))
             else:
-                _acc1(out, v, dom.one, dom)
+                out[u] = one
             for s, sign in ys:
-                _acc(out, self._run_steps([self._y_steps[s]], {v: dom.one})[1],
+                _acc(out, self._run_steps([self._y_steps[s]], {u: one})[1],
                      dom.from_int(sign), dom)
+            _acc(out, self._run_steps([psi[r]], lower(u, stem))[1], minus, dom)
+        else:
+            up = self._stem(tag, perms.left_mul_s(r, w), seq)
+            d = self._words[up][0]
+            v = self._stem(tag, perms.left_mul_s(d, w), seq)
+            if d == r:
+                out = {up: one}
+            elif d < r - 1:
+                out = self._run_steps([psi[r], psi[d]], {v: one})[2]
+            else:
+                x = self._stem(tag, perms.left_mul_s(r, self._stems[v][1]), seq)
+                out = self._run_steps([psi[d], psi[r], psi[d]], {x: one})[3]
+                _acc(out, self._run_steps([psi[d], psi[r]], lower(x, v))[2],
+                     minus, dom)
+                # psi_r psi_d psi_r e(j) = psi_d psi_r psi_d e(j) + beta e(j)
+                # on the face j of psi_x e(seq)
+                ja, jb, jc = self._faces[x][d - 1:r + 1]
+                beta = self.arrow(tag, ja, jb) - self.arrow(tag, jb, ja)
+                if ja == jc and beta:
+                    _acc1(out, x, dom.from_int(beta), dom)
         self._psi_cache[g | stem] = out
         return out
-
-    def _fold(self, word: tuple, seq: tuple, tag: str) -> dict:
-        """Normal form of psi_word e(seq) for any psi word: its letters act on
-        e(seq) one at a time, right to left, through the psi products."""
-        base = {self._stem(tag, self._id_perm, seq): self.dom.one}
-        return self._run_steps(list(map(self._psi_steps.__getitem__, reversed(word))),
-                               base)[-1]
-
-    def _y_through(self, s: int, word: tuple, seq: tuple):
-        """Push y_s from the left of psi_word e(seq) to the right.
-
-        Returns the final y index and the delta-corrections, each a word with
-        one letter dropped and a sign.
-        """
-        corrections = []
-        cur = s
-        for t, c in enumerate(word):
-            if cur == c or cur == c + 1:
-                face = act(word_perm(word[t + 1:], self.n), seq)
-                same = face[c - 1] == face[c]
-                if cur == c:
-                    # y_c psi_c e(j) = psi_c y_{c+1} e(j) - delta e(j)
-                    if same:
-                        corrections.append((word[:t] + word[t + 1:], -1))
-                    cur = c + 1
-                else:
-                    # y_{c+1} psi_c e(j) = psi_c y_c e(j) + delta e(j)
-                    if same:
-                        corrections.append((word[:t] + word[t + 1:], +1))
-                    cur = c
-        return cur, corrections
-
-    def _walk_moves(self, cur: list, moves, seq: tuple, tag: str, out: dict,
-                    lead: tuple = ()) -> None:
-        """Apply elementary moves in place, accumulating braid corrections.
-
-        After a braid move at position t the element picks up a correction
-        term with those three letters deleted; its sign depends on the move
-        direction and the edge between the residues at the face.  The
-        correction, `lead` followed by the shortened word, is folded onto
-        e(seq).
-        """
-        dom = self.dom
-        n = self.n
-        for kind, t in moves:
-            if kind == "comm":
-                cur[t], cur[t + 1] = cur[t + 1], cur[t]
-                continue
-            p, q = cur[t], cur[t + 1]
-            r = min(p, q)
-            face = act(word_perm(tuple(cur[t + 3:]), n), seq)
-            jr, jm, jt = face[r - 1], face[r], face[r + 1]
-            sign = 0
-            if jr == jt:
-                if self.arrow(tag, jr, jm):
-                    sign = -1
-                elif self.arrow(tag, jm, jr):
-                    sign = 1
-            if p > q:
-                sign = -sign
-            if sign:
-                deleted = lead + tuple(cur[:t] + cur[t + 3:])
-                _acc(out, self._fold(deleted, seq, tag), dom.from_int(sign), dom)
-            cur[t], cur[t + 1], cur[t + 2] = q, p, q
 
     # --- products ------------------------------------------------------------
 

@@ -23,9 +23,6 @@ from .quiver import (Quiver, Root, all_roots, all_seqs, default_reversal,
 
 @dataclass
 class Report:
-    suite: str
-    params: dict
-    seed: int | None
     ok: bool
     payload: dict
     text_lines: list = field(default_factory=list)
@@ -279,7 +276,7 @@ def run_klr_relations(quiver: Quiver, n: int, domain=None, bound: int = 2,
     for name, res in fuzzed.items():
         lines.append(f"{res['status'].upper()} {name} ({res['checked']} checks)")
     lines.append(_verdict(ok))
-    return Report("klr-relations", params, seed, ok, payload, lines)
+    return Report(ok, payload, lines)
 
 
 # --- fuzzing ---------------------------------------------------------------------
@@ -405,7 +402,7 @@ def _run_presentation(suite: str, theorem: str, check, quiver: Quiver, n: int,
     lines += [f"  failing instance: {json.dumps(inst, sort_keys=True, default=str)}"
               for inst in fails]
     lines.append(_verdict(ok))
-    return Report(suite, params, seed, ok, payload, lines)
+    return Report(ok, payload, lines)
 
 
 def _alt_block(ctx: KLR, root: Root, bound: int):
@@ -452,7 +449,7 @@ def run_clifford(quiver: Quiver, n: int, domain=None, bound: int = 1,
               "field": ctx.dom.name, "max_pairs": max_pairs}
     lines = _text_header("clifford", params, seed) + lines_body
     lines.append(_verdict(all_ok))
-    return Report("clifford", params, seed, all_ok, payload, lines)
+    return Report(all_ok, payload, lines)
 
 
 def run_dims(quiver: Quiver, n: int, domain=None, bound: int = 3,
@@ -490,7 +487,7 @@ def run_dims(quiver: Quiver, n: int, domain=None, bound: int = 3,
         lines.append(f"{h['status'].upper()} halving k={h['k']}: "
                      f"2*{h['alternating']} == {h['full']}")
     lines.append(_verdict(ok))
-    return Report("dims", params, seed, ok, payload, lines)
+    return Report(ok, payload, lines)
 
 
 SUITES = {

@@ -13,7 +13,7 @@ from klrcalc import suites
 from klrcalc.algebra import (KLR, TAGS_BOTH, E, Element, Mono, SuffixProgram,
                              _acc, _acc1, _LIMIT, _MAX_N, _STEM)
 from klrcalc.cli import main
-from klrcalc.perms import act, all_perms, canonical_word, length
+from klrcalc.perms import act, all_perms, canonical_word, left_mul_s, length
 from klrcalc.scalars import PrimeField
 from klrcalc.suites import random_element
 from spans import inv
@@ -257,6 +257,61 @@ def test_each_one_letter_product_is_computed_once_per_context(monkeypatch):
     stems = len(ctx._stems)
     assert calls["_y_stem"] == len(ctx._y_cache) == 3 * stems == 54
     assert calls["_psi_stem"] == len(ctx._psi_cache) == 2 * stems == 36
+
+
+def _leading_term_cases():
+    for q in (K.cycle(3), K.path(3)):
+        for n in (1, 2, 3):
+            for root in K.all_roots(q, n):
+                yield q, n, root
+    q = K.cycle(3)
+    yield q, 4, K.make_root(q, {0: 2, 1: 1, 2: 1})
+
+
+def test_one_letter_products_have_their_leading_terms():
+    # the rewrite core subtracts psi_w e(i) from psi_r psi_{s_r w} e(i) for
+    # a left descent r of w, so it relies on each product's leading term:
+    # psi_r psi_w e(i) is psi_{s_r w} e(i) plus shorter terms when r is not
+    # a left descent, shorter than w when it is, and y_s psi_w e(i) is
+    # psi_w y_t e(i) plus shorter terms, t - 1 = w^-1(s - 1)
+    checked = 0
+    for q, n, root in _leading_term_cases():
+        ctx = K.make_context(q, n)
+        one, zero = ctx.dom.one, (0,) * n
+        for tag, w, seq in itertools.product(TAGS_BOTH, all_perms(n),
+                                             ctx.block_seqs(root)):
+            x = Element(ctx, {Mono(tag, w, zero, seq): one})
+            for r in range(1, n):
+                terms = dict(ctx.act(("psi", r), x).terms)
+                v = left_mul_s(r, w)
+                if length(v) > length(w):
+                    assert terms.pop(Mono(tag, v, zero, seq)) == one
+                assert all(length(m.w) < max(length(v), length(w))
+                           for m in terms)
+            for s in range(1, n + 1):
+                terms = dict(ctx.act(("y", s), x).terms)
+                a = tuple(int(k == w.index(s - 1)) for k in range(n))
+                assert terms.pop(Mono(tag, w, a, seq)) == one
+                assert all(length(m.w) < length(w) for m in terms)
+            checked += 1
+    # per tag: the 3^n sequences of each quiver at n <= 3 times n!, and the
+    # n = 4 block's 12 sequences times 4!
+    assert checked == 2 * (2 * (3 + 9 * 2 + 27 * 6) + 12 * 24) == 1308
+
+
+def test_cold_products_on_the_longest_word_nest_within_the_stack():
+    # each product takes one relation step and calls products on shorter
+    # stems, so at n = 9 psi_r and y_r on a cold psi_{w0} e(i) nest 37
+    # products deep; each comes out homogeneous of the right degree
+    n = 9
+    ctx = K.make_context(K.cycle(3), n)
+    w0, seq = tuple(range(n - 1, -1, -1)), tuple(k % 3 for k in range(n))
+    x = Element(ctx, {Mono("G", w0, (0,) * n, seq): ctx.dom.one})
+    face = act(w0, seq)
+    for g in [("psi", 1), ("y", 1), ("psi", n - 1), ("y", n)]:
+        r = g[1]
+        shift = 2 if g[0] == "y" else -ctx.quiver.cartan_entry(face[r - 1], face[r])
+        assert ctx.act(g, x).degree() == x.degree() + shift
 
 
 def shifted(x, b) -> list:

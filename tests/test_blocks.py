@@ -3,6 +3,7 @@ in-process path give the same results and the same report bytes."""
 
 import gc
 import hashlib
+import inspect
 import io
 import json
 import multiprocessing
@@ -11,6 +12,7 @@ import re
 import signal
 import subprocess
 import sys
+import textwrap
 import time
 import tracemalloc
 import weakref
@@ -429,6 +431,49 @@ def test_sweep_reads_the_quiver_not_the_engine(quiver, monkeypatch, capsys):
               if row["status"] == "fail"}
     assert failed == {suites.SWEEP_NAMES["psi psi"], suites.SWEEP_NAMES["braid"]}
     assert all(res["status"] == "pass" for res in report["fuzz"].values())
+
+
+# Seeded faults in the rewrite core's signs: each product is rebuilt from
+# its source with one sign token replaced.  (method, old, new, the lines
+# starting FAIL or "  failing" that klr-relations, alt-presentation and
+# signed-relations print on cycle(3) at n = 3)
+CORE_SIGN_FAULTS = {
+    # read as psi_r psi_{r-1} psi_r e(j) = psi_{r-1} psi_r psi_{r-1} e(j) - beta e(j)
+    "braid": ("_psi_stem", "dom.from_int(beta)", "dom.from_int(-beta)",
+              (31, 7, 10)),
+    # read as y_c psi_c e(j) = psi_c y_{c+1} e(j) + delta e(j), and y_{c+1}
+    # psi_c e(j) = psi_c y_c e(j) - delta e(j)
+    "delta": ("_y_stem", "dom.from_int(s - t)", "dom.from_int(t - s)",
+              (37, 31, 51)),
+}
+
+
+def seed_core_fault(monkeypatch, fault):
+    name, old, new, _ = CORE_SIGN_FAULTS[fault]
+    source = textwrap.dedent(inspect.getsource(getattr(K.KLR, name)))
+    assert source.count(old) == 1
+    namespace = dict(vars(K.algebra))
+    exec(source.replace(old, new), namespace)
+    # a context binds its products into its steps when it is built
+    monkeypatch.setattr(K.KLR, name, namespace[name])
+
+
+@pytest.mark.parametrize("fault", sorted(CORE_SIGN_FAULTS))
+def test_suites_that_catch_a_core_sign_fault(fault, monkeypatch, capsys):
+    # the three relation suites fail; clifford, which checks no relation,
+    # is the known escape
+    seed_core_fault(monkeypatch, fault)
+    monkeypatch.setattr(suites, "POOL_MIN_WORK", 10**9)
+    counts = []
+    for suite, argv in [("klr-relations", ["--bound", "1", "--fuzz", "20"]),
+                        ("alt-presentation", ["--bound", "1"]),
+                        ("signed-relations", ["--bound", "1"]),
+                        ("clifford", [])]:
+        rc = main(["verify", suite, "--quiver", "cycle(3)", "--n", "3", *argv])
+        counts.append(sum(line.startswith(("FAIL", "  failing"))
+                          for line in capsys.readouterr().out.splitlines()))
+        assert rc == (suite != "clifford")
+    assert tuple(counts) == CORE_SIGN_FAULTS[fault][3] + (0,)
 
 
 def instance_rows(obj):

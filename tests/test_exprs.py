@@ -12,9 +12,10 @@ from klrcalc import exprs
 from klrcalc.algebra import Mono
 from klrcalc.exprs import (MAX_LENGTH, MAX_TERMS, ExprError, element_to_json_obj,
                            element_to_text, eval_ast, normal_form, parse_element)
-from klrcalc.perms import canonical_word, word_perm
+from klrcalc.perms import canonical_word
 from klrcalc.scalars import PrimeField
 from klrcalc.suites import random_element
+from words import word_perm
 
 TAGS = ("G", "G'")
 

@@ -1,10 +1,13 @@
-"""Permutation utilities: lengths, canonical words, move paths."""
+"""Permutation utilities: lengths, canonical words."""
+
+import doctest
 
 import pytest
 
+from klrcalc import perms
 from klrcalc.perms import (act, all_perms, canonical_word, identity,
-                           left_descents, left_mul_s, length, move_path,
-                           word_perm)
+                           left_descents, left_mul_s, length)
+from words import word_perm
 
 
 def compose(p, q):
@@ -17,23 +20,6 @@ def inverse(p):
     for k, v in enumerate(p):
         inv[v] = k
     return tuple(inv)
-
-
-def is_reduced(word, n):
-    return length(word_perm(word, n)) == len(word)
-
-
-def apply_move(word, move):
-    """The word after one elementary move: ("comm", t) swaps the letters at
-    t, t+1; ("braid", t) turns (x, y, x) at t..t+2 into (y, x, y)."""
-    kind, t = move
-    w = list(word)
-    if kind == "comm":
-        w[t], w[t + 1] = w[t + 1], w[t]
-    else:
-        x, y = w[t], w[t + 1]
-        w[t], w[t + 1], w[t + 2] = y, x, y
-    return tuple(w)
 
 
 def brute_reduced_words(p):
@@ -121,31 +107,12 @@ def test_canonical_word_is_lex_least_reduced(n):
         assert word_perm(cw, n) == p
 
 
-def _check_move_legal(word, move):
-    kind, t = move
-    if kind == "comm":
-        assert abs(word[t] - word[t + 1]) > 1
-    else:
-        x, y = word[t], word[t + 1]
-        assert word[t + 2] == x and abs(x - y) == 1
-
-
-@pytest.mark.parametrize("n", [3, 4])
-def test_move_path_connects_reduced_words(n):
-    for p in all_perms(n):
-        words = brute_reduced_words(p)
-        target = canonical_word(p)
-        for w in words:
-            cur = tuple(w)
-            for move in move_path(cur, target, n):
-                _check_move_legal(cur, move)
-                cur = apply_move(cur, move)
-                assert is_reduced(cur, n)
-                assert word_perm(cur, n) == p
-            assert cur == target
-
-
 def test_left_descents():
     assert left_descents((0, 1, 2)) == []
     assert left_descents((2, 1, 0)) == [1, 2]
     assert left_descents((1, 0, 2)) == [1]
+
+
+def test_module_doctests_run():
+    result = doctest.testmod(perms)
+    assert result.attempted > 0 and result.failed == 0

@@ -125,8 +125,8 @@ def test_only_the_engine_names_its_letter_actions():
     # (their stems, exponent fields and offsets, encoding and decoding): a
     # fast path of their own would be a second letter action
     actions = {"_resolve", "_run_steps", "_y_steps", "_psi_steps"}
-    internals = {"_y_cache", "_psi_cache", "_y_stem", "_psi_stem", "_fold",
-                 "_walk_moves", "_y_through", "_acc", "_STEM", "_WIDTH", "_LIMIT",
+    internals = {"_y_cache", "_psi_cache", "_y_stem", "_psi_stem", "_acc",
+                 "_STEM", "_WIDTH", "_LIMIT",
                  "_stem", "_stems", "_stem_ids", "_faces", "_words", "_unit_e",
                  "_exp_offset", "_exp_offsets", "_exp_vectors", "_key", "_encode",
                  "_decode", "SuffixProgram", "_signed_sum"}
