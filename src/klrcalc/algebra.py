@@ -34,18 +34,19 @@ and the y's commute with each other and with e(seq), so psi_word y^a e(seq)
 term's exponent.  The memo tables therefore hold exponent-free products,
 and a caller's exponent is added to each term's packed int key (see `KLR`),
 one integer add, in the one step loop that every letter, product and word
-acts through, `KLR._run_steps`.
+acts through, `KLR._run_steps`: from outside, one letter through `KLR.act`,
+a set of words through `KLR.act_words`, or the relation table's programs.
 
 The defining presentation is also written down as data, apart from the
 rewrite rules: `KLR_RELATIONS` lists the relation families once, and
-`relation_instances` checks them on plain data: (label, sequence, base)
-triples and the views that read each label's rows.  Per sequence it
-compiles the table's words, their idempotent letters resolved for it, into
-one `SuffixProgram`, one step (letter, source slot) per distinct suffix,
-and runs it once per label on the packed terms of the label's base through
-`KLR._run_steps`; a row compares packed term dicts, building an Element only
-for a failing row's diff.  `KLR.act_words` runs any set of words the same
-way.  The corrections read the quiver's arrows.
+`relation_instances` checks them on plain data: (label, sequence i, base)
+triples, each base supported on e(i), and the views that read each label's
+rows.  Per sequence it compiles the table's words, their idempotent letters
+resolved for it and a trailing e(i) left out, into one `SuffixProgram`, one
+step (letter, source slot) per distinct suffix, and runs it once per label
+on the packed terms of the label's base through `KLR._run_steps`; a row
+compares packed term dicts, building an Element only for a failing row's
+diff.  The corrections read the quiver's arrows.
 """
 
 from __future__ import annotations
@@ -224,7 +225,6 @@ class KLR:
         self._stem_ids: dict = {}
         self._stems: list = []  # (tag, w, seq)
         self._faces: list = []
-        self._words: list = []  # canonical words
         self._exp_offsets: dict = {}  # a -> its key offset
         self._exp_vectors: dict = {}  # key offset >> 32 -> a
         self._unit_e = [1 << 32 + _WIDTH * r for r in range(n)]
@@ -273,7 +273,8 @@ class KLR:
         return Element(self, terms)
 
     def y_element(self, r: int, seqs=None, tags=(TAG_MAIN,)) -> Element:
-        self._check_y_index(r)
+        if not 1 <= r <= self.n:
+            raise BadGeneratorError(f"y index {r} out of range 1..{self.n}")
         if seqs is None:
             seqs = all_seqs(self.quiver, self.n)
         terms = {Mono(tag, self._id_perm, self._unit_a[r - 1], tuple(s)): self.dom.one
@@ -281,7 +282,8 @@ class KLR:
         return Element(self, terms)
 
     def psi_element(self, r: int, seqs=None, tags=(TAG_MAIN,)) -> Element:
-        self._check_psi_index(r)
+        if not 1 <= r <= self.n - 1:
+            raise BadGeneratorError(f"psi index {r} out of range 1..{self.n - 1}")
         if seqs is None:
             seqs = all_seqs(self.quiver, self.n)
         w = perms.right_mul_s(self._id_perm, r)
@@ -293,14 +295,6 @@ class KLR:
         return sequences(self.quiver, root)
 
     # --- structure of monomials --------------------------------------------
-
-    def _check_y_index(self, r: int) -> None:
-        if not 1 <= r <= self.n:
-            raise BadGeneratorError(f"y index {r} out of range 1..{self.n}")
-
-    def _check_psi_index(self, r: int) -> None:
-        if not 1 <= r <= self.n - 1:
-            raise BadGeneratorError(f"psi index {r} out of range 1..{self.n - 1}")
 
     def arrow(self, tag: str, u, v) -> bool:
         """Is u -> v an arrow on the tagged copy?"""
@@ -337,7 +331,6 @@ class KLR:
             k = self._stem_ids[key] = len(self._stems)
             self._stems.append(key)
             self._faces.append(act(w, seq))
-            self._words.append(canonical_word(w))
         return k
 
     def _exp_offset(self, a: tuple) -> int:
@@ -378,28 +371,11 @@ class KLR:
 
     # --- generator action ---------------------------------------------------
 
-    def gen_left(self, gen, x: Element) -> Element:
-        """Left multiplication by one generator token, checked.
-
-        Tokens: ("e", seq) or ("e", seq, tag), ("y", r), ("psi", r).
-        """
-        kind = gen[0]
-        if kind == "e":
-            tag = gen[2] if len(gen) > 2 else TAG_MAIN
-            x = self.act(("e", self._check_seq(gen[1])), x)
-            return Element(self, {m: c for m, c in x.terms.items() if m.tag == tag})
-        if kind == "y":
-            self._check_y_index(gen[1])
-        elif kind == "psi":
-            self._check_psi_index(gen[1])
-        else:
-            raise BadGeneratorError(f"unknown generator token {gen!r}")
-        return self.act(gen, x)
-
     def act(self, g, x: Element) -> Element:
-        """The product g x of one letter and an element: one step of
-        `_run_steps`, unchecked.  g is ("y", r), ("psi", r) or ("e", j),
-        which keeps the terms with face j on either tag."""
+        """The product g x of one letter and an element, one step of
+        `_run_steps`: g is ("y", r), ("psi", r) or ("e", j), which keeps the
+        terms with face j on either tag.  Unchecked: `y_element` and
+        `psi_element` check an index from outside."""
         terms = self._run_steps([self._resolve(g)], self._encode(x.terms))[1]
         return Element(self, self._decode(terms))
 
@@ -479,7 +455,7 @@ class KLR:
         y_t psi_v e(seq)."""
         dom, s = self.dom, g >> 32
         tag, w, seq = self._stems[stem]
-        word = self._words[stem]
+        word = canonical_word(w)
         if not word:
             out = {stem + self._unit_e[s - 1]: dom.one}  # y_s e(seq)
         else:
@@ -536,8 +512,8 @@ class KLR:
                      dom.from_int(sign), dom)
             _acc(out, self._run_steps([psi[r]], lower(u, stem))[1], minus, dom)
         else:
-            up = self._stem(tag, perms.left_mul_s(r, w), seq)
-            d = self._words[up][0]
+            sw = perms.left_mul_s(r, w)
+            up, d = self._stem(tag, sw, seq), canonical_word(sw)[0]
             v = self._stem(tag, perms.left_mul_s(d, w), seq)
             if d == r:
                 out = {up: one}
@@ -585,13 +561,6 @@ class KLR:
             steps += [psi[c] for c in reversed(canonical_word(m1.w))]
             _acc(out, self._run_steps(steps, terms)[-1], c1, self.dom)
         return Element(self, self._decode(out))
-
-    def word_element(self, tokens, seq, tag: str = TAG_MAIN) -> Element:
-        """Right-fold evaluation of a generator word onto e(seq)."""
-        x = self.e(seq, tag)
-        for gen in reversed(list(tokens)):
-            x = self.gen_left(gen, x)
-        return x
 
     # --- basis enumeration ----------------------------------------------------
 
@@ -719,13 +688,14 @@ def relation_instances(labels, n: int, views=((None, frozenset()),), bare=None):
     diff), with s None in rows of one index and diff None where the row
     holds, else the Element lhs - rhs.
 
-    `labels` holds (label, sequence i, base Element) triples: every word of
-    a label acts on the terms of its base, right to left, letter by letter
-    through `KLR._run_steps`.  Each (key, odd) of `views` reads the rows
-    off that one run, each word `twisted` by `odd`, under the row label
-    `label` for key None and (label, key) otherwise.  `bare`, if given, is
-    (families, unit base): those families are checked once, with label
-    None, their words leaving E out and acting on the unit base.
+    `labels` holds (label, sequence i, base Element) triples, each base
+    supported on e(i): every word of a label acts on the terms of its base,
+    right to left, letter by letter through `KLR._run_steps`, but for a
+    trailing E or F, the identity there.  Each (key, odd) of `views` reads
+    the rows off that one run, each word `twisted` by `odd`, under the row
+    label `label` for key None and (label, key) otherwise.  `bare`, if
+    given, is (families, unit base): those families, whose only idempotent
+    is that trailing E, are checked once, with label None, on the unit base.
 
     The instances come label by label (the bare families last), view by
     view within a label and, within a view, in table order, so each
@@ -737,8 +707,6 @@ def relation_instances(labels, n: int, views=((None, frozenset()),), bare=None):
     families, unit = bare or ((), None)
     labelled, bare_rows = [], []
     for family, indices, lhs, rhs, correction in KLR_RELATIONS:
-        if family in families:
-            lhs, rhs = (tuple(g for g in word if g != E) for word in (lhs, rhs))
         (bare_rows if family in families else labelled).extend(
             (family, r, s, _place(lhs, r, s), rhs and _place(rhs, r, s), correction)
             for r, s in _RANGES[indices](n))
@@ -770,10 +738,13 @@ def _checks(program: SuffixProgram, rows, ctx: KLR, i, views) -> list:
     a word read as the lhs is, else its (sign, slot, flip) parts, flipped
     where a word's parity differs from the lhs's.  Each word is compiled
     once, with E and F resolved to ("e", i) and ("swap", r) to ("e", s_r
-    i); its parity in a view is counted on its placed letters, F as its own
-    kind."""
+    i), and without a trailing E or F, which is the identity on a base
+    supported on e(i); its parity in a view is counted on all its placed
+    letters, F as its own kind."""
 
     def slot(word):
+        if word[-1] in (E, F):
+            word = word[:-1]  # the identity on a base supported on e(i)
         return program.slot(tuple(
             ("e", i) if g in (E, F) else
             ("e", i[:g[1] - 1] + (i[g[1]], i[g[1] - 1]) + i[g[1] + 1:])

@@ -257,7 +257,8 @@ def eval_ast(node, ctx: KLR) -> Element:
             try:
                 if kind == "e":
                     return ctx.e([labels.get(t, t) for t in node[1]], node[2])
-                return ctx.gen_left((kind, node[1]), unit())
+                gen = ctx.y_element if kind == "y" else ctx.psi_element
+                return gen(node[1], seqs, TAGS_BOTH)
             except (ShapeError, BadGeneratorError) as exc:
                 raise ExprError(str(exc), tok.line, tok.col) from None
         if kind == "eps":

@@ -22,7 +22,6 @@ import itertools
 Perm = tuple
 
 _CANWORD_CACHE: dict = {}
-_LENGTH_CACHE: dict = {}
 
 
 def identity(n: int) -> Perm:
@@ -30,14 +29,8 @@ def identity(n: int) -> Perm:
 
 
 def length(p: Perm) -> int:
-    """Number of inversions = Coxeter length."""
-    cached = _LENGTH_CACHE.get(p)
-    if cached is not None:
-        return cached
-    n = len(p)
-    out = sum(1 for i in range(n) for j in range(i + 1, n) if p[i] > p[j])
-    _LENGTH_CACHE[p] = out
-    return out
+    """Coxeter length = number of inversions: that of the canonical word."""
+    return len(canonical_word(p))
 
 
 def left_mul_s(r: int, p: Perm) -> Perm:

@@ -19,6 +19,7 @@ from klrcalc.suites import random_element
 from spans import inv
 from steps import log_steps
 from test_blocks import negate_three_letter_products
+from words import fold
 
 
 @pytest.fixture(scope="module")
@@ -45,31 +46,32 @@ def test_degree_examples():
 def test_left_mul_examples(c3, c3n3):
     psi1 = c3.psi_element(1)
     assert psi1 * (psi1 * c3.e((0, 0))) == c3.zero()
-    want = c3.gen_left(("y", 1), c3.e((0, 1))) - c3.gen_left(("y", 2), c3.e((0, 1)))
+    want = c3.act(("y", 1), c3.e((0, 1))) - c3.act(("y", 2), c3.e((0, 1)))
     assert psi1 * (psi1 * c3.e((0, 1))) == want
 
-    got = c3.gen_left(("y", 2), c3.gen_left(("psi", 1), c3.e((0, 0))))
+    got = fold(c3, [("y", 2), ("psi", 1)], c3.e((0, 0)))
     want = Element(c3, {Mono("G", (1, 0), (1, 0), (0, 0)): 1,
                         Mono("G", (0, 1), (0, 0), (0, 0)): 1})
     assert got == want
 
     # psi_1 psi_2 psi_1 e(0,1,0) = psi_2 psi_1 psi_2 e(0,1,0) - e(0,1,0)
     e010 = c3n3.e((0, 1, 0))
-    lhs = c3n3.word_element([("psi", 1), ("psi", 2), ("psi", 1)], (0, 1, 0))
-    rhs = c3n3.word_element([("psi", 2), ("psi", 1), ("psi", 2)], (0, 1, 0)) - e010
+    lhs = fold(c3n3, [("psi", 1), ("psi", 2), ("psi", 1)], e010)
+    rhs = fold(c3n3, [("psi", 2), ("psi", 1), ("psi", 2)], e010) - e010
     assert lhs == rhs
 
 
-def test_gen_left_e_token_and_bad_indices(c3):
-    m = c3.e((0, 1))
-    assert c3.gen_left(("e", (0, 1)), m) == m
-    assert c3.gen_left(("e", (1, 0)), m) == c3.zero()
-    with pytest.raises(K.BadGeneratorError):
-        c3.gen_left(("psi", 2), m)
-    with pytest.raises(K.BadGeneratorError):
-        c3.gen_left(("y", 0), m)
-    with pytest.raises(K.BadGeneratorError):
-        c3.gen_left(("zz", 1), m)
+def test_e_letter_and_bad_indices(c3):
+    # ("e", j) keeps the terms of face j on both tags
+    m = c3.e((0, 1)) + c3.e((0, 1), "G'")
+    assert c3.act(("e", (0, 1)), m) == m
+    assert c3.act(("e", (1, 0)), m) == c3.zero()
+    x = c3.psi_element(1, [(0, 1), (1, 0)], TAGS_BOTH)
+    assert c3.act(("e", (0, 1)), x) == c3.psi_element(1, [(1, 0)], TAGS_BOTH)
+    for bad in (lambda: c3.psi_element(2), lambda: c3.psi_element(0),
+                lambda: c3.y_element(0), lambda: c3.y_element(3)):
+        with pytest.raises(K.BadGeneratorError):
+            bad()
 
 
 def test_idempotent_products_and_unit(c3):
@@ -133,16 +135,16 @@ def test_degree_additive_on_products(c3n3):
 
 def mono_pair(ctx, m1, m2) -> dict:
     """m1 m2 by its definition: zero unless m2's face carries m1's tag and
-    sequence, else m1's letters act on m2 one by one through gen_left, y^a
+    sequence, else m1's letters act on m2 one by one through `KLR.act`, y^a
     first and then psi_w right to left."""
     if m1.tag != m2.tag or m1.seq != ctx.mono_face(m2):
         return {}
     x = Element(ctx, {m2: ctx.dom.one})
     for r, k in enumerate(m1.a, start=1):
         for _ in range(k):
-            x = ctx.gen_left(("y", r), x)
+            x = ctx.act(("y", r), x)
     for c in reversed(canonical_word(m1.w)):
-        x = ctx.gen_left(("psi", c), x)
+        x = ctx.act(("psi", c), x)
     return x.terms
 
 
@@ -338,11 +340,11 @@ def test_products_commute_with_right_y_shift(field):
         shifts += any(b)
         mb = Mono(m.tag, m.w, tuple(p + q for p, q in zip(m.a, b)), m.seq)
         gen = rng.choice([("psi", 1), ("psi", 2), ("y", 1), ("y", 2), ("y", 3),
-                          ("e", act(m.w, m.seq), m.tag)])
+                          ("e", act(m.w, m.seq))])
         ctx, ctx_b = K.make_context(q, 3, dom), K.make_context(q, 3, dom)
-        got = ctx_b.gen_left(gen, Element(ctx_b, {mb: dom.one}))
+        got = ctx_b.act(gen, Element(ctx_b, {mb: dom.one}))
         assert list(got.terms.items()) == shifted(
-            ctx.gen_left(gen, Element(ctx, {m: dom.one})), b)
+            ctx.act(gen, Element(ctx, {m: dom.one})), b)
         ctx, ctx_b = K.make_context(q, 3, dom), K.make_context(q, 3, dom)
         # every term of x ends on m's face, so its products are not zero by a mismatch
         x = random_element(ctx, rng, [act(m.w, m.seq)], (m.tag,), max_terms=4)
@@ -415,7 +417,7 @@ def test_relation_sweep_runs_every_letter_action(quiver, monkeypatch):
     q = K.cycle(3) if quiver == "cycle" else K.path(3)
     for root in K.all_roots(q, 3):
         suites._sweep_block(K.make_context(q, 3), root, 1)
-    assert Counter(kind for kind, _ in log) == {"e": 3888, "y": 11664, "psi": 10368}
+    assert Counter(kind for kind, _ in log) == {"e": 3240, "y": 9720, "psi": 9072}
 
 
 def _acc_by_terms(out, src, scale, dom, a=None):
@@ -596,7 +598,7 @@ def _keyed_by_mono(x: Element) -> bool:
 @pytest.mark.parametrize("field", ["Q", "Fp:5"])
 def test_public_results_are_keyed_by_mono(field, monkeypatch):
     # packed term keys never leave the engine: every Element that `act`,
-    # `gen_left`, `multiply`, the relation rows' diffs and express coverage's
+    # `multiply`, the relation rows' diffs and express coverage's
     # diffs hand out is keyed by `Mono`s, on both tags, also where a product's
     # terms cancel
     from klrcalc import alternating as alt
@@ -610,10 +612,8 @@ def test_public_results_are_keyed_by_mono(field, monkeypatch):
     for _ in range(20):
         x = random_element(ctx, rng, seqs, TAGS_BOTH, max_terms=6)
         y = random_element(ctx, rng, seqs, TAGS_BOTH, max_terms=6)
-        for g in gens:
-            assert _keyed_by_mono(ctx.act(g, x)) and ctx.act(g, x) == ctx.gen_left(g, x)
-        for tag in TAGS_BOTH:
-            assert _keyed_by_mono(ctx.gen_left(("e", rng.choice(seqs), tag), x))
+        for g in gens + [("e", rng.choice(seqs))]:
+            assert _keyed_by_mono(ctx.act(g, x))
         assert _keyed_by_mono(x * y) and _keyed_by_mono(ctx.multiply(x - y, x + y))
     # x = m1 - (c1 / c2) m2, for basis monomials whose products by g share a
     # term, with coefficients c1 and c2 there: that term cancels in g x
@@ -634,7 +634,7 @@ def test_public_results_are_keyed_by_mono(field, monkeypatch):
                 kind, r = g
                 gen = ctx.psi_element(r, seqs, TAGS_BOTH) if kind == "psi" else \
                     ctx.y_element(r, seqs, TAGS_BOTH)
-                assert got == ctx.gen_left(g, x) == gen * x
+                assert got == gen * x
                 cancelled.add(m1.tag)
     assert cancelled == set(TAGS_BOTH)
 
@@ -723,15 +723,15 @@ def test_normal_monomial_invariants(c3):
     # canonical words are reduced and multiply out to their permutation
     for w in all_perms(2):
         word = canonical_word(w)
-        assert len(word) == length(w)
+        assert len(word) == sum(a > b for a, b in itertools.combinations(w, 2))
 
 
 def test_evaluate_computes_each_suffix_once(c3, monkeypatch):
     i = (0, 1)
     words = [(("y", 1), ("psi", 1)), (("psi", 1), ("y", 1), ("psi", 1)),
              (("y", 2), ("psi", 1)), (("e", i), ("y", 1), ("psi", 1))]
-    # the oracle, multiplied out by `gen_left` before any step is logged
-    want = [c3.word_element(w, i) for w in words]
+    # the oracle, folded letter by letter before any step is logged
+    want = [fold(c3, w, c3.e(i)) for w in words]
     calls = log_steps(monkeypatch)
     program = SuffixProgram()
     slots = [program.slot(w) for w in words]

@@ -448,8 +448,15 @@ CORE_SIGN_FAULTS = {
 }
 
 
-def seed_core_fault(monkeypatch, fault):
-    name, old, new, _ = CORE_SIGN_FAULTS[fault]
+# The idempotent letter keeps the terms off its face instead of those on it.
+# Every relation word's trailing e(i) is left out on a base supported on
+# e(i), so only the idempotents inside a word see it.
+IDEMPOTENT_FAULT = ("_run_steps", "faces[k & _STEM] == g", "faces[k & _STEM] != g",
+                    (21, 98, 183))
+
+
+def seed_core_fault(monkeypatch, name, old, new):
+    """Rebuild `KLR.name` from its source with `old` replaced by `new`."""
     source = textwrap.dedent(inspect.getsource(getattr(K.KLR, name)))
     assert source.count(old) == 1
     namespace = dict(vars(K.algebra))
@@ -458,11 +465,11 @@ def seed_core_fault(monkeypatch, fault):
     monkeypatch.setattr(K.KLR, name, namespace[name])
 
 
-@pytest.mark.parametrize("fault", sorted(CORE_SIGN_FAULTS))
-def test_suites_that_catch_a_core_sign_fault(fault, monkeypatch, capsys):
-    # the three relation suites fail; clifford, which checks no relation,
-    # is the known escape
-    seed_core_fault(monkeypatch, fault)
+def relation_suite_fail_lines(monkeypatch, capsys) -> tuple:
+    """The lines starting `FAIL` or `  failing` of klr-relations,
+    alt-presentation and signed-relations on cycle(3) at n = 3, each of
+    which must exit 1, and of clifford, which checks no relation and must
+    exit 0."""
     monkeypatch.setattr(suites, "POOL_MIN_WORK", 10**9)
     counts = []
     for suite, argv in [("klr-relations", ["--bound", "1", "--fuzz", "20"]),
@@ -472,8 +479,25 @@ def test_suites_that_catch_a_core_sign_fault(fault, monkeypatch, capsys):
         rc = main(["verify", suite, "--quiver", "cycle(3)", "--n", "3", *argv])
         counts.append(sum(line.startswith(("FAIL", "  failing"))
                           for line in capsys.readouterr().out.splitlines()))
-        assert rc == (suite != "clifford")
-    assert tuple(counts) == CORE_SIGN_FAULTS[fault][3] + (0,)
+        assert rc == (suite != "clifford"), suite
+    return tuple(counts)
+
+
+@pytest.mark.parametrize("fault", sorted(CORE_SIGN_FAULTS))
+def test_suites_that_catch_a_core_sign_fault(fault, monkeypatch, capsys):
+    # the three relation suites fail; clifford, which checks no relation,
+    # is the known escape
+    name, old, new, want = CORE_SIGN_FAULTS[fault]
+    seed_core_fault(monkeypatch, name, old, new)
+    assert relation_suite_fail_lines(monkeypatch, capsys) == want + (0,)
+
+
+def test_suites_that_catch_an_idempotent_fault(monkeypatch, capsys):
+    # the relation rows run idempotent letters inside their words (e(i) y_r,
+    # e(s_r i) psi_r), so the three relation suites fail; clifford escapes
+    name, old, new, want = IDEMPOTENT_FAULT
+    seed_core_fault(monkeypatch, name, old, new)
+    assert relation_suite_fail_lines(monkeypatch, capsys) == want + (0,)
 
 
 def instance_rows(obj):

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from klrcalc.cli import MAX_BASIS, main
+from klrcalc.suites import MAX_DIMS_WORK
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -216,6 +217,17 @@ def test_basis_cap_refuses_at_once(capsys):
     assert code == 0 and "count: 24" in out
 
 
+@pytest.mark.parametrize("argv", [["verify", "dims"], ["dims"]])
+def test_dims_cap_refuses_at_once(capsys, argv):
+    # 3! 3^3 (10^8 + 1) steps of the full table, refused before any is built
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, "--n", "3", "--bound", "100000000")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err == ("error: dims tables of 16200000162 (w, i, |a|) steps, past "
+                   f"the cap of {MAX_DIMS_WORK}\n")
+
+
 @pytest.mark.parametrize("flag, argv", [
     ("--tau", ["quiver", "--tau", "xx"]),
     ("--quiver", ["quiver", "--quiver", "{bad"]),
@@ -246,6 +258,15 @@ def test_readme_commands_exit0(capsys, line):
     assert code == 0 and err == "" and out
     if "--format" in words and words[words.index("--format") + 1] == "json":
         json.loads(out)
+
+
+def test_readme_library_example_runs(capsys):
+    # the README's "Library example" block, run as it is written
+    text = README.read_text()
+    section = text[text.index("## Library example"):]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out
 
 
 def test_long_inputs_exit0(capsys):

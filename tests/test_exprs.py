@@ -241,7 +241,7 @@ def test_negative_and_named_sequence_entries():
     assert normal_form("e(- 3 , 3)@G'", line) == line.e((-3, 3), "G'")
     named = K.make_context(K.make_quiver("ab", ["a", "b"], [("a", "b")]), 2)
     assert normal_form("psi[1]*e(a,b)", named) == \
-        named.gen_left(("psi", 1), named.e(("a", "b")))
+        named.act(("psi", 1), named.e(("a", "b")))
 
 
 GRAMMAR_PIECES = ["e", "y", "psi", "eps", "x", "_", "(", ")", "[", "]", ",",

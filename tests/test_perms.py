@@ -22,16 +22,28 @@ def inverse(p):
     return tuple(inv)
 
 
+def bubble_swaps(p):
+    """Oracle: the adjacent swaps bubble sort makes, one per inversion."""
+    q, swaps = list(p), 0
+    for end in range(len(q) - 1, 0, -1):
+        for k in range(end):
+            if q[k] > q[k + 1]:
+                q[k], q[k + 1] = q[k + 1], q[k]
+                swaps += 1
+    return swaps
+
+
 def brute_reduced_words(p):
-    """Oracle: enumerate every reduced word by breadth-first search."""
+    """Oracle: enumerate every reduced word by breadth-first search, its
+    lengths read off `bubble_swaps`, not the code under test."""
     n = len(p)
-    ell = length(p)
+    ell = bubble_swaps(p)
     if ell == 0:
         return [()]
     out = []
     for r in range(1, n):
         q = left_mul_s(r, p)
-        if length(q) < ell:
+        if bubble_swaps(q) < ell:
             out.extend((r,) + tail for tail in brute_reduced_words(q))
     return out
 
@@ -57,19 +69,9 @@ def test_word_perm_and_length():
     assert word_perm((1, 2, 1), 3) == w0 == word_perm((2, 1, 2), 3)
 
 
-def bubble_swaps(p):
-    """Oracle: the adjacent swaps bubble sort makes, one per inversion."""
-    q, swaps = list(p), 0
-    for end in range(len(q) - 1, 0, -1):
-        for k in range(end):
-            if q[k] > q[k + 1]:
-                q[k], q[k + 1] = q[k + 1], q[k]
-                swaps += 1
-    return swaps
-
-
 def test_length_counts_inversions():
-    # twice over S_5: the second pass reads the memo the first one filled
+    # twice over S_5: the second pass reads the canonical words the first
+    # one cached
     for _ in range(2):
         for p in all_perms(5):
             assert length(p) == bubble_swaps(p)

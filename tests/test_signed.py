@@ -142,7 +142,7 @@ def test_deg2_table(ctx2, root01):
 
 
 def test_deg2_errors(ctx2):
-    mixed = ctx2.e((0, 1)) + ctx2.gen_left(("y", 1), ctx2.e((0, 1)))
+    mixed = ctx2.e((0, 1)) + ctx2.act(("y", 1), ctx2.e((0, 1)))
     with pytest.raises(K.NotHomogeneousError):
         alt.deg2_of(ctx2, mixed)
     # homogeneous but not an eigenvector: e_G alone
@@ -162,14 +162,15 @@ def test_signed_rows_share_one_evaluation(monkeypatch):
     # the rows (i, +) and (i, -) are read off one evaluation of each word:
     # evaluating the words once per row made 1,320 letter actions here, 1,234
     # of them in the relation table; one evaluation per sequence halves those
-    # (703), and the correction words, F written as E, share the products of
-    # the "y e" rows' words (664)
+    # (703), the correction words, F written as E, share the products of
+    # the "y e" rows' words (664), and no word runs its trailing e(i) on a
+    # base that is already e(i) base (579)
     log = log_steps(monkeypatch)
     ctx = K.make_context(K.cycle(3), 3)
     for root in K.root_tau_classes(ctx.quiver, ctx.tau, 3).reps:
         rows, _ = alt.verify_signed_relations(ctx, root, bound=1)
         assert all(r["status"] == "pass" for r in rows)
-    assert sum(kind != "e" for kind, _ in log) == 664
+    assert sum(kind != "e" for kind, _ in log) == 579
 
 
 def test_roundtrips_present_only_on_asymmetric_blocks(ctx2):
