@@ -34,8 +34,10 @@ and the y's commute with each other and with e(seq), so psi_word y^a e(seq)
 term's exponent.  The memo tables therefore hold exponent-free products,
 and a caller's exponent is added to each term's packed int key (see `KLR`),
 one integer add, in the one step loop that every letter, product and word
-acts through, `KLR._run_steps`: from outside, one letter through `KLR.act`,
-a set of words through `KLR.act_words`, or the relation table's programs.
+acts through, `KLR._run_steps`.  Letters reach it four ways: one letter
+through `KLR.act`, a set of words through `KLR.act_words`, each term of a
+product's left factor through `KLR.multiply`, and the relation table's
+programs; the rewrite core's nested products run through it too.
 
 The defining presentation is also written down as data, apart from the
 rewrite rules: `KLR_RELATIONS` lists the relation families once, and
@@ -258,38 +260,30 @@ class KLR:
         dom = self.dom
         return Element(self, {m: c for m, c in terms.items() if not dom.is_zero(c)})
 
+    def _sum(self, w: tuple, a: tuple, seqs, tags) -> Element:
+        """Sum over tag in `tags`, then i in `seqs` (default: all of I^n), of
+        psi_w y^a e(i) on the tagged copy."""
+        if seqs is None:
+            seqs = all_seqs(self.quiver, self.n)
+        return Element(self, {Mono(tag, w, a, tuple(s)): self.dom.one
+                              for tag in tags for s in seqs})
+
     def e(self, seq, tag: str = TAG_MAIN) -> Element:
-        m = Mono(tag, self._id_perm, self._zero_a, self._check_seq(seq))
-        return Element(self, {m: self.dom.one})
+        return self._sum(self._id_perm, self._zero_a, (self._check_seq(seq),), (tag,))
 
     def unit(self, seqs=None, tags=(TAG_MAIN,)) -> Element:
         """Sum of idempotents over `seqs` (default: all of I^n) and `tags`."""
-        if seqs is None:
-            seqs = all_seqs(self.quiver, self.n)
-        terms = {}
-        for tag in tags:
-            for s in seqs:
-                terms[Mono(tag, self._id_perm, self._zero_a, tuple(s))] = self.dom.one
-        return Element(self, terms)
+        return self._sum(self._id_perm, self._zero_a, seqs, tags)
 
     def y_element(self, r: int, seqs=None, tags=(TAG_MAIN,)) -> Element:
         if not 1 <= r <= self.n:
             raise BadGeneratorError(f"y index {r} out of range 1..{self.n}")
-        if seqs is None:
-            seqs = all_seqs(self.quiver, self.n)
-        terms = {Mono(tag, self._id_perm, self._unit_a[r - 1], tuple(s)): self.dom.one
-                 for tag in tags for s in seqs}
-        return Element(self, terms)
+        return self._sum(self._id_perm, self._unit_a[r - 1], seqs, tags)
 
     def psi_element(self, r: int, seqs=None, tags=(TAG_MAIN,)) -> Element:
         if not 1 <= r <= self.n - 1:
             raise BadGeneratorError(f"psi index {r} out of range 1..{self.n - 1}")
-        if seqs is None:
-            seqs = all_seqs(self.quiver, self.n)
-        w = perms.right_mul_s(self._id_perm, r)
-        terms = {Mono(tag, w, self._zero_a, tuple(s)): self.dom.one
-                 for tag in tags for s in seqs}
-        return Element(self, terms)
+        return self._sum(perms.right_mul_s(self._id_perm, r), self._zero_a, seqs, tags)
 
     def block_seqs(self, root: Root) -> tuple:
         return sequences(self.quiver, root)

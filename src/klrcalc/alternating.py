@@ -38,8 +38,9 @@ from . import perms
 from .algebra import (TAG_MAIN, TAG_OPP, TAGS_BOTH, Element, KLR, Mono,
                       NotHomogeneousError, ShapeError, relation_instances,
                       twisted)
+from .exprs import element_to_json_obj
 from .perms import canonical_word, length
-from .quiver import Root, all_seqs, root_tau_classes, sequences, tau_classes
+from .quiver import Root, all_seqs, tau_classes
 from .signop import (ambient_unit, e_pair, eps_pair, sgn_eigenvalue, sgn_planes,
                      translate_to_single)
 
@@ -124,26 +125,18 @@ def full_dims_single(ctx: KLR, bound: int) -> dict:
 
 def alternating_dims_single(ctx: KLR, bound: int) -> dict:
     """Graded dimension table of the sign-fixed subalgebra in the one-quiver
-    picture, summed over one block class representative each and counted
-    per (w, i) by `_add_dims`.
-
-    For a class with two distinct blocks every (w, a, i) over the
-    representative block contributes once; on a reversal-symmetric block the
-    paired sequence classes contribute at every parity while the fixed
-    sequences only keep even l(w) + |a|.
+    picture, counted per (w, i) by `_add_dims` over one sequence i of each
+    tau-orbit of I^n: an orbit {i, tau i} of two sequences contributes its
+    whole basis once, a tau-fixed i only the even l(w) + |a|.
     """
     if ctx.tau is None:
         raise ShapeError("alternating dimensions need a reversal map")
     tau = ctx.tau
+    reps = tau_classes(ctx.quiver, all_seqs(ctx.quiver, ctx.n), tau).reps
     table: dict = {}
-    for root in root_tau_classes(ctx.quiver, tau, ctx.n).reps:
-        seqs = sequences(ctx.quiver, root)
-        if tau.root(root) == root:
-            reps = tau_classes(ctx.quiver, seqs, tau).reps
-            seqs = [s for s in reps if tau.seq(s) != s]
-            _add_dims(ctx, table, [s for s in reps if tau.seq(s) == s], bound,
-                      parity=True)
-        _add_dims(ctx, table, seqs, bound)
+    for fixed in (False, True):
+        _add_dims(ctx, table, [s for s in reps if (tau.seq(s) == s) == fixed],
+                  bound, parity=fixed)
     return dict(sorted(table.items()))
 
 
@@ -156,29 +149,20 @@ def dims_complete_window(ctx: KLR, bound: int) -> int:
 # --- presentation verification -------------------------------------------------
 
 
-def _row(relation, cls, r, got, want, diff) -> dict:
-    """A report row for got == want, showing `diff` when they differ."""
-    ok = got == want
-    return {"relation": relation, "class": list(cls) if cls else None, "r": r,
-            "status": "pass" if ok else "fail", "diff": None if ok else diff}
-
-
-def _instance(relation, cls, r=None, s=None, lhs=None, rhs=None):
-    """The row for lhs == rhs, whose diff is the element lhs - rhs."""
-    return _diff_row(relation, cls, r, s, None if lhs == rhs else lhs - rhs)
-
-
-def _diff_row(relation, cls, r, s, diff):
-    """The row of an equation whose sides differ by the element `diff`, None
-    where they agree."""
-    inst = {"relation": relation, "class": list(cls) if cls else None, "r": r,
-            "status": "pass", "diff": None}
+def _row(relation, cls, r=None, s=None, diff=None) -> dict:
+    """A report row, failing exactly when it is given a `diff`: an Element
+    lhs - rhs, shown as its JSON, or a witness text."""
+    row = {"relation": relation, "class": list(cls) if cls else None, "r": r,
+           "status": "pass" if diff is None else "fail",
+           "diff": element_to_json_obj(diff) if isinstance(diff, Element) else diff}
     if s is not None:
-        inst["s"] = s
-    if diff is not None:
-        from .exprs import element_to_json_obj
-        inst["status"], inst["diff"] = "fail", element_to_json_obj(diff)
-    return inst
+        row["s"] = s
+    return row
+
+
+def _differ(lhs: Element, rhs: Element):
+    """lhs - rhs, or None where they agree: a row's diff."""
+    return None if lhs == rhs else lhs - rhs
 
 
 ALT_NAMES = {
@@ -225,7 +209,7 @@ def _table_instances(ctx: KLR, root: Root, names: dict, cls, views,
     found = {family: [] for family in names}
     labels = [(i, i, e_pair(ctx, i)) for i in ctx.block_seqs(root)]
     for family, label, r, s, diff in relation_instances(labels, ctx.n, views, bare):
-        found[family].append(_diff_row(names[family], cls(label), r, s, diff))
+        found[family].append(_row(names[family], cls(label), r, s, diff))
     return [inst for instances in found.values() for inst in instances]
 
 
@@ -265,10 +249,10 @@ def verify_alt_presentation(ctx: KLR, root: Root):
     for i in seqs:
         for j in seqs:
             want = E[i] if i == j else ctx.zero()
-            out.append(_instance("e[i]e[j] = delta e[i]", (i, j), lhs=E[i] * E[j],
-                                 rhs=want))
+            out.append(_row("e[i]e[j] = delta e[i]", (i, j),
+                            diff=_differ(E[i] * E[j], want)))
     total = sum((E[i] for i in seqs), ctx.zero())
-    out.append(_instance("sum e[i] = 1", None, lhs=total, rhs=one))
+    out.append(_row("sum e[i] = 1", None, diff=_differ(total, one)))
 
     out += _table_instances(ctx, root, ALT_NAMES,
                             lambda i: None if i is None else (i,),
@@ -279,14 +263,16 @@ def verify_alt_presentation(ctx: KLR, root: Root):
         for r in range(1, n):
             want = -ctx.quiver.cartan_entry(i[r - 1], i[r])
             got = ctx.act(("psi", r), E[i]).degree()
-            out.append(_row("deg Psi_r e[i]", (i,), r, got, want, f"deg {got} != {want}"))
+            out.append(_row("deg Psi_r e[i]", (i,), r, diff=None if got == want
+                            else f"deg {got} != {want}"))
     for r in range(1, n + 1):
         y, off = _y_landing(ctx, r, one, seqs)
         got = off or y.degree()
-        out.append(_row("deg Y_r = 2", None, r, got, 2, off or f"deg {got}"))
+        out.append(_row("deg Y_r = 2", None, r,
+                        diff=None if got == 2 else off or f"deg {got}"))
     for i in seqs:
         got = E[i].degree()
-        out.append(_row("deg e[i] = 0", (i,), None, got, 0, f"deg {got}"))
+        out.append(_row("deg e[i] = 0", (i,), diff=None if got == 0 else f"deg {got}"))
     return out, notes
 
 
@@ -317,11 +303,11 @@ def iter_express_coverage(ctx: KLR, root: Root, bound: int):
         got = failing.get((w, a, s))
         if got is None and el.terms == {
                 m: one, m_opp: minus if odd[w, a] else one}:
-            yield _diff_row("express(alt basis element)", desc, None, None, None)
+            yield _row("express(alt basis element)", desc)
         else:
             plain = Element(ctx, {m: one, m_opp: one}) if got is None else got
-            yield _instance("express(alt basis element)", desc, rhs=el,
-                            lhs=twisted(plain, express_alt(ctx, desc), ALT_ODD))
+            yield _row("express(alt basis element)", desc, diff=_differ(
+                twisted(plain, express_alt(ctx, desc), ALT_ODD), el))
 
 
 def express_coverage(ctx: KLR, root: Root, bound: int) -> list:
@@ -363,23 +349,27 @@ def deg2_of(ctx: KLR, x: Element):
     return z, PLUS if eig == 1 else MINUS
 
 
-def _even_part_is_alternating(ctx: KLR, root: Root, bound: int) -> bool:
-    """Whether the span of b + sgn b over the truncated two-copy basis is
-    that of `iter_alt_basis`, checked on the planes of `sgn_planes`, one at a
-    time: where sgn sends m@G to eps m@G', the plane's even part is the line
-    of m@G + eps m@G', so its one alternating element must be c (m@G + eps
-    m@G'), c nonzero.  An image of sgn off its plane fails the check."""
+def _even_part_is_alternating(ctx: KLR, root: Root, bound: int):
+    """None if the span of b + sgn b over the truncated two-copy basis is
+    that of `iter_alt_basis`, else the first failing plane, named.  Checked
+    on the planes of `sgn_planes`, one at a time: where sgn sends m@G to eps
+    m@G', the plane's even part is the line of m@G + eps m@G', so its one
+    alternating element must be c (m@G + eps m@G'), c nonzero.  An image of
+    sgn off its plane fails the check."""
     dom = ctx.dom
     for plane, row in itertools.zip_longest(sgn_planes(ctx, root, bound),
                                             iter_alt_basis(ctx, root, bound)):
-        m, m_opp, eps = plane or (None, None, None)
-        if eps is None or row is None or row[0][:3] != m[1:]:
-            return False
-        terms = row[1].terms
-        c = terms.get(m, 0)
-        if len(terms) != 2 or dom.is_zero(c) or terms.get(m_opp) != dom.mul(c, eps):
-            return False
-    return True
+        if plane is None or row is None:
+            return "the planes and the alternating basis differ in number"
+        (m, m_opp, eps), (desc, el) = plane, row
+        if eps is None:
+            return f"sgn moves {Element(ctx, {m: dom.one})!r} off its plane"
+        c = el.terms.get(m, 0)
+        if (desc[:3] != m[1:] or len(el.terms) != 2 or dom.is_zero(c)
+                or el.terms.get(m_opp) != dom.mul(c, eps)):
+            return (f"the alternating element {desc}, {el!r}, does not span the "
+                    f"even part of the plane of {Element(ctx, {m: dom.one})!r}")
+    return None
 
 
 def verify_signed_relations(ctx: KLR, root: Root, bound: int = 1):
@@ -419,24 +409,23 @@ def verify_signed_relations(ctx: KLR, root: Root, bound: int = 1):
                 for b in (PLUS, MINUS):
                     prod = PLUS if a == b else MINUS
                     want = E[(i, prod)] if i == j else ctx.zero()
-                    out.append(_instance(f"eps_{a}(i) eps_{b}(j)", (i, j),
-                                         lhs=E[(i, a)] * E[(j, b)], rhs=want))
+                    out.append(_row(f"eps_{a}(i) eps_{b}(j)", (i, j),
+                                    diff=_differ(E[(i, a)] * E[(j, b)], want)))
     total = sum((E[(i, PLUS)] for i in seqs), ctx.zero())
-    out.append(_instance("sum eps_+(i) = 1", None, lhs=total, rhs=one))
+    out.append(_row("sum eps_+(i) = 1", None, diff=_differ(total, one)))
 
     # reversal twist, read in the one-quiver picture
     for i in seqs:
         for a in (PLUS, MINUS):
             lhs = translate_to_single(ctx, E[(i, a)])
-            out.append(_instance(f"translate(eps_{a}(i)) = theta(eps_{a}(i))",
-                                 (i,), lhs=lhs, rhs=theta_eps(ctx, i, a)))
+            out.append(_row(f"translate(eps_{a}(i)) = theta(eps_{a}(i))", (i,),
+                            diff=_differ(lhs, theta_eps(ctx, i, a))))
             sign = 1 if a == PLUS else -1
-            out.append(_instance(f"eps_{a}(i) = {a}eps_{a}(tau i)", (i,),
-                                 lhs=theta_eps(ctx, i, a),
-                                 rhs=theta_eps(ctx, tau.seq(i), a).scale(sign)))
+            out.append(_row(f"eps_{a}(i) = {a}eps_{a}(tau i)", (i,), diff=_differ(
+                theta_eps(ctx, i, a), theta_eps(ctx, tau.seq(i), a).scale(sign))))
             if symmetric and tau.seq(i) == i and a == MINUS:
-                out.append(_instance("eps_-(i) = 0 for tau-fixed i", (i,),
-                                     lhs=theta_eps(ctx, i, a), rhs=ctx.zero()))
+                out.append(_row("eps_-(i) = 0 for tau-fixed i", (i,),
+                                diff=_differ(theta_eps(ctx, i, a), ctx.zero())))
 
     out += _table_instances(ctx, root, SIGNED_NAMES, lambda label: label,
                             tuple(SIGNED_ODD.items()))
@@ -447,7 +436,7 @@ def verify_signed_relations(ctx: KLR, root: Root, bound: int = 1):
             got = off or deg2_of(ctx, x)
         except NotHomogeneousError as exc:
             got = str(exc)
-        out.append(_row(name, cls, None, got, want, f"{got} != {want}"))
+        out.append(_row(name, cls, diff=None if got == want else f"{got} != {want}"))
 
     for i in seqs:
         deg2_inst("deg2 eps_+(i) = (0,+)", (i,), E[(i, PLUS)], (0, PLUS))
@@ -483,16 +472,14 @@ def verify_signed_relations(ctx: KLR, root: Root, bound: int = 1):
                     half_sum = (realize_signed_label(m.seq, PLUS)
                                 + realize_signed_label(m.seq, MINUS)).scale(dom.half)
                     acc = acc + half_sum.scale(c)
-                out.append(_instance("sigma(theta(eps_a)) = eps_a", (j, a),
-                                     lhs=acc, rhs=realize_signed_label(j, a)))
+                out.append(_row("sigma(theta(eps_a)) = eps_a", (j, a),
+                                diff=_differ(acc, realize_signed_label(j, a))))
             # theta(sigma(e(j))) = e(j)
             got = (theta_eps(ctx, j, PLUS) + theta_eps(ctx, j, MINUS)).scale(dom.half)
-            out.append(_instance("theta(sigma(e(j))) = e(j)", (j,),
-                                 lhs=got, rhs=ctx.e(j, TAG_MAIN)))
+            out.append(_row("theta(sigma(e(j))) = e(j)", (j,),
+                            diff=_differ(got, ctx.e(j, TAG_MAIN))))
 
     # even part of the signed algebra = the alternating subalgebra (spans)
-    ok_span = _even_part_is_alternating(ctx, root, bound)
-    out.append({"relation": "even part = alternating subalgebra (truncated spans)",
-                "class": None, "r": None,
-                "status": "pass" if ok_span else "fail", "diff": None})
+    out.append(_row("even part = alternating subalgebra (truncated spans)", None,
+                    diff=_even_part_is_alternating(ctx, root, bound)))
     return out, notes

@@ -44,11 +44,17 @@ def _read(flag: str, text: str, parse):
         raise ValueError(f"{flag} {text!r}: {exc}") from None
 
 
-def _parse_block(quiver, text: str) -> Root:
-    """A block is named by any residue sequence with its content, e.g. '0,1'."""
-    by_text = labels_by_text(quiver.vertices)
-    parts = [part.strip() for part in text.split(",")]
-    return root_of_seq(quiver, [by_text.get(part, part) for part in parts])
+def _parse_block(quiver, n: int, text: str) -> Root:
+    """A block is named by any residue sequence with its content, e.g. '0,1',
+    of height n; its usage error names --block."""
+    def parse(text):
+        by_text = labels_by_text(quiver.vertices)
+        parts = [part.strip() for part in text.split(",")]
+        root = root_of_seq(quiver, [by_text.get(part, part) for part in parts])
+        if root.height != n:
+            raise ValueError(f"root height {root.height} != n = {n}")
+        return root
+    return _read("--block", text, parse)
 
 
 def _count(text: str) -> int:
@@ -146,7 +152,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "basis":
-        root = _parse_block(quiver, args.block)
+        root = _parse_block(quiver, args.n, args.block)
         tags = ("G",) if args.tags == "G" else ("G", "G'")
         count = len(tags) * suites._block_work(root.height, args.bound, [root])
         if count > MAX_BASIS:
@@ -193,7 +199,7 @@ def _dispatch(args) -> int:
     if args.max_pairs is not None:
         kwargs["max_pairs"] = args.max_pairs
     if args.block is not None:
-        kwargs["block"] = _parse_block(quiver, args.block)
+        kwargs["block"] = _parse_block(quiver, args.n, args.block)
     report = suites.SUITES[name](quiver, args.n, dom, **kwargs)
     suites.write_report(report, args.format, sys.stdout)
     return report.exit_code

@@ -32,25 +32,14 @@ class Report:
         return 0 if self.ok else 1
 
 
-# Pieces of report text joined per write.  One write per piece, about a
-# million JSON pieces for `alt-presentation --n 4 --bound 2`, cost that run
-# about 1 s of wall time on a 2-CPU host with unbuffered stdout.
-WRITE_BATCH = 4096
-
-
 def write_report(report: Report, fmt: str, out) -> None:
-    """Write a Report deterministically to the text stream `out`, every
-    line ending in a newline.  JSON is encoded as `json.dump(payload,
-    sort_keys=True, indent=2)` would; the text is written in batches of its
-    pieces, so a large report's text is never held whole."""
+    """Write a Report deterministically to the text stream `out`, in one
+    call: `json.dumps(payload, sort_keys=True, indent=2)` and a newline,
+    or the text lines, each ending in a newline."""
     if fmt == "json":
-        pieces = itertools.chain(json.JSONEncoder(sort_keys=True, indent=2)
-                                 .iterencode(report.payload), ["\n"])
+        out.write(json.dumps(report.payload, sort_keys=True, indent=2) + "\n")
     else:
-        pieces = (f"{line}\n" for line in report.text_lines)
-    # no piece is empty, so an empty batch is the end of the text
-    while batch := "".join(itertools.islice(pieces, WRITE_BATCH)):
-        out.write(batch)
+        out.write("".join(f"{line}\n" for line in report.text_lines))
 
 
 def make_context(quiver: Quiver, n: int, domain=None, tau_mapping=None) -> KLR:
@@ -70,6 +59,12 @@ def make_context(quiver: Quiver, n: int, domain=None, tau_mapping=None) -> KLR:
 # --bound 0) and won from 1,620 (klr-relations --n 3).
 POOL_MIN_WORK = 1_500
 
+# The most block work (see `_block_work`) that `_map_blocks` admits.  The
+# largest run it must admit, klr-relations on cycle(3) at n = 7, bound 0,
+# counts 11,022,480; n = 8 at bound 0 counts 154,586,880 over one block per
+# reversal class and 264,539,520 over every block.
+MAX_BLOCK_WORK = 20_000_000
+
 
 def _block_work(n: int, bound: int, roots) -> int:
     """Sum over the blocks of n! C(bound + n, n) |I^beta|, the size of their
@@ -82,7 +77,8 @@ def _block_work(n: int, bound: int, roots) -> int:
 
 
 def _map_blocks(fn, args, work: int = POOL_MIN_WORK) -> list:
-    """[fn(*a) for a in args], in input order.
+    """[fn(*a) for a in args], in input order; a `work` past MAX_BLOCK_WORK
+    is refused with a usage error before any call.
 
     Blocks are independent (their idempotents are central), so with two or
     more usable CPUs and an estimated `work` (see `_block_work`) of at least
@@ -107,6 +103,9 @@ def _map_blocks(fn, args, work: int = POOL_MIN_WORK) -> list:
       caches of pure functions, shared copy-on-write;
     - no worker outlives this process for long: see `_die_with_parent`.
     """
+    if work > MAX_BLOCK_WORK:
+        raise ValueError(f"blocks of {work} truncated basis elements, past the "
+                         f"cap of {MAX_BLOCK_WORK}")
     args = list(args)
     # macOS has no sched_getaffinity: count the machine's CPUs there
     workers = min(len(args), len(os.sched_getaffinity(0))

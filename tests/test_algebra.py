@@ -655,9 +655,9 @@ def test_public_results_are_keyed_by_mono(field, monkeypatch):
     # out theirs
     negate_three_letter_products(monkeypatch)
     seen = []
-    diff_row = alt._diff_row
-    monkeypatch.setattr(alt, "_diff_row", lambda *args:
-                        seen.append(args[4]) or diff_row(*args))
+    row = alt._row
+    monkeypatch.setattr(alt, "_row", lambda *args, diff=None:
+                        seen.append(diff) or row(*args, diff=diff))
     rows = list(alt.iter_express_coverage(K.KLR(q, 3, dom), root, 1))
     diffs = [diff for diff in seen if diff is not None]
     assert len(seen) == len(rows) and diffs and all(map(_keyed_by_mono, diffs))

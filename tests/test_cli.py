@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from klrcalc.cli import MAX_BASIS, main
-from klrcalc.suites import MAX_DIMS_WORK
+import klrcalc as K
+from klrcalc.suites import MAX_BLOCK_WORK, MAX_DIMS_WORK, _block_work
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -226,6 +227,49 @@ def test_dims_cap_refuses_at_once(capsys, argv):
     assert code == 2 and out == ""
     assert err == ("error: dims tables of 16200000162 (w, i, |a|) steps, past "
                    f"the cap of {MAX_DIMS_WORK}\n")
+
+
+@pytest.mark.parametrize("argv, work", [
+    (["klr-relations", "--n", "8", "--bound", "0", "--fuzz", "1"], 264539520),
+    (["alt-presentation", "--n", "8", "--bound", "0"], 154586880),
+    (["signed-relations", "--n", "8", "--bound", "0"], 154586880),
+    (["clifford", "--n", "8"], 1391281920),
+], ids=lambda v: v[0] if isinstance(v, list) else str(v))
+def test_verify_cap_refuses_at_once(capsys, argv, work):
+    # the blocks' truncated bases are counted, and refused, before any
+    # block is checked
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err == (f"error: blocks of {work} truncated basis elements, past the "
+                   f"cap of {MAX_BLOCK_WORK}\n")
+
+
+@pytest.mark.parametrize("n, bound, all_blocks", [
+    # the baseline runs, largest first per suite
+    (4, 3, True), (5, 1, True), (6, 0, True),  # klr-relations
+    (6, 0, False), (5, 2, False), (5, 1, False),  # the presentations, clifford
+    # the n = 7 presentations and sweeps
+    (7, 0, False), (7, 0, True),
+])
+def test_verify_cap_admits_the_baseline_and_n7_runs(n, bound, all_blocks):
+    q = K.cycle(3)
+    roots = (K.all_roots(q, n) if all_blocks
+             else K.root_tau_classes(q, K.default_reversal(q), n).reps)
+    assert _block_work(n, bound, roots) <= MAX_BLOCK_WORK
+
+
+@pytest.mark.parametrize("command", [["basis"], ["verify", "clifford"]])
+@pytest.mark.parametrize("n, block, message", [
+    ("2", "0,1,2", "root height 3 != n = 2"),
+    ("3", "0,1", "root height 2 != n = 3"),
+    ("2", "0,7", "root mentions unknown vertex '7'"),
+])
+def test_block_errors_name_the_flag(capsys, command, n, block, message):
+    code, out, err = run(capsys, *command, "--n", n, "--block", block)
+    assert code == 2 and out == ""
+    assert err == f"error: --block {block!r}: {message}\n"
 
 
 @pytest.mark.parametrize("flag, argv", [

@@ -6,6 +6,7 @@ import klrcalc as K
 from klrcalc import alternating as alt
 from klrcalc import signop
 from klrcalc.algebra import Element, Mono, relation_instances
+from klrcalc.exprs import element_to_text
 from klrcalc.perms import length
 from parity import parity_project
 from spans import spans_equal
@@ -199,7 +200,7 @@ def test_even_part_matches_alternating_span():
                             even_rows.append(p.terms)
                     _, elems = alt.alt_basis(ctx, root, bound)
                     assert spans_equal(even_rows, [e.terms for e in elems], ctx.dom)
-                    assert alt._even_part_is_alternating(ctx, root, bound)
+                    assert alt._even_part_is_alternating(ctx, root, bound) is None
 
 
 def sgn_ignoring_exponents(x):
@@ -260,3 +261,7 @@ def test_even_part_row_fails_under_seeded_faults(monkeypatch, ctx2, root01, patc
     monkeypatch.setattr(*patch)
     rows, _ = alt.verify_signed_relations(ctx2, root01, bound=1)
     assert rows[-1]["relation"].startswith("even part") and rows[-1]["status"] == "fail"
+    # the witness names the failing plane by a monomial of the block
+    monos = {element_to_text(Element(ctx2, {m: ctx2.dom.one}))
+             for m in ctx2.enumerate_basis(root01, 1, TAGS)}
+    assert set(rows[-1]["diff"].split()) & monos

@@ -168,3 +168,25 @@ def test_no_src_module_eliminates():
                 names = [alias.name for alias in sub.names]
             assert not [name for name in names
                         if "echelon" in name.lower() or "linalg" in name], path.name
+
+
+def unused_imports() -> set:
+    """(module, name) for every name that a `src/klrcalc` module imports and
+    never reads; `__init__.py` imports to re-export, so it is not read."""
+    unused = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {(alias.asname or alias.name).split(".")[0]
+                    for sub in ast.walk(tree)
+                    if isinstance(sub, (ast.Import, ast.ImportFrom))
+                    and getattr(sub, "module", None) != "__future__"
+                    for alias in sub.names}
+        read = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
+        unused |= {(path.stem, name) for name in imported - read}
+    return unused
+
+
+def test_every_import_is_used():
+    assert unused_imports() == set()
