@@ -686,7 +686,8 @@ def relation_instances(labels, n: int, views=((None, frozenset()),), bare=None):
     supported on e(i): every word of a label acts on the terms of its base,
     right to left, letter by letter through `KLR._run_steps`, but for a
     trailing E or F, the identity there.  Each (key, odd) of `views` reads
-    the rows off that one run, each word `twisted` by `odd`, under the row
+    the rows off that one run, the G' terms of each word's value negated
+    when an odd number of its letters are of a kind in `odd`, under the row
     label `label` for key None and (label, key) otherwise.  `bare`, if
     given, is (families, unit base): those families, whose only idempotent
     is that trailing E, are checked once, with label None, on the unit base.
@@ -787,12 +788,3 @@ def _signed_sum(parts, ctx: KLR) -> dict:
             _acc1(out, k, c, dom)
     return out
 
-
-def twisted(x: Element, word: tuple, odd) -> Element:
-    """x, the value of `word` under tag-preserving letters, with its G' terms
-    negated when an odd number of the word's letters are of a kind in `odd`."""
-    if sum(g[0] in odd for g in word) % 2 == 0:
-        return x
-    ctx = x.ctx
-    return Element(ctx, ctx._decode(_signed_sum(((1, ctx._encode(x.terms), True),),
-                                                ctx)))

@@ -20,9 +20,9 @@ plain two-copy values (`_table_instances`): each sequence's compiled suffix
 program runs on the terms of e[i], or of the block unit, through the
 engine's one step loop.  Every generator of both presentations keeps a
 term's tag, so a word's value in either is G + s G', the tag parts of its
-one plain value, with s = -1 when it has an odd number of odd letters
-(`algebra.twisted`).  The basis words of the expression check run on each
-e[i] as one compiled suffix program, through `KLR.act_words`.
+one plain value, with s = -1 when it has an odd number of odd letters.
+The basis words of the expression check run on each e[i] as one compiled
+suffix program, through `KLR.act_words`.
 
 The braid relation of the signed presentation is checked with the
 correction sign matching the underlying deformed braid relation (minus on
@@ -36,8 +36,7 @@ import math
 
 from . import perms
 from .algebra import (TAG_MAIN, TAG_OPP, TAGS_BOTH, Element, KLR, Mono,
-                      NotHomogeneousError, ShapeError, relation_instances,
-                      twisted)
+                      NotHomogeneousError, ShapeError, relation_instances)
 from .exprs import element_to_json_obj
 from .perms import canonical_word, length
 from .quiver import Root, all_seqs, tau_classes
@@ -281,14 +280,15 @@ def iter_express_coverage(ctx: KLR, root: Root, bound: int):
     from its generator word (`express_alt`), one row each, in its order.
     The words psi_{cw(w)} Y^a, for every (w, a), act on each e[i] of the
     block in one `KLR.act_words` call, so words that share a suffix share
-    its value.  Letters keep tags, so a row holds when its plain value is
-    m@G + m@G' and the element is that read with the word's parity: such a
-    row is built at once, and only a failing row compares elements."""
+    its value.  Letters keep tags, so a row compares the element with its
+    word's plain value read with the word's parity; a plain value m@G +
+    m@G' reads as m@G +- m@G' at once, and only another is read from its
+    terms."""
     dom, seqs = ctx.dom, ctx.block_seqs(root)
     one, minus, new = dom.one, dom.from_int(-1), tuple.__new__
     keys = [(w, a) for w in perms.all_perms(ctx.n) for a in ctx.exponents_upto(bound)]
     words = [express_alt(ctx, (w, a, None, None))[:-1] for w, a in keys]
-    # each word's parity, counted as `twisted` counts it
+    # each word's parity: an odd one negates the G' terms of its value
     odd = {k: sum(g[0] in ALT_ODD for g in word) % 2 for k, word in zip(keys, words)}
     failing = {}
     for s, values in zip(seqs, ctx.act_words(words, (e_pair(ctx, s) for s in seqs))):
@@ -296,18 +296,16 @@ def iter_express_coverage(ctx: KLR, root: Root, bound: int):
             # tuple.__new__ skips the namedtuple's Python-level __new__
             if got.terms != {new(Mono, (TAG_MAIN, w, a, s)): one,
                              new(Mono, (TAG_OPP, w, a, s)): one}:
-                failing[w, a, s] = got
+                failing[w, a, s] = {m: dom.neg(c) if odd[w, a] and m.tag == TAG_OPP
+                                    else c for m, c in got.terms.items()}
     for desc, el in iter_alt_basis(ctx, root, bound):
         w, a, s, _b = desc
-        m, m_opp = new(Mono, (TAG_MAIN, w, a, s)), new(Mono, (TAG_OPP, w, a, s))
-        got = failing.get((w, a, s))
-        if got is None and el.terms == {
-                m: one, m_opp: minus if odd[w, a] else one}:
-            yield _row("express(alt basis element)", desc)
-        else:
-            plain = Element(ctx, {m: one, m_opp: one}) if got is None else got
-            yield _row("express(alt basis element)", desc, diff=_differ(
-                twisted(plain, express_alt(ctx, desc), ALT_ODD), el))
+        read = failing.get((w, a, s))
+        if read is None:
+            read = {new(Mono, (TAG_MAIN, w, a, s)): one,
+                    new(Mono, (TAG_OPP, w, a, s)): minus if odd[w, a] else one}
+        yield _row("express(alt basis element)", desc,
+                   diff=_differ(Element(ctx, read), el))
 
 
 def express_coverage(ctx: KLR, root: Root, bound: int) -> list:

@@ -1,7 +1,7 @@
 """
 Command line front end.
 
-Subcommands: quiver, nf, mul, basis, dims, verify <suite>.
+Subcommands: quiver, nf, mul, basis, dims (`verify dims`), verify <suite>.
 Exit codes: 0 all checks pass, 1 verification failure, 2 usage error.
 All output is deterministic for fixed arguments and seed.
 """
@@ -23,6 +23,11 @@ from .scalars import domain_from_flag
 # The most monomials `basis` lists, counted before any is built: listing
 # 75,600 takes 1.3 s on a 2-CPU host.
 MAX_BASIS = 100_000
+
+# The flags of `verify` that a suite may read, each with the suites that
+# read it; a flag left unset takes the suite's default.
+SUITE_FLAGS = {"bound": set(suites.SUITES), "block": {"clifford"},
+               "fuzz": {"klr-relations"}, "max_pairs": {"clifford"}}
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -99,6 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dims", help="graded dimension tables and halving")
     _add_common(p)
     p.add_argument("--bound", type=_count, default=3)
+    p.set_defaults(suite="dims")  # run as `verify dims`
 
     p = sub.add_parser("verify", help="run a verification suite")
     _add_common(p)
@@ -128,9 +134,13 @@ def _dispatch(args) -> int:
     dom = _read("--field", args.field, domain_from_flag)
     tau_mapping = None if args.tau is None else _read(
         "--tau", args.tau, lambda text: tau_from_json(quiver.vertices, json.loads(text)))
+    # the reversal map the run uses, checked here so that its error names
+    # the flag that gave it
+    flag, text = ("--quiver", args.quiver) if args.tau is None else ("--tau", args.tau)
+    _read(flag, text, lambda _: suites.make_context(quiver, 0, dom, tau_mapping))
 
     if args.command == "quiver":
-        suites.make_context(quiver, args.n, dom, tau_mapping)  # checks the reversal map
+        suites.make_context(quiver, args.n, dom, tau_mapping)  # checks n
         obj = quiver.to_json_obj()
         if args.format == "json":
             print(json.dumps(obj, sort_keys=True, indent=2))
@@ -177,28 +187,16 @@ def _dispatch(args) -> int:
                 print(f"deg {d}: {c}")
         return 0
 
-    if args.command == "dims":
-        report = suites.run_dims(quiver, args.n, dom, bound=args.bound,
-                                 seed=args.seed, tau_mapping=tau_mapping)
-        suites.write_report(report, args.format, sys.stdout)
-        return report.exit_code
-
-    # verify
+    # verify, and dims as `verify dims`
     name = args.suite
-    for flag, value, suite in (("--block", args.block, "clifford"),
-                               ("--fuzz", args.fuzz, "klr-relations"),
-                               ("--max-pairs", args.max_pairs, "clifford")):
-        if value is not None and name != suite:
-            raise ValueError(f"the {name} suite takes no {flag}")
     kwargs = {"seed": args.seed, "tau_mapping": tau_mapping}
-    # an unset --bound, --fuzz or --max-pairs takes the suite's default
-    if args.bound is not None:
-        kwargs["bound"] = args.bound
-    if args.fuzz is not None:
-        kwargs["fuzz"] = args.fuzz
-    if args.max_pairs is not None:
-        kwargs["max_pairs"] = args.max_pairs
-    if args.block is not None:
+    for key, readers in SUITE_FLAGS.items():
+        value = getattr(args, key, None)  # `dims` has only --bound
+        if value is not None:
+            if name not in readers:
+                raise ValueError(f"the {name} suite takes no --{key.replace('_', '-')}")
+            kwargs[key] = value
+    if "block" in kwargs:
         kwargs["block"] = _parse_block(quiver, args.n, args.block)
     report = suites.SUITES[name](quiver, args.n, dom, **kwargs)
     suites.write_report(report, args.format, sys.stdout)

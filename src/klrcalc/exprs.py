@@ -21,6 +21,8 @@ counts characters from the start of its line.  Nesting past the
 interpreter's recursion limit is refused as an error at the token reached,
 and so are an expression longer than MAX_LENGTH letters and a value past
 MAX_TERMS (see there), the latter at the token its subexpression starts at.
+An algebra whose unit holds more than MAX_UNIT terms is refused before any
+atom is built.
 """
 
 from __future__ import annotations
@@ -50,6 +52,12 @@ MAX_LENGTH = 64
 # power of psi[1]+y[2] holds 775 on one e(i).  The cap grows with the unit,
 # as atoms do, and in x y each term of y meets at most MAX_TERMS terms of x.
 MAX_TERMS = 512
+
+# The most terms e(i)@G and e(i)@G', 2 |I|^n, that the unit an atom is built
+# over may hold: on cycle(3) each strand triples it, and on a 2-CPU host
+# `nf 'y[1]*e(0,...,0)'` at n = 10 (118,098 terms) takes 0.3 s and 39 MB,
+# at n = 11 (354,294) 0.7 s and 97 MB.
+MAX_UNIT = 200_000
 
 
 class ExprError(ValueError):
@@ -235,6 +243,9 @@ def eval_ast(node, ctx: KLR) -> Element:
     over all of I^n, both copies.  Sums and products fold left to right; the
     engine checks each atom, and its error is reported at the atom's
     token."""
+    count = 2 * len(ctx.quiver.vertices) ** ctx.n
+    if count > MAX_UNIT:
+        raise ValueError(f"a unit of {count} terms, past the cap of {MAX_UNIT}")
     seqs = all_seqs(ctx.quiver, ctx.n)
     labels = labels_by_text(ctx.quiver.vertices)
 

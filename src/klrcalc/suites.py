@@ -151,6 +151,34 @@ def _on_own_context(check, quiver: Quiver, n: int, domain, tau_mapping,
     return check(make_context(quiver, n, domain, tau_mapping), root, *args)
 
 
+def _run_blocks(roots, bound: int, check, quiver: Quiver, n: int, domain,
+                tau_mapping, *args) -> list:
+    """[check(ctx, root, *args) for root in roots], in order, each on its
+    own context (`_on_own_context`), through `_map_blocks` with the work of
+    the blocks' bases truncated at `bound`."""
+    return _map_blocks(_on_own_context, [
+        (check, quiver, n, domain, tau_mapping, root, *args) for root in roots],
+        _block_work(n, bound, roots))
+
+
+def _reversal_context(quiver: Quiver, n: int, domain, tau_mapping) -> KLR:
+    """`make_context`, refused where the quiver has no reversal map."""
+    ctx = make_context(quiver, n, domain, tau_mapping)
+    if ctx.tau is None:
+        raise ValueError("this suite needs a reversal map")
+    return ctx
+
+
+def _report(suite: str, params: dict, seed: int, ok: bool, payload, body,
+            notes=()) -> Report:
+    """A suite's Report: its text is a header (the suite, each param, the
+    seed, each note), the `body` lines and the verdict."""
+    lines = [f"suite: {suite}", *(f"param {k} = {params[k]}" for k in sorted(params)),
+             f"seed: {seed}", *(f"note: {note}" for note in notes), *body,
+             "all checks passed" if ok else "FAILURES PRESENT"]
+    return Report(ok, payload, lines)
+
+
 # --- seeded random elements ----------------------------------------------------
 
 
@@ -249,33 +277,28 @@ def run_klr_relations(quiver: Quiver, n: int, domain=None, bound: int = 2,
     ctx = make_context(quiver, n, domain, tau_mapping)
     roots = all_roots(quiver, n)
     rows = []
-    for block_rows in _map_blocks(_on_own_context, [
-            (_sweep_block, quiver, n, domain, tau_mapping, root, bound)
-            for root in roots], _block_work(n, bound, roots)):
+    for block_rows in _run_blocks(roots, bound, _sweep_block, quiver, n, domain,
+                                  tau_mapping, bound):
         rows.extend(block_rows)
 
     fuzzed = {}
-    checked, failure = associativity_fuzz(ctx, fuzz, seed)
-    fuzzed["associativity"] = {"checked": checked,
-                               "status": "pass" if failure is None else "fail",
-                               "witness": failure}
-    checked, failure = strategy_fuzz(ctx, fuzz, seed + 1)
-    fuzzed["rewrite_strategies"] = {"checked": checked,
-                                    "status": "pass" if failure is None else "fail",
-                                    "witness": failure}
+    for name, check, offset in (("associativity", associativity_fuzz, 0),
+                                ("rewrite_strategies", strategy_fuzz, 1)):
+        checked, failure = check(ctx, fuzz, seed + offset)
+        fuzzed[name] = {"checked": checked,
+                        "status": "pass" if failure is None else "fail",
+                        "witness": failure}
 
-    ok = all(r["status"] == "pass" for r in rows) and \
-        all(v["status"] == "pass" for v in fuzzed.values())
+    ok = all(r["status"] == "pass" for r in itertools.chain(rows, fuzzed.values()))
     params = {"quiver": quiver.name, "n": n, "bound": bound,
               "field": ctx.dom.name, "fuzz_triples": fuzz, "fuzz_words": fuzz}
     payload = {"suite": "klr-relations", "params": params, "seed": seed,
                "instances": rows, "fuzz": fuzzed}
-    lines = _text_header("klr-relations", params, seed)
-    lines += _text_rows(rows)
-    for name, res in fuzzed.items():
-        lines.append(f"{res['status'].upper()} {name} ({res['checked']} checks)")
-    lines.append(_verdict(ok))
-    return Report(ok, payload, lines)
+    body = [f"{r['status'].upper()} [{r['block']}] {r['relation']} "
+            f"({r['checked']} checks)" for r in rows]
+    body += [f"{res['status'].upper()} {name} ({res['checked']} checks)"
+             for name, res in fuzzed.items()]
+    return _report("klr-relations", params, seed, ok, payload, body)
 
 
 # --- fuzzing ---------------------------------------------------------------------
@@ -372,24 +395,18 @@ def _run_presentation(suite: str, theorem: str, check, quiver: Quiver, n: int,
     each block on its own context, and report per (block, relation) its
     instance and failing counts, then every failing row.  A block hands back
     only these (see `_tally_block`); the text and the JSON read them."""
-    ctx = make_context(quiver, n, domain, tau_mapping)
-    if ctx.tau is None:
-        raise ValueError("this suite needs a reversal map")
+    ctx = _reversal_context(quiver, n, domain, tau_mapping)
     roots = root_tau_classes(quiver, ctx.tau, n).reps
     counts: dict = {}
     fails = []
     notes = []
-    for block_counts, block_fails, block_notes in _map_blocks(
-            _on_own_context,
-            [(_tally_block, quiver, n, domain, tau_mapping, root, check, bound)
-             for root in roots],
-            _block_work(n, bound, roots)):
+    for block_counts, block_fails, block_notes in _run_blocks(
+            roots, bound, _tally_block, quiver, n, domain, tau_mapping, check, bound):
         counts.update(block_counts)
         fails += block_fails
         for note in block_notes:
             if note not in notes:
                 notes.append(note)
-    ok = not fails
     params = {"quiver": quiver.name, "n": n, "bound": bound, "field": ctx.dom.name}
     relations = [{"block": block, "relation": rel, "instances": total,
                   "failing": bad, "status": "fail" if bad else "pass"}
@@ -397,13 +414,11 @@ def _run_presentation(suite: str, theorem: str, check, quiver: Quiver, n: int,
     payload = {"suite": suite, "theorem": theorem, "params": params,
                "seed": seed, "notes": notes, "relations": relations,
                "failing": fails}
-    lines = _text_header(suite, params, seed, notes)
-    lines += [f"{r['status'].upper()} [{r['block']}] {r['relation']} "
-              f"({r['instances']} instances, {r['failing']} failing)" for r in relations]
-    lines += [f"  failing instance: {json.dumps(inst, sort_keys=True, default=str)}"
-              for inst in fails]
-    lines.append(_verdict(ok))
-    return Report(ok, payload, lines)
+    body = [f"{r['status'].upper()} [{r['block']}] {r['relation']} "
+            f"({r['instances']} instances, {r['failing']} failing)" for r in relations]
+    body += [f"  failing instance: {json.dumps(inst, sort_keys=True, default=str)}"
+             for inst in fails]
+    return _report(suite, params, seed, not fails, payload, body, notes)
 
 
 def _alt_block(ctx: KLR, root: Root, bound: int):
@@ -428,29 +443,24 @@ def run_signed_relations(quiver: Quiver, n: int, domain=None, bound: int = 1,
 def run_clifford(quiver: Quiver, n: int, domain=None, bound: int = 1,
                  seed: int = 0, max_pairs: int = 400, tau_mapping=None,
                  block: Root | None = None) -> Report:
-    ctx = make_context(quiver, n, domain, tau_mapping)
-    if ctx.tau is None:
-        raise ValueError("this suite needs a reversal map")
+    ctx = _reversal_context(quiver, n, domain, tau_mapping)
     roots = ([block] if block is not None
              else root_tau_classes(quiver, ctx.tau, n).reps)
     all_ok = True
     blocks = {}
-    lines_body = []
-    for root, (ok, axioms, _) in zip(roots, _map_blocks(_on_own_context, [
-            (signop.clifford_axioms_check, quiver, n, domain, tau_mapping,
-             root, None, bound, seed, max_pairs) for root in roots],
-            _block_work(n, bound, roots))):
+    body = []
+    for root, (ok, axioms, _) in zip(roots, _run_blocks(
+            roots, bound, signop.clifford_axioms_check, quiver, n, domain,
+            tau_mapping, None, bound, seed, max_pairs)):
         all_ok = all_ok and ok
         blocks[str(root)] = axioms
         for name, res in sorted(axioms.items()):
             wit = f" ({res['witness']})" if res["witness"] else ""
-            lines_body.append(f"{res['status'].upper()} [{root}] {name}{wit}")
+            body.append(f"{res['status'].upper()} [{root}] {name}{wit}")
     payload = blocks[str(roots[0])] if block is not None else blocks
     params = {"quiver": quiver.name, "n": n, "bound": bound,
               "field": ctx.dom.name, "max_pairs": max_pairs}
-    lines = _text_header("clifford", params, seed) + lines_body
-    lines.append(_verdict(all_ok))
-    return Report(all_ok, payload, lines)
+    return _report("clifford", params, seed, all_ok, payload, body)
 
 
 # The most `_add_dims` iterations of the full table, n! |I|^n (bound + 1),
@@ -461,9 +471,7 @@ MAX_DIMS_WORK = 20_000_000
 
 def run_dims(quiver: Quiver, n: int, domain=None, bound: int = 3,
              seed: int = 0, tau_mapping=None) -> Report:
-    ctx = make_context(quiver, n, domain, tau_mapping)
-    if ctx.tau is None:
-        raise ValueError("this suite needs a reversal map")
+    ctx = _reversal_context(quiver, n, domain, tau_mapping)
     work = math.factorial(n) * len(quiver.vertices) ** n * (bound + 1)
     if work > MAX_DIMS_WORK:
         raise ValueError(f"dims tables of {work} (w, i, |a|) steps, past the "
@@ -483,22 +491,19 @@ def run_dims(quiver: Quiver, n: int, domain=None, bound: int = 3,
         halving.append({"k": k, "alternating": a, "full": f,
                         "status": "pass" if 2 * a == f else "fail"})
         k += 1
-    ok = all(h["status"] == "pass" for h in halving)
     params = {"quiver": quiver.name, "n": n, "bound": bound, "field": ctx.dom.name}
     payload = {"suite": "dims", "params": params, "seed": seed,
                "full": {str(d): c for d, c in full.items()},
                "alternating": {str(d): c for d, c in alt.items()},
                "complete_upto_degree": window, "halving": halving}
-    lines = _text_header("dims", params, seed)
-    lines.append("degree table (full / alternating), complete up to degree "
-                 f"{window}:")
-    for d in sorted(set(full) | set(alt)):
-        lines.append(f"  deg {d}: {full.get(d, 0)} / {alt.get(d, 0)}")
-    for h in halving:
-        lines.append(f"{h['status'].upper()} halving k={h['k']}: "
-                     f"2*{h['alternating']} == {h['full']}")
-    lines.append(_verdict(ok))
-    return Report(ok, payload, lines)
+    body = ["degree table (full / alternating), complete up to degree "
+            f"{window}:"]
+    body += [f"  deg {d}: {full.get(d, 0)} / {alt.get(d, 0)}"
+             for d in sorted(set(full) | set(alt))]
+    body += [f"{h['status'].upper()} halving k={h['k']}: "
+             f"2*{h['alternating']} == {h['full']}" for h in halving]
+    ok = all(h["status"] == "pass" for h in halving)
+    return _report("dims", params, seed, ok, payload, body)
 
 
 SUITES = {
@@ -509,27 +514,3 @@ SUITES = {
     "dims": run_dims,
 }
 
-
-# --- text helpers -------------------------------------------------------------------
-
-
-def _text_header(suite, params, seed, notes=()):
-    lines = [f"suite: {suite}"]
-    for k in sorted(params):
-        lines.append(f"param {k} = {params[k]}")
-    lines.append(f"seed: {seed}")
-    for note in notes:
-        lines.append(f"note: {note}")
-    return lines
-
-
-def _text_rows(rows):
-    out = []
-    for r in rows:
-        out.append(f"{r['status'].upper()} [{r['block']}] {r['relation']} "
-                   f"({r['checked']} checks)")
-    return out
-
-
-def _verdict(ok: bool) -> str:
-    return "all checks passed" if ok else "FAILURES PRESENT"

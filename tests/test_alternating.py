@@ -5,8 +5,9 @@ import pytest
 import klrcalc as K
 from klrcalc import alternating as alt
 from klrcalc import signop
-from klrcalc.algebra import E, F, Element, Mono, relation_instances, twisted
+from klrcalc.algebra import E, F, Element, Mono, relation_instances
 from klrcalc.perms import all_perms, length
+from parity import twisted
 from spans import Echelon, rank
 from steps import log_steps
 

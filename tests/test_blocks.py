@@ -381,9 +381,9 @@ def test_suites_that_catch_a_reversed_key_decoding(suite, argv, row, count,
 
 
 def test_express_coverage_reads_the_odd_kinds(monkeypatch, capsys):
-    # a seeded fault: Y_r is read as even.  Express coverage counts a
-    # passing row's parity from ALT_ODD, as its failing rows' `twisted`
-    # does, so its rows of an odd number of y letters fail with the relation
+    # a seeded fault: Y_r is read as even.  Express coverage counts each
+    # word's parity from ALT_ODD once, for its passing and its failing
+    # rows, so its rows of an odd number of y letters fail with the relation
     # rows that read Y_r
     monkeypatch.setattr(alternating, "ALT_ODD", frozenset({"psi"}))
     monkeypatch.setattr(suites, "POOL_MIN_WORK", 10**9)

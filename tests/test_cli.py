@@ -10,6 +10,7 @@ import pytest
 
 from klrcalc.cli import MAX_BASIS, main
 import klrcalc as K
+from klrcalc.exprs import MAX_UNIT
 from klrcalc.suites import MAX_BLOCK_WORK, MAX_DIMS_WORK, _block_work
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -54,6 +55,16 @@ def test_dims_suite(capsys):
     code, out, _ = run(capsys, "verify", "dims", "--n", "1", "--bound", "3")
     assert code == 0
     assert "deg 0: 3 / 2" in out and "deg 2: 3 / 1" in out
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("n, code", [("1", 0), ("2", 1)])
+def test_dims_is_verify_dims(capsys, n, code, fmt):
+    # a passing and a failing run print the same bytes either way
+    argv = ["--n", n, "--bound", "6", "--format", fmt]
+    got = run(capsys, "dims", *argv)
+    assert got == run(capsys, "verify", "dims", *argv)
+    assert got[0] == code and got[1] and got[2] == ""
 
 
 def test_verify_klr_relations_path2(capsys):
@@ -218,6 +229,16 @@ def test_basis_cap_refuses_at_once(capsys):
     assert code == 0 and "count: 24" in out
 
 
+@pytest.mark.parametrize("argv", [["nf", "y[1]"], ["mul", "y[1]", "y[2]"]])
+def test_unit_cap_refuses_at_once(capsys, argv):
+    # 2 * 3^14 idempotents on cycle(3), refused before any is built
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv[0], "--n", "14", *argv[1:])
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err == f"error: a unit of 9565938 terms, past the cap of {MAX_UNIT}\n"
+
+
 @pytest.mark.parametrize("argv", [["verify", "dims"], ["dims"]])
 def test_dims_cap_refuses_at_once(capsys, argv):
     # 3! 3^3 (10^8 + 1) steps of the full table, refused before any is built
@@ -276,9 +297,15 @@ def test_block_errors_name_the_flag(capsys, command, n, block, message):
     ("--tau", ["quiver", "--tau", "xx"]),
     ("--quiver", ["quiver", "--quiver", "{bad"]),
     ("--field", ["nf", "--field", "Fp:x", "--n", "1", "e(0)"]),
+    # a reversal map that fails its check, named by the flag that gave it
+    ("--tau", ["quiver", "--tau", '{"0":1}']),
+    ("--tau", ["verify", "dims", "--n", "1", "--tau", '{"0":0,"1":1,"2":2}']),
+    ("--quiver", ["quiver", "--quiver",
+                  '{"vertices":[0,1],"edges":[[0,1]],"tau":{"0":0,"1":1}}']),
 ])
 def test_usage_error_names_its_flag(capsys, flag, argv):
-    # the parser's own message, led by the flag and the text it was given
+    # the parser's or the checker's message, led by the flag and the text
+    # it was given
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith(f"error: {flag} {argv[argv.index(flag) + 1]!r}: ")

@@ -9,6 +9,8 @@ import ast
 import builtins
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "klrcalc"
 
 # Public names that only tests/test_acceptance.py calls: the acceptance
@@ -168,6 +170,18 @@ def test_no_src_module_eliminates():
                 names = [alias.name for alias in sub.names]
             assert not [name for name in names
                         if "echelon" in name.lower() or "linalg" in name], path.name
+
+
+@pytest.mark.parametrize("text", ["this suite needs a reversal map",
+                                  "all checks passed", "FAILURES PRESENT"])
+def test_report_texts_are_written_once(text):
+    # one reversal-map guard and one report builder: each text is one
+    # string constant, and occurs nowhere else in the package
+    constants = [sub.value for path in sorted(SRC.glob("*.py"))
+                 for sub in ast.walk(ast.parse(path.read_text(), str(path)))
+                 if isinstance(sub, ast.Constant) and isinstance(sub.value, str)]
+    assert constants.count(text) == 1
+    assert sum(path.read_text().count(text) for path in SRC.glob("*.py")) == 1
 
 
 def unused_imports() -> set:
